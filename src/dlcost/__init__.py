@@ -27,7 +27,6 @@ from .engine import (
     data_io_time,
     throughput,
     validation_gap,
-    weight_medium_path,
     weight_time,
 )
 from .aggregate import (
@@ -108,7 +107,6 @@ __all__ = [
     "throughput",
     "validate_record",
     "validation_gap",
-    "weight_medium_path",
     "weight_time",
     "weighted_breakdown",
     "write_trace",

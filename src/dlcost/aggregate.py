@@ -22,7 +22,9 @@ from .core import (
     Shares,
     WorkloadRecord,
 )
-from .engine import breakdown
+from .engine import Columns, evaluate
+# Unused here, but perfbench's tracer patches ``dlcost.aggregate.breakdown``.
+from .engine import breakdown  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -156,20 +158,22 @@ def population_shares(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyMo
     degenerate all-zero records contribute all-zero shares.
     """
     pop.require_nonempty()
-    return [breakdown(rec, hw, eff, overlap).shares for rec in pop]
+    ev = evaluate(Columns.of(pop), hw, eff, overlap)
+    return [Shares(*job) for job in zip(*(ev.share(name) for name in Shares.COMPONENTS))]
 
 
 def weighted_breakdown(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyModel,
                        overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> BreakdownAverages:
     """Average shares per component, job-level and cNode-weighted."""
-    shares = population_shares(pop, hw, eff, overlap)
-    cnodes = [rec.num_cnodes for rec in pop]
+    pop.require_nonempty()
+    cols = Columns.of(pop)
+    ev = evaluate(cols, hw, eff, overlap)
     job = {}
     cnode = {}
     for name in Shares.COMPONENTS:
-        values = [s.component(name) for s in shares]
+        values = ev.share(name)
         job[name] = job_level_mean(values)
-        cnode[name] = cnode_level_mean(values, cnodes)
+        cnode[name] = cnode_level_mean(values, cols.num_cnodes)
     return BreakdownAverages(job_level=Shares(**job), cnode_level=Shares(**cnode))
 
 
@@ -179,9 +183,10 @@ def share_cdf(pop: JobPopulation, component: str, hw: HardwareProfile,
     """Empirical CDF of one share component across the population."""
     if level not in ("job", "cnode"):
         raise ValueError(f"level must be 'job' or 'cnode', got {level!r}")
-    shares = population_shares(pop, hw, eff, overlap)
-    values = [s.component(component) for s in shares]
-    weights = [float(rec.num_cnodes) for rec in pop] if level == "cnode" else None
+    pop.require_nonempty()
+    cols = Columns.of(pop)
+    values = evaluate(cols, hw, eff, overlap).share(component)
+    weights = [float(c) for c in cols.num_cnodes] if level == "cnode" else None
     return EmpiricalCDF.from_samples(values, weights)
 
 

@@ -15,11 +15,20 @@ One training step decomposes into three parts:
 "Attainable" means peak capacity scaled by the efficiency model.  The
 total is either the sum of the three parts (no overlap) or their
 maximum (ideal overlap).  All functions are pure and deterministic.
+
+The model is evaluated two ways.  ``breakdown`` decomposes one job into
+a ``TimeBreakdown``; it serves per-job reports and projections and is
+the reference the other path is tested against.  ``evaluate`` runs the
+same arithmetic over a whole population held as ``Columns``, for the
+analyses that re-evaluate every job at many model points (sweeps,
+sensitivity grids, population shares).  Both perform the same float
+operations in the same order, so their results are bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     GPUS_PER_SERVER,
@@ -44,11 +53,6 @@ WEIGHT_MEDIUM_PATHS: dict[ArchitectureKind, tuple[Medium, ...]] = {
     ArchitectureKind.ALLREDUCE_CLUSTER: (Medium.ETHERNET, Medium.NVLINK),
     ArchitectureKind.PEARL: (Medium.NVLINK,),
 }
-
-
-def weight_medium_path(arch: ArchitectureKind) -> tuple[Medium, ...]:
-    """Return the ordered media weight traffic crosses under ``arch``."""
-    return WEIGHT_MEDIUM_PATHS[arch]
 
 
 def pcie_contention(arch: ArchitectureKind, num_cnodes: int) -> int:
@@ -90,7 +94,7 @@ def weight_time(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
     arch = rec.arch if arch_override is None else arch_override
     per_medium: dict[Medium, float] = {}
     total = 0.0
-    for medium in weight_medium_path(arch):
+    for medium in WEIGHT_MEDIUM_PATHS[arch]:
         t = rec.weight_traffic_bytes / (hw.bandwidth_for(medium) * eff.for_medium(medium))
         per_medium[medium] = t
         total += t
@@ -140,6 +144,111 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
         shares=shares,
         shares_defined=shares_defined,
     )
+
+
+class Columns(NamedTuple):
+    """A population's model inputs as parallel per-job lists, in job order.
+
+    ``weight_groups`` partitions the jobs by architecture: one
+    ``(weight path, job indices, weight bytes)`` triple per architecture
+    present, so each medium on a path divides a whole group at once.
+    """
+
+    flops: list[float]
+    mem_access_bytes: list[float]
+    input_bytes: list[float]
+    pcie_contention: list[int]
+    weight_groups: tuple[tuple[tuple[Medium, ...], list[int], list[float]], ...]
+    num_cnodes: list[int]
+
+    @classmethod
+    def of(cls, records: Iterable[WorkloadRecord]) -> "Columns":
+        records = tuple(records)
+        groups: dict[ArchitectureKind, tuple[list[int], list[float]]] = {}
+        for i, rec in enumerate(records):
+            jobs, volumes = groups.setdefault(rec.arch, ([], []))
+            jobs.append(i)
+            volumes.append(rec.weight_traffic_bytes)
+        return cls(
+            flops=[rec.flops for rec in records],
+            mem_access_bytes=[rec.mem_access_bytes for rec in records],
+            input_bytes=[rec.input_bytes for rec in records],
+            pcie_contention=[pcie_contention(rec.arch, rec.num_cnodes) for rec in records],
+            weight_groups=tuple((WEIGHT_MEDIUM_PATHS[arch], jobs, volumes)
+                                for arch, (jobs, volumes) in groups.items()),
+            num_cnodes=[rec.num_cnodes for rec in records],
+        )
+
+
+_SHARE_TIMES = dict(zip(Shares.COMPONENTS,
+                        ("t_data", "t_compute_bound", "t_memory_bound", "t_weight")))
+
+
+class Evaluation(NamedTuple):
+    """Per-job step times of a population at one model point, in job order.
+
+    Each list holds, per job, the value of the ``TimeBreakdown`` field of
+    the same name; ``component_sum`` is the denominator of the shares.
+    """
+
+    t_data: list[float]
+    t_compute_bound: list[float]
+    t_memory_bound: list[float]
+    t_weight: list[float]
+    t_total: list[float]
+    component_sum: list[float]
+
+    def share(self, component: str) -> list[float]:
+        """Per-job share of one ``Shares`` component (0.0 for all-zero jobs)."""
+        if component not in _SHARE_TIMES:
+            raise ValueError(f"unknown share component {component!r} "
+                             f"(known: {Shares.COMPONENTS})")
+        times = getattr(self, _SHARE_TIMES[component])
+        return [t / s if s > 0 else 0.0 for t, s in zip(times, self.component_sum)]
+
+
+def evaluate(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel,
+             overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> Evaluation:
+    """``breakdown`` of every job in ``cols`` on ``hw``, as columns.
+
+    Each attainable rate is computed once per call (PCIe once per
+    contention level) and every per-job expression keeps the operation
+    order of ``breakdown``, so each value equals the scalar result bit
+    for bit.
+    """
+    pcie = hw.pcie_bandwidth * eff.pcie_eff
+    data_rate = {c: pcie / c for c in set(cols.pcie_contention)}
+    t_data = [b / data_rate[c] for b, c in zip(cols.input_bytes, cols.pcie_contention)]
+    cb_rate = hw.gpu_peak_flops * eff.compute_eff
+    t_cb = [f / cb_rate for f in cols.flops]
+    mb_rate = hw.gpu_mem_bandwidth * eff.mem_eff
+    t_mb = [m / mb_rate for m in cols.mem_access_bytes]
+
+    medium_rate = {m: hw.bandwidth_for(m) * eff.for_medium(m) for m in Medium}
+    t_weight = [0.0] * len(t_data)
+    for path, jobs, volumes in cols.weight_groups:
+        totals = [0.0] * len(jobs)
+        for medium in path:
+            rate = medium_rate[medium]
+            totals = [t + v / rate for t, v in zip(totals, volumes)]
+        for i, t in zip(jobs, totals):
+            t_weight[i] = t
+
+    sums = [d + (cb + mb) + w for d, cb, mb, w in zip(t_data, t_cb, t_mb, t_weight)]
+    if overlap is OverlapMode.IDEAL_OVERLAP:
+        t_total = [max(d, cb + mb, w) for d, cb, mb, w in zip(t_data, t_cb, t_mb, t_weight)]
+    else:
+        t_total = sums
+    return Evaluation(t_data=t_data, t_compute_bound=t_cb, t_memory_bound=t_mb,
+                      t_weight=t_weight, t_total=t_total, component_sum=sums)
+
+
+def speedup(base_total: float, new_total: float) -> float:
+    """``base_total / new_total``; a zero-time step is infinitely faster than
+    a nonzero one and exactly as fast as another zero-time step."""
+    if new_total == 0:
+        return 1.0 if base_total == 0 else math.inf
+    return base_total / new_total
 
 
 def throughput(rec: WorkloadRecord, t_total: float) -> float:

@@ -28,7 +28,7 @@ from .core import (
     TimeBreakdown,
     WorkloadRecord,
 )
-from .engine import breakdown
+from .engine import breakdown, speedup
 
 _ALLREDUCE_TARGETS = frozenset({ArchitectureKind.ALLREDUCE_LOCAL, ArchitectureKind.ALLREDUCE_CLUSTER})
 
@@ -101,18 +101,17 @@ def project(rec: WorkloadRecord, target: ArchitectureKind, hw: HardwareProfile,
     target_rec = replace(rec, arch=target, num_cnodes=target_cnodes)
     target_bd = breakdown(target_rec, hw, eff, overlap)
 
-    if target_bd.t_total == 0:
-        step_speedup = 1.0 if source_bd.t_total == 0 else math.inf
-    else:
-        step_speedup = source_bd.t_total / target_bd.t_total
+    step_speedup = speedup(source_bd.t_total, target_bd.t_total)
     throughput_speedup = step_speedup * target_cnodes / rec.num_cnodes
+    # An infinite speedup is emitted as an empty cell; the reason says why.
+    reason = "target step time is zero" if step_speedup == math.inf else ""
 
     return ProjectionResult(
         source_arch=rec.arch, target_arch=target,
         source_cnodes=rec.num_cnodes, target_cnodes=target_cnodes,
         source_breakdown=source_bd, target_breakdown=target_bd,
         step_speedup=step_speedup, throughput_speedup=throughput_speedup,
-        feasible=True, reason="",
+        feasible=True, reason=reason,
     )
 
 

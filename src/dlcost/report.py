@@ -5,6 +5,8 @@ sufficient to re-run the producing analysis (hardware profile,
 efficiency model, overlap mode, tool version, input digest).  Emission
 is byte-deterministic: floats are serialized with 9 significant digits
 in both CSV and JSON, so the two formats parse to identical values.
+Non-finite floats (an infinite speedup) have no standard JSON form and
+are emitted as missing values: ``null`` in JSON, an empty CSV cell.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -33,13 +36,13 @@ def _csv_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return f"{value:.9g}" if math.isfinite(value) else ""
     return str(value)
 
 
 def _json_cell(value: Any):
     if isinstance(value, float):
-        return round9(value)
+        return round9(value) if math.isfinite(value) else None
     return value
 
 
@@ -128,5 +131,5 @@ def emit(report: Report, format: str = "csv") -> bytes:
             "rows": [{col: _json_cell(row.get(col)) for col in report.columns}
                      for row in report.rows],
         }
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {format!r} (expected one of {FORMATS})")

@@ -25,7 +25,9 @@ from .core import (
     OverlapMode,
     TimeBreakdown,
 )
-from .engine import breakdown
+from .engine import Columns, evaluate, speedup
+# Unused here, but perfbench's tracer patches ``dlcost.sweep.breakdown``.
+from .engine import breakdown  # noqa: F401
 from .projection import ProjectionResult, ProjectionSummary, population_speedup_profile
 
 
@@ -93,12 +95,6 @@ def apply_axis(hw: HardwareProfile, resource: SweepResource, value: float) -> Ha
     return replace(hw, **{_RESOURCE_FIELD[resource]: value})
 
 
-def _speedup(base_total: float, new_total: float) -> float:
-    if new_total == 0:
-        return 1.0 if base_total == 0 else math.inf
-    return base_total / new_total
-
-
 @dataclass(frozen=True)
 class SweepCell:
     job_id: str
@@ -115,20 +111,19 @@ def hardware_sweep(pop: JobPopulation, axes: Sequence[SweepAxis], base_hw: Hardw
     pop.require_nonempty()
     if not axes:
         raise ValueError("no sweep axes given")
-    base_totals = [breakdown(rec, base_hw, eff, overlap).t_total for rec in pop]
+    cols = Columns.of(pop)
+    base_totals = evaluate(cols, base_hw, eff, overlap).t_total
+    job_ids = [rec.job_id for rec in pop]
     cells = []
     for axis in axes:
         for candidate in axis.candidates:
             hw = apply_axis(base_hw, axis.resource, candidate)
-            for rec, base_total in zip(pop, base_totals):
-                new_total = breakdown(rec, hw, eff, overlap).t_total
-                cells.append(SweepCell(
-                    job_id=rec.job_id,
-                    resource=axis.resource,
-                    candidate=candidate,
-                    normalized=candidate / axis.baseline,
-                    speedup=_speedup(base_total, new_total),
-                ))
+            new_totals = evaluate(cols, hw, eff, overlap).t_total
+            normalized = candidate / axis.baseline
+            cells.extend(
+                SweepCell(job_id=job_id, resource=axis.resource, candidate=candidate,
+                          normalized=normalized, speedup=speedup(base, new))
+                for job_id, base, new in zip(job_ids, base_totals, new_totals))
     return cells
 
 
@@ -156,21 +151,19 @@ def cartesian_sweep(pop: JobPopulation, axes: Sequence[SweepAxis], base_hw: Hard
         n_cells *= len(axis.candidates)
     if n_cells > size_warning_threshold:
         warnings.warn(f"cartesian sweep emits {n_cells} cells", stacklevel=2)
-    base_totals = [breakdown(rec, base_hw, eff, overlap).t_total for rec in pop]
+    cols = Columns.of(pop)
+    base_totals = evaluate(cols, base_hw, eff, overlap).t_total
+    job_ids = [rec.job_id for rec in pop]
     cells = []
     for combo in itertools.product(*(axis.candidates for axis in axes)):
+        settings = tuple((axis.resource, value) for axis, value in zip(axes, combo))
         hw = base_hw
-        settings = []
-        for axis, value in zip(axes, combo):
-            hw = apply_axis(hw, axis.resource, value)
-            settings.append((axis.resource, value))
-        for rec, base_total in zip(pop, base_totals):
-            new_total = breakdown(rec, hw, eff, overlap).t_total
-            cells.append(CartesianCell(
-                job_id=rec.job_id,
-                settings=tuple(settings),
-                speedup=_speedup(base_total, new_total),
-            ))
+        for resource, value in settings:
+            hw = apply_axis(hw, resource, value)
+        new_totals = evaluate(cols, hw, eff, overlap).t_total
+        cells.extend(
+            CartesianCell(job_id=job_id, settings=settings, speedup=speedup(base, new))
+            for job_id, base, new in zip(job_ids, base_totals, new_totals))
     return cells
 
 
@@ -200,18 +193,18 @@ def efficiency_sensitivity(pop: JobPopulation, hw: HardwareProfile,
         for g in grid:
             if not (0 < g <= 1):
                 raise ValueError(f"{name} efficiency {g!r} outside (0, 1]")
-    cnodes = [rec.num_cnodes for rec in pop]
+    cols = Columns.of(pop)
     cells = []
     for comp in compute_eff_grid:
         for comm in comm_eff_grid:
             eff = EfficiencyModel(compute_eff=comp, mem_eff=comp,
                                   pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm)
-            weight_shares = [breakdown(rec, hw, eff, overlap).shares.weight for rec in pop]
+            weight_shares = evaluate(cols, hw, eff, overlap).share("weight")
             cells.append(SensitivityCell(
                 compute_eff=comp,
                 comm_eff=comm,
                 job_level_weight_share=job_level_mean(weight_shares),
-                cnode_level_weight_share=cnode_level_mean(weight_shares, cnodes),
+                cnode_level_weight_share=cnode_level_mean(weight_shares, cols.num_cnodes),
             ))
     return cells
 

@@ -81,3 +81,20 @@ def efficiency_models(draw):
         compute_eff=draw(frac), mem_eff=draw(frac), pcie_eff=draw(frac),
         ethernet_eff=draw(frac), nvlink_eff=draw(frac),
     )
+
+
+@st.composite
+def record_lists_with_idle_job(draw, max_size=30):
+    """Arbitrary valid records plus one all-zero record (no shares defined)
+    at a drawn position."""
+    records = draw(st.lists(workload_records(), max_size=max_size))
+    idle = make_record(job_id="idle", arch=draw(st.sampled_from(list(ArchitectureKind))),
+                       flops=0.0, mem_access_bytes=0.0, input_bytes=0.0,
+                       weight_traffic_bytes=0.0)
+    records.insert(draw(st.integers(min_value=0, max_value=len(records))), idle)
+    return records
+
+
+def float_bits(values) -> list[str]:
+    """Exact bit patterns of floats, so that 0.0 and -0.0 compare unequal."""
+    return [float.hex(float(v)) for v in values]

@@ -10,13 +10,23 @@ from dlcost.aggregate import (
     cnode_level_mean,
     composition,
     job_level_mean,
+    population_shares,
     scale_distribution,
     share_cdf,
     weighted_breakdown,
 )
-from dlcost.core import ArchitectureKind
+from dlcost.core import ArchitectureKind, OverlapMode, Shares
 from dlcost.engine import breakdown
-from helpers import EFF, PAI, make_record, workload_records
+from helpers import (
+    EFF,
+    PAI,
+    efficiency_models,
+    float_bits,
+    hardware_profiles,
+    make_record,
+    record_lists_with_idle_job,
+    workload_records,
+)
 
 A = ArchitectureKind
 
@@ -101,6 +111,19 @@ class TestComposition:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             composition(JobPopulation.of([]))
+
+
+# --- population shares ------------------------------------------------------
+
+class TestPopulationShares:
+    @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
+           eff=efficiency_models(), overlap=st.sampled_from(list(OverlapMode)))
+    def test_equal_to_scalar_shares_bit_for_bit(self, records, hw, eff, overlap):
+        shares = population_shares(JobPopulation.of(records), hw, eff, overlap)
+        oracle = [breakdown(rec, hw, eff, overlap).shares for rec in records]
+        for name in Shares.COMPONENTS:
+            assert float_bits(s.component(name) for s in shares) == float_bits(
+                s.component(name) for s in oracle)
 
 
 # --- weighted breakdown -----------------------------------------------------

@@ -98,6 +98,39 @@ class TestProjectCommand:
     def test_requires_target(self):
         assert run(["project", "--corpus"]) == EX_USAGE
 
+    def test_infinite_speedup_is_a_missing_value_in_both_formats(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps({
+            "job_id": "w", "arch": "ps_worker", "num_cnodes": 4, "batch_size": 32,
+            "flops": 0, "mem_access_bytes": 0, "input_bytes": 0,
+            "weight_traffic_bytes": 1e9, "dense_weight_bytes": 0,
+            "embedding_weight_bytes": 0}) + "\n")
+        argv = ("project", "--trace", str(trace), "--target", "one_worker_one_gpu")
+        _, as_csv = run_to_file(tmp_path, *argv, name="a.csv")
+        code, as_json = run_to_file(tmp_path, *argv, "--format", "json", name="a.json")
+        assert code == EX_OK
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(as_json, parse_constant=reject)
+        [j_row] = payload["rows"]
+        [c_row] = parse_csv(as_csv)
+        for key, j_val in j_row.items():
+            if j_val is None:
+                assert c_row[key] == ""
+            elif isinstance(j_val, bool):
+                assert c_row[key] == ("true" if j_val else "false")
+            elif isinstance(j_val, (int, float)):
+                assert float(c_row[key]) == j_val
+            else:
+                assert c_row[key] == j_val
+        assert j_row["step_speedup"] is None and j_row["throughput_speedup"] is None
+        assert j_row["reason"] == "target step time is zero"
+        assert j_row["target_t_total"] == 0.0
+        assert payload["metadata"]["summary"]["fraction_step_sped_up"] == 1.0
+        assert csv_metadata(as_csv)["summary.fraction_step_sped_up"] == "1"
+
 
 class TestSweepCommand:
     def test_baseline_candidate_speedup_is_one(self, tmp_path):

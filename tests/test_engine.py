@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from dlcost.core import ArchitectureKind, Medium, OverlapMode
+from dlcost.core import ArchitectureKind, EfficiencyModel, Medium, OverlapMode, Shares
+from dlcost.corpus import SynthSpec, synth_population
 from dlcost.engine import (
+    WEIGHT_MEDIUM_PATHS,
+    Columns,
     breakdown,
     compute_time,
     data_io_time,
+    evaluate,
     pcie_contention,
     throughput,
     validation_gap,
-    weight_medium_path,
     weight_time,
 )
 from helpers import (
@@ -20,8 +23,10 @@ from helpers import (
     PAI,
     TESTBED,
     efficiency_models,
+    float_bits,
     hardware_profiles,
     make_record,
+    record_lists_with_idle_job,
     workload_records,
 )
 
@@ -30,12 +35,12 @@ A = ArchitectureKind
 
 class TestWeightMediumPath:
     def test_paths(self):
-        assert weight_medium_path(A.ONE_WORKER_ONE_GPU) == ()
-        assert weight_medium_path(A.ONE_WORKER_N_GPU) == (Medium.PCIE,)
-        assert weight_medium_path(A.PS_WORKER) == (Medium.ETHERNET, Medium.PCIE)
-        assert weight_medium_path(A.ALLREDUCE_LOCAL) == (Medium.NVLINK,)
-        assert weight_medium_path(A.ALLREDUCE_CLUSTER) == (Medium.ETHERNET, Medium.NVLINK)
-        assert weight_medium_path(A.PEARL) == (Medium.NVLINK,)
+        assert WEIGHT_MEDIUM_PATHS[A.ONE_WORKER_ONE_GPU] == ()
+        assert WEIGHT_MEDIUM_PATHS[A.ONE_WORKER_N_GPU] == (Medium.PCIE,)
+        assert WEIGHT_MEDIUM_PATHS[A.PS_WORKER] == (Medium.ETHERNET, Medium.PCIE)
+        assert WEIGHT_MEDIUM_PATHS[A.ALLREDUCE_LOCAL] == (Medium.NVLINK,)
+        assert WEIGHT_MEDIUM_PATHS[A.ALLREDUCE_CLUSTER] == (Medium.ETHERNET, Medium.NVLINK)
+        assert WEIGHT_MEDIUM_PATHS[A.PEARL] == (Medium.NVLINK,)
 
 
 class TestDataIoTime:
@@ -242,3 +247,32 @@ class TestValidationGap:
             validation_gap(0.1, 0.0)
         with pytest.raises(ValueError):
             validation_gap(0.1, -1.0)
+
+
+def assert_kernel_matches_breakdown(records, hw, eff, overlap):
+    ev = evaluate(Columns.of(records), hw, eff, overlap)
+    oracle = [breakdown(rec, hw, eff, overlap) for rec in records]
+    for name in ("t_data", "t_compute_bound", "t_memory_bound", "t_weight", "t_total"):
+        assert float_bits(getattr(ev, name)) == float_bits(getattr(bd, name) for bd in oracle)
+    assert float_bits(ev.component_sum) == float_bits(
+        bd.t_data + bd.t_compute + bd.t_weight for bd in oracle)
+    for name in Shares.COMPONENTS:
+        assert float_bits(ev.share(name)) == float_bits(
+            bd.shares.component(name) for bd in oracle)
+
+
+class TestColumnarKernel:
+    @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
+           eff=efficiency_models(), overlap=st.sampled_from(list(OverlapMode)))
+    def test_every_column_equals_the_scalar_breakdown_bit_for_bit(self, records, hw, eff,
+                                                                  overlap):
+        assert_kernel_matches_breakdown(records, hw, eff, overlap)
+
+    @pytest.mark.parametrize("overlap", list(OverlapMode))
+    def test_synthetic_population_equals_the_scalar_breakdown(self, overlap):
+        # Realistic magnitudes and every contention level of a local
+        # architecture, at efficiencies that differ per resource.
+        records = synth_population(SynthSpec(size=400, seed=11)).records
+        eff = EfficiencyModel(compute_eff=0.9, mem_eff=0.55, pcie_eff=0.35,
+                              ethernet_eff=0.8, nvlink_eff=0.45)
+        assert_kernel_matches_breakdown(records, TESTBED, eff, overlap)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from dlcost.projection import (
     check_allreduce_eligibility,
     population_speedup_profile,
     project,
+    summarize,
     target_cnode_count,
 )
 from helpers import EFF, PAI, make_record, workload_records
@@ -160,3 +162,20 @@ class TestPopulationProfile:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             population_speedup_profile(JobPopulation.of([]), A.ALLREDUCE_LOCAL, PAI, EFF)
+
+
+class TestZeroTimeTarget:
+    def test_speedup_is_infinite_with_a_reason_and_counts_as_sped_up(self):
+        # only weight traffic, and a 1w1g target has no weight path
+        res = project(pure_weight_record(num_cnodes=4), A.ONE_WORKER_ONE_GPU, PAI, EFF)
+        assert res.feasible and res.target_breakdown.t_total == 0.0
+        assert res.step_speedup == math.inf and res.throughput_speedup == math.inf
+        assert res.reason == "target step time is zero"
+        summary = summarize([res])
+        assert summary.fraction_step_sped_up == 1.0
+        assert summary.fraction_throughput_sped_up == 1.0
+
+    def test_idle_job_is_not_sped_up(self):
+        idle = pure_weight_record(num_cnodes=4, s_w=0.0)
+        res = project(idle, A.ONE_WORKER_ONE_GPU, PAI, EFF)
+        assert res.step_speedup == 1.0 and res.reason == ""
