@@ -39,7 +39,7 @@ def ps_worker_jobs(pop):
 def print_composition(pop):
     print(f"{'arch':22s} {'jobs':>6s} {'job%':>7s} {'cNodes':>8s} {'cNode%':>7s}")
     for arch, c in composition(pop).items():
-        print(f"{arch.label:22s} {c.job_count:6d} {c.job_fraction:7.1%} "
+        print(f"{arch.value:22s} {c.job_count:6d} {c.job_fraction:7.1%} "
               f"{c.cnode_count:8d} {c.cnode_fraction:7.1%}")
 
 
@@ -53,7 +53,7 @@ def print_shares(pop, hw, eff):
 
 def print_projection(pop, target, hw, eff):
     _, summary = population_speedup_profile(pop, target, hw, eff)
-    print(f"-> {target.label}: {summary.fraction_throughput_sped_up:.1%} gain throughput, "
+    print(f"-> {target.value}: {summary.fraction_throughput_sped_up:.1%} gain throughput, "
           f"{summary.fraction_step_sped_up:.1%} gain per-step, "
           f"{summary.fraction_infeasible:.1%} infeasible")
 

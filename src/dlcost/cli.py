@@ -19,9 +19,12 @@ bytes.  Exit codes: 0 success, 2 malformed input data, 64 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 from .aggregate import (
     JobPopulation,
@@ -41,7 +44,7 @@ from .ingest import (
     parse_trace,
 )
 from .projection import population_speedup_profile
-from .report import Report, build_report, emit, input_digest, round9
+from .report import FORMATS, build_report, emit, input_digest, round9
 from .sweep import (
     SweepAxis,
     SweepResource,
@@ -70,25 +73,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
+def _add_report_parser(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand that evaluates a population and emits a report: input,
+    model and output flags."""
+    p = sub.add_parser(name, help=help)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--trace", metavar="PATH", help="newline-delimited JSON trace file")
     src.add_argument("--corpus", action="store_true", help="use the built-in case-study corpus")
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hw", default="pai-baseline", metavar="PRESET|PATH",
                    help="hardware profile preset name or config file (default: pai-baseline)")
     p.add_argument("--eff", default="default", metavar="SPEC",
                    help="efficiency model: 'default', 'measured:<corpus job>', or a config file")
     p.add_argument("--overlap", choices=["none", "ideal"], default="none",
                    help="overlap model for total step time (default: none)")
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    p.add_argument("--format", choices=["csv", "json"], default="csv",
+    p.add_argument("--format", choices=list(FORMATS), default="csv",
                    help="report format (default: csv)")
+    return p
 
 
 def build_parser() -> _Parser:
@@ -96,23 +97,14 @@ def build_parser() -> _Parser:
                      description="Analytical cost model for DL training workloads.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
-    p = sub.add_parser("breakdown", help="per-job step-time breakdown")
-    _add_input_flags(p)
-    _add_model_flags(p)
-    _add_output_flags(p)
+    _add_report_parser(sub, "breakdown", "per-job step-time breakdown")
 
-    p = sub.add_parser("project", help="architecture what-if projection")
-    _add_input_flags(p)
-    _add_model_flags(p)
-    _add_output_flags(p)
+    p = _add_report_parser(sub, "project", "architecture what-if projection")
     p.add_argument("--target", required=True, choices=_ARCH_LABELS,
                    help="architecture to project every job onto")
 
-    p = sub.add_parser("sweep", help="hardware-configuration sweep")
-    _add_input_flags(p)
-    _add_model_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--axes", default="ethernet,pcie,gpu_flops,gpu_mem_bandwidth",
+    p = _add_report_parser(sub, "sweep", "hardware-configuration sweep")
+    p.add_argument("--axes", default=",".join(r.value for r in SweepResource),
                    help="comma-separated resources to vary (default: all four)")
     p.add_argument("--candidates", default=None,
                    help="comma-separated candidate values for a single axis "
@@ -120,10 +112,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cartesian", action="store_true",
                    help="sweep the full cross-product of all axes")
 
-    p = sub.add_parser("aggregate", help="population statistics")
-    _add_input_flags(p)
-    _add_model_flags(p)
-    _add_output_flags(p)
+    p = _add_report_parser(sub, "aggregate", "population statistics")
     p.add_argument("--stat", choices=["shares", "composition", "share-cdf", "scale-cdf"],
                    default="shares", help="which statistic to emit (default: shares)")
     p.add_argument("--component", choices=list(Shares.COMPONENTS), default="weight",
@@ -131,10 +120,7 @@ def build_parser() -> _Parser:
     p.add_argument("--level", choices=["job", "cnode"], default="job",
                    help="aggregation level for --stat share-cdf (default: job)")
 
-    p = sub.add_parser("sensitivity", help="efficiency or overlap sensitivity")
-    _add_input_flags(p)
-    _add_model_flags(p)
-    _add_output_flags(p)
+    p = _add_report_parser(sub, "sensitivity", "efficiency or overlap sensitivity")
     p.add_argument("--analysis", choices=["efficiency", "overlap"], default="efficiency")
     p.add_argument("--comp-grid", default="0.25,0.4,0.55,0.7,0.85,1.0",
                    help="compute/memory efficiency grid (comma-separated fractions)")
@@ -150,10 +136,7 @@ def build_parser() -> _Parser:
                    help="architecture mix, e.g. 'ps_worker=0.4,one_worker_one_gpu=0.6'")
     p.add_argument("--out", metavar="PATH", help="write the trace here instead of stdout")
 
-    p = sub.add_parser("validate", help="validate a trace and compare to measurements")
-    _add_input_flags(p)
-    _add_model_flags(p)
-    _add_output_flags(p)
+    _add_report_parser(sub, "validate", "validate a trace and compare to measurements")
 
     p = sub.add_parser("corpus", help="dump the built-in corpus as a trace")
     p.add_argument("--out", metavar="PATH", help="write the trace here instead of stdout")
@@ -173,11 +156,6 @@ def _load_inputs(args) -> tuple[JobPopulation, list, str, str]:
     return pop, errors, source, input_digest(text.encode("utf-8"))
 
 
-def _report_line_errors(errors, source: str) -> None:
-    for err in errors:
-        print(f"{source}:{err.line}: {err.message}", file=sys.stderr)
-
-
 def _write_output(data: bytes, out: Optional[str]) -> None:
     if out:
         Path(out).write_bytes(data)
@@ -185,83 +163,81 @@ def _write_output(data: bytes, out: Optional[str]) -> None:
         sys.stdout.buffer.write(data)
 
 
-_BREAKDOWN_COLUMNS = (
-    "job_id", "arch", "num_cnodes", "batch_size",
-    "t_data", "t_compute_bound", "t_memory_bound", "t_compute",
-    "t_weight_ethernet", "t_weight_pcie", "t_weight_nvlink", "t_weight",
-    "t_total", "share_data", "share_compute_bound", "share_memory_bound",
-    "share_weight", "shares_defined", "throughput",
+def _attrs(*names: str, of: str = "") -> tuple[tuple[str, Callable], ...]:
+    """Columns that each read the attribute of the same name, of the item
+    or, given ``of``, of the item's attribute ``of``."""
+    prefix = f"{of}." if of else ""
+    return tuple((name, attrgetter(prefix + name)) for name in names)
+
+
+def _share_columns(path: str) -> tuple[tuple[str, Callable], ...]:
+    """One ``share_<component>`` column per ``Shares`` component of ``path``."""
+    return tuple((f"share_{c}", attrgetter(f"{path}.{c}")) for c in Shares.COMPONENTS)
+
+
+def _table(spec, items) -> tuple[tuple[str, ...], list[tuple]]:
+    """The column names of ``spec`` and one row per item: the value of
+    each column's getter, in column order."""
+    getters = [get for _, get in spec]
+    rows = [tuple([get(item) for get in getters]) for item in items]
+    return tuple(name for name, _ in spec), rows
+
+
+# Each report is one spec of (column, getter) pairs over the items that
+# its handler returns; attribute paths read plain values and functions
+# derive the others.
+
+def _t_weight_on(medium: Medium) -> Callable:
+    return lambda job: job.bd.t_weight_per_medium.get(medium, 0.0)
+
+
+_BREAKDOWN = (
+    *_attrs("job_id", of="rec"),
+    ("arch", attrgetter("rec.arch.value")),
+    *_attrs("num_cnodes", "batch_size", of="rec"),
+    *_attrs("t_data", "t_compute_bound", "t_memory_bound", of="bd"),
+    ("t_compute", lambda job: job.bd.t_compute_bound + job.bd.t_memory_bound),
+    *((f"t_weight_{m.value}", _t_weight_on(m))
+      for m in (Medium.ETHERNET, Medium.PCIE, Medium.NVLINK)),
+    *_attrs("t_weight", "t_total", of="bd"),
+    *_share_columns("bd.shares"),
+    ("shares_defined", attrgetter("bd.shares_defined")),
+    ("throughput",
+     lambda job: throughput(job.rec, job.bd.t_total) if job.bd.t_total > 0 else None),
 )
 
 
-def _breakdown_row(rec, bd) -> dict:
-    return {
-        "job_id": rec.job_id,
-        "arch": rec.arch.label,
-        "num_cnodes": rec.num_cnodes,
-        "batch_size": rec.batch_size,
-        "t_data": bd.t_data,
-        "t_compute_bound": bd.t_compute_bound,
-        "t_memory_bound": bd.t_memory_bound,
-        "t_compute": bd.t_compute,
-        "t_weight_ethernet": bd.t_weight_per_medium.get(Medium.ETHERNET, 0.0),
-        "t_weight_pcie": bd.t_weight_per_medium.get(Medium.PCIE, 0.0),
-        "t_weight_nvlink": bd.t_weight_per_medium.get(Medium.NVLINK, 0.0),
-        "t_weight": bd.t_weight,
-        "t_total": bd.t_total,
-        "share_data": bd.shares.data,
-        "share_compute_bound": bd.shares.compute_bound,
-        "share_memory_bound": bd.shares.memory_bound,
-        "share_weight": bd.shares.weight,
-        "shares_defined": bd.shares_defined,
-        "throughput": throughput(rec, bd.t_total) if bd.t_total > 0 else None,
-    }
+def cmd_breakdown(args, pop, hw, eff, overlap):
+    jobs = (SimpleNamespace(rec=rec, bd=breakdown(rec, hw, eff, overlap)) for rec in pop)
+    return "breakdown", _BREAKDOWN, jobs, None
 
 
-def cmd_breakdown(args, pop, hw, eff, overlap, source, digest) -> Report:
-    rows = [_breakdown_row(rec, breakdown(rec, hw, eff, overlap)) for rec in pop]
-    return build_report("breakdown", _BREAKDOWN_COLUMNS, rows, hw, eff, overlap, source, digest)
+_PROJECT = (
+    *_attrs("job_id", of="rec"),
+    ("source_arch", attrgetter("res.source_arch.value")),
+    ("target_arch", attrgetter("res.target_arch.value")),
+    *_attrs("source_cnodes", "target_cnodes", "feasible", "reason", of="res"),
+    ("source_t_total", attrgetter("res.source_breakdown.t_total")),
+    ("target_t_total", lambda job: (job.res.target_breakdown.t_total
+                                    if job.res.target_breakdown else None)),
+    *_attrs("step_speedup", "throughput_speedup", of="res"),
+)
+
+#: The ProjectionSummary fractions that project and overlap reports carry.
+_SUMMARY_FRACTIONS = ("fraction_infeasible", "fraction_step_sped_up",
+                      "fraction_throughput_sped_up")
 
 
-def cmd_project(args, pop, hw, eff, overlap, source, digest) -> Report:
+def cmd_project(args, pop, hw, eff, overlap):
     target = ArchitectureKind.from_label(args.target)
     results, summary = population_speedup_profile(pop, target, hw, eff, overlap)
-    columns = ("job_id", "source_arch", "target_arch", "source_cnodes", "target_cnodes",
-               "feasible", "reason", "source_t_total", "target_t_total",
-               "step_speedup", "throughput_speedup")
-    rows = []
-    for rec, res in zip(pop, results):
-        rows.append({
-            "job_id": rec.job_id,
-            "source_arch": res.source_arch.label,
-            "target_arch": res.target_arch.label,
-            "source_cnodes": res.source_cnodes,
-            "target_cnodes": res.target_cnodes,
-            "feasible": res.feasible,
-            "reason": res.reason,
-            "source_t_total": res.source_breakdown.t_total,
-            "target_t_total": res.target_breakdown.t_total if res.target_breakdown else None,
-            "step_speedup": res.step_speedup,
-            "throughput_speedup": res.throughput_speedup,
-        })
+    jobs = (SimpleNamespace(rec=rec, res=res) for rec, res in zip(pop, results))
     extra = {
-        "target": target.label,
-        "summary": {
-            "n_jobs": summary.n_jobs,
-            "fraction_infeasible": round9(summary.fraction_infeasible),
-            "fraction_step_sped_up": round9(summary.fraction_step_sped_up),
-            "fraction_throughput_sped_up": round9(summary.fraction_throughput_sped_up),
-        },
+        "target": target.value,
+        "summary": {"n_jobs": summary.n_jobs,
+                    **{name: round9(getattr(summary, name)) for name in _SUMMARY_FRACTIONS}},
     }
-    return build_report("projection", columns, rows, hw, eff, overlap, source, digest, extra)
-
-
-_AXIS_KIND = {
-    SweepResource.ETHERNET: "bandwidth",
-    SweepResource.PCIE: "bandwidth",
-    SweepResource.GPU_FLOPS: "flops_rate",
-    SweepResource.GPU_MEM_BANDWIDTH: "bandwidth",
-}
+    return "projection", _PROJECT, jobs, extra
 
 
 def _parse_candidates(text: str, resource: SweepResource) -> tuple[float, ...]:
@@ -272,13 +248,26 @@ def _parse_candidates(text: str, resource: SweepResource) -> tuple[float, ...]:
             values.append(float(item))
         except ValueError:
             try:
-                values.append(parse_quantity(item, _AXIS_KIND[resource]))
+                values.append(parse_quantity(item, resource.field.metadata["kind"]))
             except QuantityError as exc:
                 raise _UsageError(f"--candidates: {exc}") from None
     return tuple(values)
 
 
-def cmd_sweep(args, pop, hw, eff, overlap, source, digest) -> Report:
+_SWEEP = (
+    *_attrs("job_id"),
+    ("resource", attrgetter("resource.value")),
+    *_attrs("candidate", "normalized", "speedup"),
+)
+
+_CARTESIAN = (
+    *_attrs("job_id"),
+    ("settings", lambda cell: ";".join(f"{r.value}={v:.9g}" for r, v in cell.settings)),
+    *_attrs("speedup"),
+)
+
+
+def cmd_sweep(args, pop, hw, eff, overlap):
     resources = []
     for name in args.axes.split(","):
         name = name.strip()
@@ -297,76 +286,44 @@ def cmd_sweep(args, pop, hw, eff, overlap, source, digest) -> Report:
                           baseline=axis.baseline)]
     extra = {"axes": {a.resource.value: [round9(c) for c in a.candidates] for a in axes}}
     if args.cartesian:
-        cells = cartesian_sweep(pop, axes, hw, eff, overlap)
-        columns = ("job_id", "settings", "speedup")
-        rows = [{
-            "job_id": c.job_id,
-            "settings": ";".join(f"{r.value}={v:.9g}" for r, v in c.settings),
-            "speedup": c.speedup,
-        } for c in cells]
-        return build_report("sweep-cartesian", columns, rows, hw, eff, overlap,
-                            source, digest, extra)
-    cells = hardware_sweep(pop, axes, hw, eff, overlap)
-    columns = ("job_id", "resource", "candidate", "normalized", "speedup")
-    rows = [{
-        "job_id": c.job_id,
-        "resource": c.resource.value,
-        "candidate": c.candidate,
-        "normalized": c.normalized,
-        "speedup": c.speedup,
-    } for c in cells]
-    return build_report("sweep", columns, rows, hw, eff, overlap, source, digest, extra)
+        return ("sweep-cartesian", _CARTESIAN,
+                cartesian_sweep(pop, axes, hw, eff, overlap), extra)
+    return "sweep", _SWEEP, hardware_sweep(pop, axes, hw, eff, overlap), extra
 
 
-def cmd_aggregate(args, pop, hw, eff, overlap, source, digest) -> Report:
+_SHARES = (("level", attrgetter("level")), *_share_columns("shares"))
+
+_COMPOSITION = (
+    ("arch", attrgetter("arch.value")),
+    *_attrs("job_count", "job_fraction", "cnode_count", "cnode_fraction"),
+)
+
+_SHARE_CDF = (("share", itemgetter(0)), ("cumulative_fraction", itemgetter(1)))
+
+_SCALE_CDF = (
+    ("arch", attrgetter("arch.value")),
+    *_attrs("metric", "value", "cumulative_fraction"),
+)
+
+
+def cmd_aggregate(args, pop, hw, eff, overlap):
     if args.stat == "shares":
         averages = weighted_breakdown(pop, hw, eff, overlap)
-        columns = ("level", "share_data", "share_compute_bound",
-                   "share_memory_bound", "share_weight")
-        rows = []
-        for level, shares in (("job", averages.job_level), ("cnode", averages.cnode_level)):
-            rows.append({
-                "level": level,
-                "share_data": shares.data,
-                "share_compute_bound": shares.compute_bound,
-                "share_memory_bound": shares.memory_bound,
-                "share_weight": shares.weight,
-            })
-        return build_report("aggregate", columns, rows, hw, eff, overlap, source, digest,
-                            {"stat": "shares"})
+        levels = (SimpleNamespace(level="job", shares=averages.job_level),
+                  SimpleNamespace(level="cnode", shares=averages.cnode_level))
+        return "aggregate", _SHARES, levels, {"stat": "shares"}
     if args.stat == "composition":
-        comp = composition(pop)
-        columns = ("arch", "job_count", "job_fraction", "cnode_count", "cnode_fraction")
-        rows = [{
-            "arch": arch.label,
-            "job_count": c.job_count,
-            "job_fraction": c.job_fraction,
-            "cnode_count": c.cnode_count,
-            "cnode_fraction": c.cnode_fraction,
-        } for arch, c in comp.items()]
-        return build_report("aggregate", columns, rows, hw, eff, overlap, source, digest,
-                            {"stat": "composition"})
+        return "aggregate", _COMPOSITION, composition(pop).values(), {"stat": "composition"}
     if args.stat == "share-cdf":
         cdf = share_cdf(pop, args.component, hw, eff, overlap, level=args.level)
-        columns = ("share", "cumulative_fraction")
-        rows = [{"share": x, "cumulative_fraction": f} for x, f in cdf.points]
-        return build_report("aggregate", columns, rows, hw, eff, overlap, source, digest,
-                            {"stat": "share-cdf", "component": args.component,
-                             "level": args.level})
+        return "aggregate", _SHARE_CDF, cdf.points, {
+            "stat": "share-cdf", "component": args.component, "level": args.level}
     # scale-cdf
-    dists = scale_distribution(pop)
-    columns = ("arch", "metric", "value", "cumulative_fraction")
-    rows = []
-    for arch in ArchitectureKind:
-        if arch not in dists:
-            continue
-        dist = dists[arch]
-        for metric, cdf in (("num_cnodes", dist.cnodes), ("model_bytes", dist.model_bytes)):
-            for x, f in cdf.points:
-                rows.append({"arch": arch.label, "metric": metric,
-                             "value": x, "cumulative_fraction": f})
-    return build_report("aggregate", columns, rows, hw, eff, overlap, source, digest,
-                        {"stat": "scale-cdf"})
+    points = (SimpleNamespace(arch=dist.arch, metric=metric, value=x, cumulative_fraction=f)
+              for dist in scale_distribution(pop).values()
+              for metric, cdf in (("num_cnodes", dist.cnodes), ("model_bytes", dist.model_bytes))
+              for x, f in cdf.points)
+    return "aggregate", _SCALE_CDF, points, {"stat": "scale-cdf"}
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -376,41 +333,30 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise _UsageError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def cmd_sensitivity(args, pop, hw, eff, overlap, source, digest) -> Report:
+_EFFICIENCY = _attrs("compute_eff", "comm_eff", "job_level_weight_share",
+                     "cnode_level_weight_share")
+
+_OVERLAP = (
+    ("overlap", attrgetter("overlap.value")),
+    *_attrs("job_level_weight_share", "cnode_level_weight_share"),
+    *_attrs(*_SUMMARY_FRACTIONS, of="summary"),
+)
+
+
+def cmd_sensitivity(args, pop, hw, eff, overlap):
     if args.analysis == "efficiency":
         comp_grid = _parse_grid(args.comp_grid, "--comp-grid")
         comm_grid = _parse_grid(args.comm_grid, "--comm-grid")
         cells = efficiency_sensitivity(pop, hw, comp_grid, comm_grid, overlap)
-        columns = ("compute_eff", "comm_eff", "job_level_weight_share",
-                   "cnode_level_weight_share")
-        rows = [{
-            "compute_eff": c.compute_eff,
-            "comm_eff": c.comm_eff,
-            "job_level_weight_share": c.job_level_weight_share,
-            "cnode_level_weight_share": c.cnode_level_weight_share,
-        } for c in cells]
-        return build_report("sensitivity", columns, rows, hw, eff, overlap, source, digest,
-                            {"analysis": "efficiency"})
+        return "sensitivity", _EFFICIENCY, cells, {"analysis": "efficiency"}
     target = ArchitectureKind.from_label(args.target)
     cmp = overlap_comparison(pop, hw, eff, target)
-    columns = ("overlap", "job_level_weight_share", "cnode_level_weight_share",
-               "fraction_infeasible", "fraction_step_sped_up", "fraction_throughput_sped_up")
-    rows = []
-    for stats in (cmp.no_overlap, cmp.ideal_overlap):
-        rows.append({
-            "overlap": stats.overlap.value,
-            "job_level_weight_share": stats.job_level_weight_share,
-            "cnode_level_weight_share": stats.cnode_level_weight_share,
-            "fraction_infeasible": stats.summary.fraction_infeasible,
-            "fraction_step_sped_up": stats.summary.fraction_step_sped_up,
-            "fraction_throughput_sped_up": stats.summary.fraction_throughput_sped_up,
-        })
     extra = {
         "analysis": "overlap",
-        "target": target.label,
+        "target": target.value,
         "fraction_at_weight_path_ratio": round9(cmp.fraction_at_weight_path_ratio),
     }
-    return build_report("sensitivity", columns, rows, hw, eff, overlap, source, digest, extra)
+    return "sensitivity", _OVERLAP, (cmp.no_overlap, cmp.ideal_overlap), extra
 
 
 def _parse_mix(text: str) -> dict[ArchitectureKind, float]:
@@ -443,24 +389,40 @@ def cmd_corpus(args) -> int:
     return EX_OK
 
 
-def cmd_validate(args, pop, errors, hw, eff, overlap, source, digest) -> tuple[Report, int]:
-    columns = ("line", "job_id", "status", "message",
-               "predicted_step_seconds", "measured_step_seconds", "gap")
-    rows = []
-    for err in errors:
-        rows.append({"line": err.line, "job_id": None, "status": "error",
-                     "message": err.message, "predicted_step_seconds": None,
-                     "measured_step_seconds": None, "gap": None})
-    for rec in pop:
-        bd = breakdown(rec, hw, eff, overlap)
-        measured = rec.measured_step_seconds
-        gap = validation_gap(bd.t_total, measured) if measured else None
-        rows.append({"line": None, "job_id": rec.job_id, "status": "ok", "message": "",
-                     "predicted_step_seconds": bd.t_total,
-                     "measured_step_seconds": measured, "gap": gap})
-    report = build_report("validate", columns, rows, hw, eff, overlap, source, digest,
-                          {"n_errors": len(errors)})
-    return report, (EX_DATA if errors else EX_OK)
+class _Checked(NamedTuple):
+    """The outcome of one trace line: a rejected line or a predicted record."""
+
+    line: Optional[int] = None
+    job_id: Optional[str] = None
+    status: str = "ok"
+    message: str = ""
+    predicted_step_seconds: Optional[float] = None
+    measured_step_seconds: Optional[float] = None
+
+
+_VALIDATE = (
+    *_attrs(*_Checked._fields),
+    ("gap", lambda c: (validation_gap(c.predicted_step_seconds, c.measured_step_seconds)
+                       if c.measured_step_seconds else None)),
+)
+
+
+def cmd_validate(pop, errors, hw, eff, overlap):
+    checked = itertools.chain(
+        (_Checked(line=err.line, status="error", message=err.message) for err in errors),
+        (_Checked(job_id=rec.job_id,
+                  predicted_step_seconds=breakdown(rec, hw, eff, overlap).t_total,
+                  measured_step_seconds=rec.measured_step_seconds) for rec in pop))
+    return "validate", _VALIDATE, checked, {"n_errors": len(errors)}
+
+
+_HANDLERS = {
+    "breakdown": cmd_breakdown,
+    "project": cmd_project,
+    "sweep": cmd_sweep,
+    "aggregate": cmd_aggregate,
+    "sensitivity": cmd_sensitivity,
+}
 
 
 def run(argv: Optional[list[str]] = None) -> int:
@@ -487,30 +449,24 @@ def run(argv: Optional[list[str]] = None) -> int:
         eff = load_efficiency_model(args.eff)
         overlap = OverlapMode(args.overlap)
         pop, errors, source, digest = _load_inputs(args)
+        for err in errors:
+            print(f"{source}:{err.line}: {err.message}", file=sys.stderr)
 
+        # validate reports malformed lines; every other report needs a
+        # well-formed, non-empty trace.
         if args.command == "validate":
-            _report_line_errors(errors, source)
-            report, code = cmd_validate(args, pop, errors, hw, eff, overlap, source, digest)
-            _write_output(emit(report, args.format), args.out)
-            return code
-
-        if errors:
-            _report_line_errors(errors, source)
+            kind, spec, items, extra = cmd_validate(pop, errors, hw, eff, overlap)
+        elif errors:
             return EX_DATA
-        if len(pop) == 0:
+        elif len(pop) == 0:
             print(f"dlcost: {source}: no records", file=sys.stderr)
             return EX_DATA
-
-        handler = {
-            "breakdown": cmd_breakdown,
-            "project": cmd_project,
-            "sweep": cmd_sweep,
-            "aggregate": cmd_aggregate,
-            "sensitivity": cmd_sensitivity,
-        }[args.command]
-        report = handler(args, pop, hw, eff, overlap, source, digest)
+        else:
+            kind, spec, items, extra = _HANDLERS[args.command](args, pop, hw, eff, overlap)
+        columns, rows = _table(spec, items)
+        report = build_report(kind, columns, rows, hw, eff, overlap, source, digest, extra)
         _write_output(emit(report, args.format), args.out)
-        return EX_OK
+        return EX_DATA if errors else EX_OK
     except _UsageError as exc:
         print(f"dlcost: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -11,9 +11,9 @@ computation node (cNode): one GPU holding one model replica.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 
 class ArchitectureKind(Enum):
@@ -37,10 +37,6 @@ class ArchitectureKind(Enum):
     ALLREDUCE_LOCAL = "allreduce_local"
     ALLREDUCE_CLUSTER = "allreduce_cluster"
     PEARL = "pearl"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
     @classmethod
     def from_label(cls, label: str) -> "ArchitectureKind":
@@ -77,6 +73,19 @@ class OverlapMode(Enum):
     IDEAL_OVERLAP = "ideal"
 
 
+def quantity(kind: str, *aliases: str, axis: Optional[str] = None, **kwargs: Any) -> Any:
+    """A dataclass field holding a number, declared with what reads and varies it.
+
+    ``kind`` is the grammar of the field's text form: a ``units`` quantity
+    kind (``bytes``, ``bandwidth``, ``flops_rate``), ``count`` for an
+    operation count, or ``fraction`` for a plain number.  ``aliases`` are
+    further keys that name the field in a config file, and ``axis`` is
+    the value of the ``sweep.SweepResource`` that varies it.  ``kwargs``
+    go to ``dataclasses.field`` (e.g. ``default``).
+    """
+    return field(metadata={"kind": kind, "aliases": aliases, "axis": axis}, **kwargs)
+
+
 @dataclass(frozen=True)
 class HardwareProfile:
     """Peak capacities of one server class, in canonical units.
@@ -85,19 +94,18 @@ class HardwareProfile:
     style (AllReduce); it defaults to 16 GB (Tesla V100 class).
     """
 
-    gpu_peak_flops: float       # FLOPs/second
-    gpu_mem_bandwidth: float    # bytes/second
-    pcie_bandwidth: float       # bytes/second
-    ethernet_bandwidth: float   # bytes/second
-    nvlink_bandwidth: float     # bytes/second
-    gpu_mem_capacity: float = 16e9  # bytes
+    gpu_peak_flops: float = quantity("flops_rate", "gpu", axis="gpu_flops")
+    gpu_mem_bandwidth: float = quantity("bandwidth", "memory", axis="gpu_mem_bandwidth")
+    pcie_bandwidth: float = quantity("bandwidth", "pcie", "pci", axis="pcie")
+    ethernet_bandwidth: float = quantity("bandwidth", "ethernet", axis="ethernet")
+    nvlink_bandwidth: float = quantity("bandwidth", "nvlink")
+    gpu_mem_capacity: float = quantity("bytes", default=16e9)
 
     def __post_init__(self) -> None:
-        for name in ("gpu_peak_flops", "gpu_mem_bandwidth", "pcie_bandwidth",
-                     "ethernet_bandwidth", "nvlink_bandwidth", "gpu_mem_capacity"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+                raise ValueError(f"{f.name} must be finite and strictly positive, got {value!r}")
 
     def bandwidth_for(self, medium: Medium) -> float:
         if medium is Medium.PCIE:
@@ -114,17 +122,17 @@ class EfficiencyModel:
     The default assumes 70% of every peak is usable.
     """
 
-    compute_eff: float = 0.7
-    mem_eff: float = 0.7
-    pcie_eff: float = 0.7
-    ethernet_eff: float = 0.7
-    nvlink_eff: float = 0.7
+    compute_eff: float = quantity("fraction", default=0.7)
+    mem_eff: float = quantity("fraction", default=0.7)
+    pcie_eff: float = quantity("fraction", default=0.7)
+    ethernet_eff: float = quantity("fraction", default=0.7)
+    nvlink_eff: float = quantity("fraction", default=0.7)
 
     def __post_init__(self) -> None:
-        for name in ("compute_eff", "mem_eff", "pcie_eff", "ethernet_eff", "nvlink_eff"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and 0 < value <= 1):
-                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+                raise ValueError(f"{f.name} must lie in (0, 1], got {value!r}")
 
     def for_medium(self, medium: Medium) -> float:
         if medium is Medium.PCIE:
@@ -151,12 +159,12 @@ class WorkloadRecord:
     arch: ArchitectureKind
     num_cnodes: int
     batch_size: int
-    flops: float
-    mem_access_bytes: float
-    input_bytes: float
-    weight_traffic_bytes: float
-    dense_weight_bytes: float
-    embedding_weight_bytes: float
+    flops: float = quantity("count")
+    mem_access_bytes: float = quantity("bytes")
+    input_bytes: float = quantity("bytes")
+    weight_traffic_bytes: float = quantity("bytes")
+    dense_weight_bytes: float = quantity("bytes")
+    embedding_weight_bytes: float = quantity("bytes")
     measured_step_seconds: Optional[float] = None
     notes: Optional[Mapping[str, float]] = None
 
@@ -164,6 +172,12 @@ class WorkloadRecord:
     def model_bytes(self) -> float:
         """Total model-resident weight size (dense plus embedding)."""
         return self.dense_weight_bytes + self.embedding_weight_bytes
+
+
+#: The WorkloadRecord fields holding quantities: per-step demands and
+#: model sizes, all non-negative.
+RECORD_QUANTITIES: tuple[Field, ...] = tuple(
+    f for f in fields(WorkloadRecord) if "kind" in f.metadata)
 
 
 class ValidationError(ValueError):
@@ -175,14 +189,11 @@ class ValidationError(ValueError):
         super().__init__(f"invalid record {job_id!r}: " + "; ".join(errors))
 
 
-_NONNEGATIVE_FIELDS = (
-    "flops",
-    "mem_access_bytes",
-    "input_bytes",
-    "weight_traffic_bytes",
-    "dense_weight_bytes",
-    "embedding_weight_bytes",
-)
+def _finite_number(value) -> bool:
+    """An int or a finite float, but not a bool (ints are always finite)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def record_errors(rec: WorkloadRecord) -> list[str]:
@@ -192,21 +203,29 @@ def record_errors(rec: WorkloadRecord) -> list[str]:
         errors.append(f"num_cnodes must be a positive integer, got {rec.num_cnodes!r}")
     if not isinstance(rec.batch_size, int) or rec.batch_size < 1:
         errors.append(f"batch_size must be a positive integer, got {rec.batch_size!r}")
-    for name in _NONNEGATIVE_FIELDS:
-        value = getattr(rec, name)
+    for f in RECORD_QUANTITIES:
+        value = getattr(rec, f.name)
         if not isinstance(value, (int, float)) or not math.isfinite(value):
-            errors.append(f"non-finite {name}")
+            errors.append(f"non-finite {f.name}")
         elif value < 0:
-            errors.append(f"negative {name}")
+            errors.append(f"negative {f.name}")
     if rec.arch is ArchitectureKind.ONE_WORKER_ONE_GPU:
         if isinstance(rec.num_cnodes, int) and rec.num_cnodes != 1:
             errors.append("cnodes must be 1 for 1w1g")
         if isinstance(rec.weight_traffic_bytes, (int, float)) and rec.weight_traffic_bytes != 0:
             errors.append("nonzero weight traffic on 1w1g")
+    if (isinstance(rec.num_cnodes, int) and rec.num_cnodes > GPUS_PER_SERVER
+            and rec.arch in LOCAL_MULTI_GPU):
+        errors.append(f"{rec.arch.value} runs on one server: num_cnodes must be at most "
+                      f"{GPUS_PER_SERVER}, got {rec.num_cnodes}")
     if rec.measured_step_seconds is not None:
         m = rec.measured_step_seconds
-        if not isinstance(m, (int, float)) or not math.isfinite(m) or m <= 0:
+        if not _finite_number(m) or m <= 0:
             errors.append(f"measured_step_seconds must be positive, got {m!r}")
+    if rec.notes:
+        for key, value in rec.notes.items():
+            if not _finite_number(value):
+                errors.append(f"note {key!r} must be a finite number, got {value!r}")
     return errors
 
 
@@ -254,7 +273,6 @@ class TimeBreakdown:
     t_data: float
     t_compute_bound: float
     t_memory_bound: float
-    t_compute: float
     t_weight_per_medium: Mapping[Medium, float]
     t_weight: float
     t_total: float

@@ -178,7 +178,7 @@ class SynthSpec:
             if not isinstance(arch, ArchitectureKind):
                 raise ValueError(f"mix key {arch!r} is not an ArchitectureKind")
             if frac < 0:
-                raise ValueError(f"mix fraction for {arch.label} is negative")
+                raise ValueError(f"mix fraction for {arch.value} is negative")
         total = math.fsum(self.mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mix fractions must sum to 1, got {total!r}")

@@ -136,7 +136,6 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
         t_data=t_data,
         t_compute_bound=t_cb,
         t_memory_bound=t_mb,
-        t_compute=t_compute,
         t_weight_per_medium=per_medium,
         t_weight=t_weight,
         t_total=t_total,

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, TextIO, Union
 
 from .aggregate import JobPopulation
 from .core import (
+    RECORD_QUANTITIES,
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
@@ -41,13 +42,8 @@ class TraceError:
     message: str
 
 
-_BYTE_FIELDS = (
-    "mem_access_bytes",
-    "input_bytes",
-    "weight_traffic_bytes",
-    "dense_weight_bytes",
-    "embedding_weight_bytes",
-)
+_TRACE_KEYS = frozenset(f.name for f in fields(WorkloadRecord))
+_QUANTITY_KINDS = tuple((f.name, f.metadata["kind"]) for f in RECORD_QUANTITIES)
 
 
 def _coerce_int(value, name: str) -> int:
@@ -60,19 +56,14 @@ def _coerce_int(value, name: str) -> int:
     raise TraceFormatError(f"{name} must be an integer, got {value!r}")
 
 
-def _coerce_bytes(value, name: str) -> float:
+def _coerce_quantity(value, name: str, kind: str) -> float:
+    """Canonical value of a trace quantity: a number, or a unit string of
+    the field's ``kind``."""
     if isinstance(value, str):
-        return parse_quantity(value, "bytes")
+        return parse_count(value) if kind == "count" else parse_quantity(value, kind)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TraceFormatError(f"{name} must be a number or unit string, got {value!r}")
-    return float(value)
-
-
-def _coerce_flops(value) -> float:
-    if isinstance(value, str):
-        return parse_count(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TraceFormatError(f"flops must be a number or count string, got {value!r}")
+        form = "count" if kind == "count" else "unit"
+        raise TraceFormatError(f"{name} must be a number or {form} string, got {value!r}")
     return float(value)
 
 
@@ -80,6 +71,9 @@ def record_from_dict(obj: dict) -> WorkloadRecord:
     """Build and validate a WorkloadRecord from one trace object."""
     if not isinstance(obj, dict):
         raise TraceFormatError(f"expected a JSON object, got {type(obj).__name__}")
+    if not _TRACE_KEYS.issuperset(obj):
+        unknown = next(key for key in obj if key not in _TRACE_KEYS)
+        raise TraceFormatError(f"unknown field {unknown!r}")
     try:
         job_id = obj["job_id"]
         arch = ArchitectureKind.from_label(obj["arch"])
@@ -88,19 +82,20 @@ def record_from_dict(obj: dict) -> WorkloadRecord:
             arch=arch,
             num_cnodes=_coerce_int(obj["num_cnodes"], "num_cnodes"),
             batch_size=_coerce_int(obj["batch_size"], "batch_size"),
-            flops=_coerce_flops(obj["flops"]),
         )
-        for name in _BYTE_FIELDS:
-            kwargs[name] = _coerce_bytes(obj[name], name)
+        for name, kind in _QUANTITY_KINDS:
+            kwargs[name] = _coerce_quantity(obj[name], name, kind)
+        measured = obj.get("measured_step_seconds")
+        if measured is not None:
+            if isinstance(measured, bool) or not isinstance(measured, (int, float)):
+                raise TraceFormatError(
+                    f"measured_step_seconds must be a number, got {measured!r}")
+            kwargs["measured_step_seconds"] = float(measured)
     except KeyError as exc:
         raise TraceFormatError(f"missing field {exc.args[0]!r}") from None
-    except (QuantityError, ValueError) as exc:
+    # OverflowError: an integer too large for a float.
+    except (QuantityError, ValueError, OverflowError) as exc:
         raise TraceFormatError(str(exc)) from None
-    measured = obj.get("measured_step_seconds")
-    if measured is not None:
-        if isinstance(measured, bool) or not isinstance(measured, (int, float)):
-            raise TraceFormatError(f"measured_step_seconds must be a number, got {measured!r}")
-        kwargs["measured_step_seconds"] = float(measured)
     notes = obj.get("notes")
     if notes is not None:
         if not isinstance(notes, dict):
@@ -115,17 +110,12 @@ def record_from_dict(obj: dict) -> WorkloadRecord:
 
 def record_to_dict(rec: WorkloadRecord) -> dict:
     """Canonical-unit JSON object for one record (inverse of record_from_dict)."""
-    obj = {
-        "job_id": rec.job_id,
-        "arch": rec.arch.label,
-        "num_cnodes": rec.num_cnodes,
-        "batch_size": rec.batch_size,
-        "flops": rec.flops,
-    }
-    for name in _BYTE_FIELDS:
-        obj[name] = getattr(rec, name)
-    if rec.measured_step_seconds is not None:
-        obj["measured_step_seconds"] = rec.measured_step_seconds
+    obj = {}
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        if value is not None:  # an optional field left unset has no key
+            obj[f.name] = value
+    obj["arch"] = rec.arch.value
     if rec.notes is not None:
         obj["notes"] = dict(rec.notes)
     return obj
@@ -136,25 +126,34 @@ def parse_trace(text: str, strict: bool = False,
     """Parse newline-delimited JSON text into a population plus a per-line
     error report.
 
-    Blank lines are skipped.  In strict mode the first malformed line
+    Blank lines are skipped.  A record whose ``job_id`` an earlier line
+    already used is malformed.  In strict mode the first malformed line
     raises TraceFormatError instead of being reported.
     """
     records = []
     errors = []
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            message = f"invalid JSON: {exc.msg}"
+        # Besides a JSONDecodeError, an over-long integer literal raises a
+        # ValueError and over-deep nesting a RecursionError.
+        except (ValueError, RecursionError) as exc:
+            message = f"invalid JSON: {getattr(exc, 'msg', exc)}"
         else:
             try:
-                records.append(record_from_dict(obj))
-                continue
+                rec = record_from_dict(obj)
             except TraceFormatError as exc:
                 message = str(exc)
+            else:
+                first = first_lines.setdefault(rec.job_id, lineno)
+                if first == lineno:
+                    records.append(rec)
+                    continue
+                message = f"duplicate job_id {rec.job_id!r} (first on line {first})"
         if strict:
             raise TraceFormatError(f"{source}:{lineno}: {message}")
         errors.append(TraceError(line=lineno, message=message))
@@ -185,24 +184,6 @@ def write_trace(pop: Iterable[WorkloadRecord], dest: Union[PathLike, TextIO]) ->
 
 # --- hardware and efficiency configuration ---------------------------------
 
-_HW_KEYS = {
-    "gpu_peak_flops": "flops_rate",
-    "gpu_mem_bandwidth": "bandwidth",
-    "pcie_bandwidth": "bandwidth",
-    "ethernet_bandwidth": "bandwidth",
-    "nvlink_bandwidth": "bandwidth",
-    "gpu_mem_capacity": "bytes",
-}
-_HW_ALIASES = {
-    "gpu": "gpu_peak_flops",
-    "memory": "gpu_mem_bandwidth",
-    "pcie": "pcie_bandwidth",
-    "pci": "pcie_bandwidth",
-    "ethernet": "ethernet_bandwidth",
-    "nvlink": "nvlink_bandwidth",
-}
-
-
 def _parse_flat_config(text: str, source: str) -> dict[str, str]:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,22 +197,42 @@ def _parse_flat_config(text: str, source: str) -> dict[str, str]:
     return values
 
 
-def parse_hardware_config(text: str, source: str = "<config>") -> HardwareProfile:
-    """Parse a flat key = value profile, e.g. ``ethernet = 25Gbps``."""
-    raw = _parse_flat_config(text, source)
-    fields = {}
-    for key, value in raw.items():
-        name = _HW_ALIASES.get(key, key)
-        if name not in _HW_KEYS:
-            raise TraceFormatError(f"{source}: unknown hardware key {key!r}")
+def _config_value(text: str, kind: str) -> float:
+    """Canonical value of a config entry: a plain number for a fraction,
+    else a unit string of the field's ``kind``."""
+    if kind != "fraction":
+        return parse_quantity(text, kind)
+    try:
+        return float(text)
+    except ValueError:
+        raise QuantityError(f"not a number: {text!r}") from None
+
+
+def _parse_model_config(cls, text: str, source: str, what: str):
+    """Build ``cls`` from a flat config whose keys are its field names or
+    their aliases; fields without a default are required."""
+    by_key = {key: f for f in fields(cls) for key in (f.name, *f.metadata["aliases"])}
+    values = {}
+    for key, value in _parse_flat_config(text, source).items():
+        f = by_key.get(key)
+        if f is None:
+            raise TraceFormatError(f"{source}: unknown {what} key {key!r}")
         try:
-            fields[name] = parse_quantity(value, _HW_KEYS[name])
+            values[f.name] = _config_value(value, f.metadata["kind"])
         except QuantityError as exc:
             raise TraceFormatError(f"{source}: {key}: {exc}") from None
-    missing = [k for k in _HW_KEYS if k != "gpu_mem_capacity" and k not in fields]
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
-        raise TraceFormatError(f"{source}: missing hardware keys: {', '.join(missing)}")
-    return HardwareProfile(**fields)
+        raise TraceFormatError(f"{source}: missing {what} keys: {', '.join(missing)}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise TraceFormatError(f"{source}: {exc}") from None
+
+
+def parse_hardware_config(text: str, source: str = "<config>") -> HardwareProfile:
+    """Parse a flat key = value profile, e.g. ``ethernet = 25Gbps``."""
+    return _parse_model_config(HardwareProfile, text, source, "hardware")
 
 
 def pai_baseline() -> HardwareProfile:
@@ -250,14 +251,7 @@ def pai_baseline() -> HardwareProfile:
 def case_study_testbed() -> HardwareProfile:
     """The case-study testbed: Tesla V100 servers at 15 TFLOPs peak,
     otherwise the same interconnects as the baseline."""
-    return HardwareProfile(
-        gpu_peak_flops=15e12,
-        gpu_mem_bandwidth=1e12,
-        pcie_bandwidth=10e9,
-        ethernet_bandwidth=25e9 / 8,
-        nvlink_bandwidth=50e9,
-        gpu_mem_capacity=16e9,
-    )
+    return replace(pai_baseline(), gpu_peak_flops=15e12)
 
 
 BUILTIN_HARDWARE = {
@@ -288,24 +282,9 @@ def load_hardware_profile(spec: str) -> HardwareProfile:
     )
 
 
-_EFF_KEYS = ("compute_eff", "mem_eff", "pcie_eff", "ethernet_eff", "nvlink_eff")
-
-
 def parse_efficiency_config(text: str, source: str = "<config>") -> EfficiencyModel:
     """Parse a flat key = value efficiency file with plain fractions."""
-    raw = _parse_flat_config(text, source)
-    fields = {}
-    for key, value in raw.items():
-        if key not in _EFF_KEYS:
-            raise TraceFormatError(f"{source}: unknown efficiency key {key!r}")
-        try:
-            fields[key] = float(value)
-        except ValueError:
-            raise TraceFormatError(f"{source}: {key}: not a number: {value!r}") from None
-    try:
-        return EfficiencyModel(**fields)
-    except ValueError as exc:
-        raise TraceFormatError(f"{source}: {exc}") from None
+    return _parse_model_config(EfficiencyModel, text, source, "efficiency")
 
 
 def load_efficiency_model(spec: str = "default") -> EfficiencyModel:

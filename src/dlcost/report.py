@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from . import __version__
@@ -46,25 +46,9 @@ def _json_cell(value: Any):
     return value
 
 
-def hardware_metadata(hw: HardwareProfile) -> dict[str, float]:
-    return {
-        "gpu_peak_flops": round9(hw.gpu_peak_flops),
-        "gpu_mem_bandwidth": round9(hw.gpu_mem_bandwidth),
-        "pcie_bandwidth": round9(hw.pcie_bandwidth),
-        "ethernet_bandwidth": round9(hw.ethernet_bandwidth),
-        "nvlink_bandwidth": round9(hw.nvlink_bandwidth),
-        "gpu_mem_capacity": round9(hw.gpu_mem_capacity),
-    }
-
-
-def efficiency_metadata(eff: EfficiencyModel) -> dict[str, float]:
-    return {
-        "compute_eff": round9(eff.compute_eff),
-        "mem_eff": round9(eff.mem_eff),
-        "pcie_eff": round9(eff.pcie_eff),
-        "ethernet_eff": round9(eff.ethernet_eff),
-        "nvlink_eff": round9(eff.nvlink_eff),
-    }
+def model_metadata(model: HardwareProfile | EfficiencyModel) -> dict[str, float]:
+    """Every field of a hardware profile or efficiency model, in declaration order."""
+    return {f.name: round9(getattr(model, f.name)) for f in fields(model)}
 
 
 def input_digest(data: bytes) -> str:
@@ -75,25 +59,19 @@ def input_digest(data: bytes) -> str:
 class Report:
     kind: str
     columns: tuple[str, ...]
-    rows: tuple[Mapping[str, Any], ...]
+    rows: tuple[tuple[Any, ...], ...]
     metadata: Mapping[str, Any]
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            extra = set(row) - set(self.columns)
-            if extra:
-                raise ValueError(f"row carries unknown columns: {sorted(extra)}")
 
-
-def build_report(kind: str, columns: Sequence[str], rows: Sequence[Mapping[str, Any]],
+def build_report(kind: str, columns: Sequence[str], rows: Sequence[tuple[Any, ...]],
                  hw: HardwareProfile, eff: EfficiencyModel, overlap: OverlapMode,
                  source: str, digest: str,
                  extra_metadata: Mapping[str, Any] | None = None) -> Report:
     metadata: dict[str, Any] = {
         "kind": kind,
         "tool_version": __version__,
-        "hardware": hardware_metadata(hw),
-        "efficiency": efficiency_metadata(eff),
+        "hardware": model_metadata(hw),
+        "efficiency": model_metadata(eff),
         "overlap": overlap.value,
         "input": {"source": source, "sha256": digest},
     }
@@ -122,13 +100,13 @@ def emit(report: Report, format: str = "csv") -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.columns)
         for row in report.rows:
-            writer.writerow([_csv_cell(row.get(col)) for col in report.columns])
+            writer.writerow([_csv_cell(value) for value in row])
         return buf.getvalue().encode("utf-8")
     if format == "json":
         payload = {
             "metadata": report.metadata,
             "columns": list(report.columns),
-            "rows": [{col: _json_cell(row.get(col)) for col in report.columns}
+            "rows": [{col: _json_cell(value) for col, value in zip(report.columns, row)}
                      for row in report.rows],
         }
         return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")

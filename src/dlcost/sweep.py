@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import Field, dataclass, fields, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -31,6 +31,9 @@ from .engine import breakdown  # noqa: F401
 from .projection import ProjectionResult, ProjectionSummary, population_speedup_profile
 
 
+_AXIS_FIELDS = {f.metadata["axis"]: f for f in fields(HardwareProfile) if f.metadata["axis"]}
+
+
 class SweepResource(Enum):
     """Hardware profile fields that sweeps may vary."""
 
@@ -39,13 +42,10 @@ class SweepResource(Enum):
     GPU_FLOPS = "gpu_flops"
     GPU_MEM_BANDWIDTH = "gpu_mem_bandwidth"
 
-
-_RESOURCE_FIELD = {
-    SweepResource.ETHERNET: "ethernet_bandwidth",
-    SweepResource.PCIE: "pcie_bandwidth",
-    SweepResource.GPU_FLOPS: "gpu_peak_flops",
-    SweepResource.GPU_MEM_BANDWIDTH: "gpu_mem_bandwidth",
-}
+    @property
+    def field(self) -> Field:
+        """The ``HardwareProfile`` field whose ``axis`` metadata names this resource."""
+        return _AXIS_FIELDS[self.value]
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,14 @@ def standard_axes(base_hw: HardwareProfile,
         resources = tuple(SweepResource)
     return tuple(
         SweepAxis(resource=r, candidates=STANDARD_CANDIDATES[r],
-                  baseline=getattr(base_hw, _RESOURCE_FIELD[r]))
+                  baseline=getattr(base_hw, r.field.name))
         for r in resources
     )
 
 
 def apply_axis(hw: HardwareProfile, resource: SweepResource, value: float) -> HardwareProfile:
     """Baseline profile with exactly one resource replaced."""
-    return replace(hw, **{_RESOURCE_FIELD[resource]: value})
+    return replace(hw, **{resource.field.name: value})
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,8 @@ def efficiency_sensitivity(pop: JobPopulation, hw: HardwareProfile,
 
 def _weight_bound(bd: TimeBreakdown) -> bool:
     """Weight traffic dominates the step (is the max component, nonzero)."""
-    return bd.t_weight > 0 and bd.t_weight >= bd.t_data and bd.t_weight >= bd.t_compute
+    t_compute = bd.t_compute_bound + bd.t_memory_bound
+    return bd.t_weight > 0 and bd.t_weight >= bd.t_data and bd.t_weight >= t_compute
 
 
 def weight_bound_before_and_after(result: ProjectionResult) -> bool:

@@ -26,7 +26,6 @@ _NUM = r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
 _BYTES_RE = re.compile(_NUM + r"\s*(?P<prefix>[kKMGT]?)(?P<unit>[bB])\Z")
 _BANDWIDTH_RE = re.compile(_NUM + r"\s*(?P<prefix>[kKMGT]?)(?P<unit>[bB])(?P<rate>/s|ps)?\Z")
 _FLOPS_RE = re.compile(_NUM + r"\s*(?P<prefix>[kKMGT]?)(?P<unit>[Ff][Ll][Oo][Pp][Ss]?)?(?P<rate>/s)?\Z")
-_COUNT_RE = _FLOPS_RE
 
 
 class QuantityError(ValueError):
@@ -77,7 +76,7 @@ def parse_quantity(text: str, kind: str) -> float:
 def parse_count(text: str) -> float:
     """Parse an operation count such as "1.56T" or "330.7GFLOPs" (no rate suffix)."""
     s = text.strip()
-    m = _COUNT_RE.fullmatch(s)
+    m = _FLOPS_RE.fullmatch(s)
     if m is None or m.group("rate") or (not m.group("prefix") and not m.group("unit")):
         raise QuantityError(f"malformed operation count {text!r} (expected e.g. '1.56T')")
     return float(m.group("num")) * _PREFIX[m.group("prefix")]

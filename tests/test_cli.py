@@ -241,6 +241,26 @@ class TestValidateCommand:
         gap = float(row["gap"])
         assert gap == pytest.approx((predicted - 0.5) / 0.5, rel=1e-6)
 
+    @pytest.mark.parametrize("changes,message", [
+        ({"measured_step_secs": 0.5}, "unknown field 'measured_step_secs'"),
+        ({"notes": {"x": "hello"}}, "note 'x' must be a finite number, got 'hello'"),
+        ({"arch": "allreduce_local", "num_cnodes": 64},
+         "allreduce_local runs on one server: num_cnodes must be at most 8, got 64"),
+        ({"job_id": "c"}, "duplicate job_id 'c' (first on line 1)"),
+    ])
+    def test_rejected_inputs_exit_2(self, tmp_path, capsys, changes, message):
+        job = {"job_id": "c", "arch": "ps_worker", "num_cnodes": 4, "batch_size": 64,
+               "flops": 1e12, "mem_access_bytes": 1e10, "input_bytes": 1e6,
+               "weight_traffic_bytes": 1e9, "dense_weight_bytes": 1e8,
+               "embedding_weight_bytes": 0}
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps(job) + "\n" + json.dumps(job | {"job_id": "d"} | changes))
+        code, data = run_to_file(tmp_path, "validate", "--trace", str(trace))
+        assert code == EX_DATA
+        assert [(row["line"], row["status"]) for row in parse_csv(data)] == [
+            ("2", "error"), ("", "ok")]
+        assert capsys.readouterr().err == f"{trace}:2: {message}\n"
+
     def test_malformed_lines_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         trace.write_text('{"job_id": "x"}\n')
@@ -294,7 +314,7 @@ class TestEmit:
 
     def test_nine_significant_digits(self):
         report = Report(kind="breakdown", columns=("x",),
-                        rows=({"x": math.pi},), metadata={})
+                        rows=((math.pi,),), metadata={})
         assert "3.14159265" in emit(report, "csv").decode()
         assert json.loads(emit(report, "json"))["rows"][0]["x"] == 3.14159265
 

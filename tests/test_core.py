@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 
 from dlcost.core import (
+    GPUS_PER_SERVER,
+    LOCAL_MULTI_GPU,
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
@@ -89,6 +91,23 @@ def test_every_violation_reported_individually():
 def test_nonpositive_measured_time_rejected():
     rec = make_record(measured_step_seconds=0.0)
     assert any("measured_step_seconds" in e for e in record_errors(rec))
+
+
+@pytest.mark.parametrize("arch", sorted(LOCAL_MULTI_GPU, key=lambda a: a.value))
+def test_local_architecture_fits_one_server(arch):
+    assert record_errors(make_record(arch=arch, num_cnodes=GPUS_PER_SERVER)) == []
+    assert record_errors(make_record(arch=arch, num_cnodes=64)) == [
+        f"{arch.value} runs on one server: num_cnodes must be at most 8, got 64"]
+
+
+@pytest.mark.parametrize("value", ["hello", True, None, [1.0], float("nan"), float("inf")])
+def test_non_numeric_note_rejected(value):
+    rec = make_record(notes={"ok": 1, "x": value})
+    assert record_errors(rec) == [f"note 'x' must be a finite number, got {value!r}"]
+
+
+def test_huge_integer_note_is_a_finite_number():
+    assert record_errors(make_record(notes={"x": 10 ** 400})) == []
 
 
 @given(workload_records())

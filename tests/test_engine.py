@@ -163,11 +163,6 @@ class TestBreakdown:
         assert bd.shares.as_dict() == {"data": 0.0, "compute_bound": 0.0,
                                        "memory_bound": 0.0, "weight": 0.0}
 
-    def test_compute_split_sums_exactly(self):
-        rec = make_record(flops=1.23e12, mem_access_bytes=4.56e10)
-        bd = breakdown(rec, PAI, EFF)
-        assert bd.t_compute == bd.t_compute_bound + bd.t_memory_bound
-
     @given(workload_records(), hardware_profiles(), efficiency_models(),
            st.sampled_from(list(OverlapMode)))
     def test_shares_partition_unity(self, rec, hw, eff, overlap):
@@ -183,7 +178,8 @@ class TestBreakdown:
         none = breakdown(rec, PAI, EFF, OverlapMode.NO_OVERLAP)
         ideal = breakdown(rec, PAI, EFF, OverlapMode.IDEAL_OVERLAP)
         assert ideal.t_total <= none.t_total
-        nonzero = sum(1 for t in (none.t_data, none.t_compute, none.t_weight) if t > 0)
+        t_compute = none.t_compute_bound + none.t_memory_bound
+        nonzero = sum(1 for t in (none.t_data, t_compute, none.t_weight) if t > 0)
         assert (ideal.t_total == none.t_total) == (nonzero <= 1)
 
     @given(workload_records(), st.integers(min_value=-8, max_value=8))
@@ -210,7 +206,8 @@ class TestBreakdown:
             faster = dataclasses.replace(hw, **{field: getattr(hw, field) * factor})
             new = breakdown(rec, faster, EFF)
             assert new.t_data <= base.t_data
-            assert new.t_compute <= base.t_compute
+            assert (new.t_compute_bound + new.t_memory_bound
+                    <= base.t_compute_bound + base.t_memory_bound)
             assert new.t_weight <= base.t_weight
             assert new.t_total <= base.t_total
 
@@ -255,7 +252,8 @@ def assert_kernel_matches_breakdown(records, hw, eff, overlap):
     for name in ("t_data", "t_compute_bound", "t_memory_bound", "t_weight", "t_total"):
         assert float_bits(getattr(ev, name)) == float_bits(getattr(bd, name) for bd in oracle)
     assert float_bits(ev.component_sum) == float_bits(
-        bd.t_data + bd.t_compute + bd.t_weight for bd in oracle)
+        bd.t_data + (bd.t_compute_bound + bd.t_memory_bound) + bd.t_weight
+        for bd in oracle)
     for name in Shares.COMPONENTS:
         assert float_bits(ev.share(name)) == float_bits(
             bd.shares.component(name) for bd in oracle)

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from dlcost.core import ArchitectureKind, EfficiencyModel
+from dlcost.core import ArchitectureKind, EfficiencyModel, HardwareProfile, WorkloadRecord
 from dlcost.ingest import (
     TraceFormatError,
     case_study_testbed,
@@ -17,9 +20,32 @@ from dlcost.ingest import (
     record_to_dict,
     write_trace,
 )
-from helpers import make_record
+from dlcost.units import format_quantity
+from helpers import demand, hardware_profiles, make_record, workload_records
 
 A = ArchitectureKind
+
+TRACE_KEYS = [f.name for f in dataclasses.fields(WorkloadRecord)]
+
+#: Values that a trace field may be given: every JSON type, architecture
+#: labels, unit strings and job ids shared between lines.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["ps_worker", "allreduce_local", "1.5GB", "2T", "10Gbps", "a", "b"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def traced_records(draw):
+    """Valid records, some with a measured step time and numeric notes."""
+    return dataclasses.replace(
+        draw(workload_records()),
+        measured_step_seconds=draw(st.none() | demand(1e-6, 1e6)),
+        notes=draw(st.none() | st.dictionaries(st.text(max_size=8), demand(0.0, 1e15),
+                                                max_size=3)))
+
 
 RESNET_LINE = ('{"job_id":"r50","arch":"allreduce_local","num_cnodes":8,"batch_size":64,'
                '"flops":1.56e12,"mem_access_bytes":3.19e10,"input_bytes":3.8e7,'
@@ -94,6 +120,53 @@ class TestTraceParsing:
         with pytest.raises(TraceFormatError, match="num_cnodes"):
             record_from_dict(obj)
 
+    def test_unknown_field_rejected(self):
+        line = RESNET_LINE.replace('"job_id"', '"measured_step_secs":0.5,"job_id"')
+        pop, [err] = parse_trace(RESNET_LINE.replace("r50", "r49") + "\n" + line)
+        assert len(pop) == 1
+        assert (err.line, err.message) == (2, "unknown field 'measured_step_secs'")
+
+    def test_duplicate_job_id_rejected(self):
+        lines = [RESNET_LINE.replace('"r50"', f'"{job}"') for job in "abcc"]
+        pop, [err] = parse_trace("\n".join(lines))
+        assert [rec.job_id for rec in pop] == ["a", "b", "c"]
+        assert (err.line, err.message) == (4, "duplicate job_id 'c' (first on line 3)")
+
+    @pytest.mark.parametrize("line", ["1" * 5000, "[" * 100_000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_json_beyond_the_decoder_limits_reported(self, line):
+        pop, [err] = parse_trace(RESNET_LINE + "\n" + line)
+        assert len(pop) == 1
+        assert err.line == 2 and err.message.startswith("invalid JSON: ")
+
+    def test_integer_too_large_for_a_float_reported(self):
+        obj = json.loads(RESNET_LINE) | {"flops": 10 ** 400}
+        with pytest.raises(TraceFormatError, match="too large"):
+            record_from_dict(obj)
+
+    @given(st.lists(st.one_of(
+        st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
+        st.just(RESNET_LINE),
+        st.builds(lambda rec, changes, drop: json.dumps(
+            {k: v for k, v in (record_to_dict(rec) | changes).items() if k != drop}),
+            workload_records(),
+            st.dictionaries(st.sampled_from(TRACE_KEYS), JSON_VALUES, max_size=3),
+            st.sampled_from([None, *TRACE_KEYS])),
+    ), max_size=6))
+    def test_arbitrary_lines_parse_or_report_their_line(self, lines):
+        text = "\n".join(lines)
+        pop, errors = parse_trace(text)
+        nonblank = [n for n, line in enumerate(lines, start=1) if line.strip()]
+        assert len(pop) + len(errors) == len(nonblank)
+        for err in errors:
+            assert err.line in nonblank
+            # Only a duplicate job_id depends on the other lines.
+            _, alone = parse_trace(lines[err.line - 1])
+            assert alone or err.message.startswith("duplicate job_id")
+        if errors:
+            with pytest.raises(TraceFormatError, match=f"^<trace>:{errors[0].line}: "):
+                parse_trace(text, strict=True)
+
 
 class TestRoundTrip:
     def test_write_then_load_is_bit_exact(self, tmp_path):
@@ -108,6 +181,15 @@ class TestRoundTrip:
         pop, errors = load_trace(path)
         assert errors == []
         assert list(pop.records) == records
+
+    @given(st.lists(traced_records(), max_size=8, unique_by=lambda rec: rec.job_id))
+    def test_records_round_trip_bit_exactly(self, records):
+        for rec in records:
+            assert record_from_dict(record_to_dict(rec)) == rec
+        pop, errors = parse_trace(dump_trace(records))
+        assert errors == []
+        # repr tells apart every float bit pattern, including 0.0 and -0.0
+        assert repr(pop.records) == repr(tuple(records))
 
     def test_dump_preserves_order(self):
         records = [make_record(job_id=f"j{i}") for i in range(5)]
@@ -154,6 +236,24 @@ class TestHardwareProfiles:
             "gpu_mem_capacity = 16GB\n"
         )
         assert load_hardware_profile(str(cfg)) == pai_baseline()
+
+    @given(hardware_profiles())
+    def test_formatted_config_parses_back_under_every_name_and_alias(self, hw):
+        fields = dataclasses.fields(HardwareProfile)
+        # the aliases that the README documents
+        assert [f.metadata["aliases"] for f in fields] == [
+            ("gpu",), ("memory",), ("pcie", "pci"), ("ethernet",), ("nvlink",), ()]
+
+        def config(key):
+            return "".join(
+                f"{key(f)} = {format_quantity(getattr(hw, f.name), f.metadata['kind'])}\n"
+                for f in fields)
+
+        assert parse_hardware_config(config(lambda f: f.name)) == hw
+        for aliased in fields:
+            for alias in aliased.metadata["aliases"]:
+                text = config(lambda f: alias if f is aliased else f.name)
+                assert parse_hardware_config(text) == hw
 
     def test_hw_dir_search_path(self, tmp_path, monkeypatch):
         (tmp_path / "lab.hw").write_text(
