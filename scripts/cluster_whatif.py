@@ -59,10 +59,12 @@ def print_projection(pop, target, hw, eff):
 
 
 def print_sweep(pop, hw, eff):
-    cells = hardware_sweep(pop, standard_axes(hw), hw, eff)
+    cells = hardware_sweep(pop, standard_axes(), hw, eff)
     by_axis = {}
     for cell in cells:
-        by_axis.setdefault(cell.resource.value, {}).setdefault(cell.normalized, []).append(cell.speedup)
+        [(resource, candidate)] = cell.settings
+        normalized = candidate / getattr(hw, resource.field.name)
+        by_axis.setdefault(resource.value, {}).setdefault(normalized, []).append(cell.speedup)
     for axis, candidates in by_axis.items():
         line = "  ".join(f"x{norm:g}: {sum(s) / len(s):5.2f}"
                          for norm, s in sorted(candidates.items()))

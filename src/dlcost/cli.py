@@ -254,11 +254,18 @@ def _parse_candidates(text: str, resource: SweepResource) -> tuple[float, ...]:
     return tuple(values)
 
 
-_SWEEP = (
-    *_attrs("job_id"),
-    ("resource", attrgetter("resource.value")),
-    *_attrs("candidate", "normalized", "speedup"),
-)
+def _sweep_columns(hw) -> tuple[tuple[str, Callable], ...]:
+    """The one-axis sweep report; ``normalized`` is the candidate over the
+    value of its field in ``hw``, the base profile."""
+    base = {r: getattr(hw, r.field.name) for r in SweepResource}
+    return (
+        *_attrs("job_id"),
+        ("resource", lambda cell: cell.settings[0][0].value),
+        ("candidate", lambda cell: cell.settings[0][1]),
+        ("normalized", lambda cell: cell.settings[0][1] / base[cell.settings[0][0]]),
+        *_attrs("speedup"),
+    )
+
 
 _CARTESIAN = (
     *_attrs("job_id"),
@@ -276,19 +283,18 @@ def cmd_sweep(args, pop, hw, eff, overlap):
         except ValueError:
             raise _UsageError(f"unknown sweep axis {name!r} "
                               f"(known: {', '.join(r.value for r in SweepResource)})") from None
-    axes = list(standard_axes(hw, resources))
+    axes = list(standard_axes(resources))
     if args.candidates is not None:
         if len(axes) != 1:
             raise _UsageError("--candidates requires exactly one axis in --axes")
-        axis = axes[0]
-        axes = [SweepAxis(resource=axis.resource,
-                          candidates=_parse_candidates(args.candidates, axis.resource),
-                          baseline=axis.baseline)]
+        resource = axes[0].resource
+        axes = [SweepAxis(resource=resource,
+                          candidates=_parse_candidates(args.candidates, resource))]
     extra = {"axes": {a.resource.value: [round9(c) for c in a.candidates] for a in axes}}
     if args.cartesian:
         return ("sweep-cartesian", _CARTESIAN,
                 cartesian_sweep(pop, axes, hw, eff, overlap), extra)
-    return "sweep", _SWEEP, hardware_sweep(pop, axes, hw, eff, overlap), extra
+    return "sweep", _sweep_columns(hw), hardware_sweep(pop, axes, hw, eff, overlap), extra
 
 
 _SHARES = (("level", attrgetter("level")), *_share_columns("shares"))

@@ -11,6 +11,7 @@ computation node (cNode): one GPU holding one model replica.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
 from typing import Any, Mapping, Optional
@@ -199,10 +200,12 @@ def _finite_number(value) -> bool:
 def record_errors(rec: WorkloadRecord) -> list[str]:
     """Return every invariant violated by ``rec`` (empty list if valid)."""
     errors: list[str] = []
-    if not isinstance(rec.num_cnodes, int) or rec.num_cnodes < 1:
-        errors.append(f"num_cnodes must be a positive integer, got {rec.num_cnodes!r}")
-    if not isinstance(rec.batch_size, int) or rec.batch_size < 1:
-        errors.append(f"batch_size must be a positive integer, got {rec.batch_size!r}")
+    for name in ("num_cnodes", "batch_size"):
+        value = getattr(rec, name)
+        if not isinstance(value, int) or value < 1:
+            errors.append(f"{name} must be a positive integer, got {value!r}")
+        elif value > sys.float_info.max:
+            errors.append(f"{name} is too large for a float")
     for f in RECORD_QUANTITIES:
         value = getattr(rec, f.name)
         if not isinstance(value, (int, float)) or not math.isfinite(value):

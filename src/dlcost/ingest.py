@@ -184,19 +184,6 @@ def write_trace(pop: Iterable[WorkloadRecord], dest: Union[PathLike, TextIO]) ->
 
 # --- hardware and efficiency configuration ---------------------------------
 
-def _parse_flat_config(text: str, source: str) -> dict[str, str]:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise TraceFormatError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip().strip("'\"")
-    return values
-
-
 def _config_value(text: str, kind: str) -> float:
     """Canonical value of a config entry: a plain number for a fraction,
     else a unit string of the field's ``kind``."""
@@ -209,16 +196,27 @@ def _config_value(text: str, kind: str) -> float:
 
 
 def _parse_model_config(cls, text: str, source: str, what: str):
-    """Build ``cls`` from a flat config whose keys are its field names or
-    their aliases; fields without a default are required."""
+    """Build ``cls`` from flat ``key = value`` lines whose keys are its field
+    names or their aliases, each field set at most once; fields without a
+    default are required."""
     by_key = {key: f for f in fields(cls) for key in (f.name, *f.metadata["aliases"])}
-    values = {}
-    for key, value in _parse_flat_config(text, source).items():
+    values, first_lines = {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise TraceFormatError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
         f = by_key.get(key)
         if f is None:
             raise TraceFormatError(f"{source}: unknown {what} key {key!r}")
+        first = first_lines.setdefault(f.name, lineno)
+        if first != lineno:
+            raise TraceFormatError(f"{source}:{lineno}: {f.name} already set on line {first}")
         try:
-            values[f.name] = _config_value(value, f.metadata["kind"])
+            values[f.name] = _config_value(value.strip().strip("'\""), f.metadata["kind"])
         except QuantityError as exc:
             raise TraceFormatError(f"{source}: {key}: {exc}") from None
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]

@@ -11,11 +11,11 @@ are emitted as missing values: ``null`` in JSON, an empty CSV cell.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
@@ -38,6 +38,17 @@ def _csv_cell(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.9g}" if math.isfinite(value) else ""
     return str(value)
+
+
+#: Characters that make a CSV field quoted.
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(value: Any) -> str:
+    """A CSV field: the cell, quoted if it holds a comma, a quote or a line break."""
+    if isinstance(value, str) and _CSV_QUOTED.search(value):
+        return '"' + value.replace('"', '""') + '"'
+    return _csv_cell(value)
 
 
 def _json_cell(value: Any):
@@ -97,10 +108,10 @@ def emit(report: Report, format: str = "csv") -> bytes:
         buf = io.StringIO()
         for key, value in _flatten_metadata(report.metadata):
             buf.write(f"# {key}: {_csv_cell(value)}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report.columns)
-        for row in report.rows:
-            writer.writerow([_csv_cell(value) for value in row])
+        for row in (report.columns, *report.rows):
+            line = ",".join([_csv_field(value) for value in row])
+            # A lone empty field is quoted so that its row is not a blank line.
+            buf.write(f"{line}\n" if line or len(row) != 1 else '""\n')
         return buf.getvalue().encode("utf-8")
     if format == "json":
         payload = {

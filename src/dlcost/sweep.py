@@ -1,7 +1,8 @@
 """Hardware what-if sweeps and sensitivity analyses.
 
 ``hardware_sweep`` varies one resource at a time over candidate values
-and reports per-job speedups against the baseline profile.
+and ``cartesian_sweep`` every combination of them; both report per-job
+speedups against the baseline profile through one evaluation loop.
 ``efficiency_sensitivity`` maps how the weight-traffic share of step
 time moves as compute and communication efficiencies drift from the
 default.  ``overlap_comparison`` contrasts the no-overlap and
@@ -15,9 +16,9 @@ import math
 import warnings
 from dataclasses import Field, dataclass, fields, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .aggregate import EmpiricalCDF, JobPopulation, cnode_level_mean, job_level_mean
+from .aggregate import JobPopulation, cnode_level_mean, job_level_mean
 from .core import (
     ArchitectureKind,
     EfficiencyModel,
@@ -50,12 +51,10 @@ class SweepResource(Enum):
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """Candidate values (canonical units) for one resource, plus the
-    baseline used for reporting normalized candidates."""
+    """Candidate values (canonical units) for one resource."""
 
     resource: SweepResource
     candidates: tuple[float, ...]
-    baseline: float
 
     def __post_init__(self) -> None:
         if not self.candidates:
@@ -63,8 +62,6 @@ class SweepAxis:
         for c in self.candidates:
             if not (math.isfinite(c) and c > 0):
                 raise ValueError(f"axis {self.resource.value}: candidate {c!r} must be positive")
-        if not (math.isfinite(self.baseline) and self.baseline > 0):
-            raise ValueError(f"axis {self.resource.value}: baseline {self.baseline!r} must be positive")
 
 
 #: Candidate grids for the standard what-if study, in canonical units:
@@ -77,94 +74,69 @@ STANDARD_CANDIDATES: dict[SweepResource, tuple[float, ...]] = {
     SweepResource.GPU_MEM_BANDWIDTH: (1e12, 2e12, 4e12),
 }
 
+#: Report size above which ``cartesian_sweep`` warns.
+CARTESIAN_WARNING_CELLS = 100_000
 
-def standard_axes(base_hw: HardwareProfile,
-                  resources: Optional[Sequence[SweepResource]] = None) -> tuple[SweepAxis, ...]:
-    """Build the standard axes, normalizing against ``base_hw``'s values."""
+
+def standard_axes(resources: Optional[Sequence[SweepResource]] = None) -> tuple[SweepAxis, ...]:
+    """The standard candidate grid of each resource (default: all four)."""
     if resources is None:
         resources = tuple(SweepResource)
-    return tuple(
-        SweepAxis(resource=r, candidates=STANDARD_CANDIDATES[r],
-                  baseline=getattr(base_hw, r.field.name))
-        for r in resources
-    )
+    return tuple(SweepAxis(resource=r, candidates=STANDARD_CANDIDATES[r]) for r in resources)
 
 
-def apply_axis(hw: HardwareProfile, resource: SweepResource, value: float) -> HardwareProfile:
-    """Baseline profile with exactly one resource replaced."""
-    return replace(hw, **{resource.field.name: value})
+#: The (resource, value) pairs that replace fields of the base profile.
+Setting = tuple[tuple[SweepResource, float], ...]
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     job_id: str
-    resource: SweepResource
-    candidate: float
-    normalized: float  # candidate / axis baseline
-    speedup: float     # t_total(baseline hw) / t_total(candidate hw)
+    settings: Setting
+    speedup: float  # t_total(base hw) / t_total(base hw with the settings)
+
+
+def _sweep(pop: JobPopulation, axes: Sequence[SweepAxis], settings: Sequence[Setting],
+           base_hw: HardwareProfile, eff: EfficiencyModel,
+           overlap: OverlapMode) -> list[SweepCell]:
+    """Per-job speedup of each setting over ``base_hw``, setting-major."""
+    pop.require_nonempty()
+    if not axes:
+        raise ValueError("no sweep axes given")
+    cols = Columns.of(pop)
+    base_totals = evaluate(cols, base_hw, eff, overlap).t_total
+    job_ids = [rec.job_id for rec in pop]
+    cells = []
+    for setting in settings:
+        hw = replace(base_hw, **{resource.field.name: value for resource, value in setting})
+        new_totals = evaluate(cols, hw, eff, overlap).t_total
+        cells.extend(SweepCell(job_id, setting, speedup(base, new))
+                     for job_id, base, new in zip(job_ids, base_totals, new_totals))
+    return cells
 
 
 def hardware_sweep(pop: JobPopulation, axes: Sequence[SweepAxis], base_hw: HardwareProfile,
                    eff: EfficiencyModel,
                    overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> list[SweepCell]:
-    """One-resource-at-a-time speedup table over jobs x axes x candidates."""
-    pop.require_nonempty()
-    if not axes:
-        raise ValueError("no sweep axes given")
-    cols = Columns.of(pop)
-    base_totals = evaluate(cols, base_hw, eff, overlap).t_total
-    job_ids = [rec.job_id for rec in pop]
-    cells = []
-    for axis in axes:
-        for candidate in axis.candidates:
-            hw = apply_axis(base_hw, axis.resource, candidate)
-            new_totals = evaluate(cols, hw, eff, overlap).t_total
-            normalized = candidate / axis.baseline
-            cells.extend(
-                SweepCell(job_id=job_id, resource=axis.resource, candidate=candidate,
-                          normalized=normalized, speedup=speedup(base, new))
-                for job_id, base, new in zip(job_ids, base_totals, new_totals))
-    return cells
-
-
-@dataclass(frozen=True)
-class CartesianCell:
-    job_id: str
-    settings: tuple[tuple[SweepResource, float], ...]
-    speedup: float
+    """One-resource-at-a-time speedup table over axes x candidates x jobs."""
+    settings = [((axis.resource, c),) for axis in axes for c in axis.candidates]
+    return _sweep(pop, axes, settings, base_hw, eff, overlap)
 
 
 def cartesian_sweep(pop: JobPopulation, axes: Sequence[SweepAxis], base_hw: HardwareProfile,
                     eff: EfficiencyModel,
-                    overlap: OverlapMode = OverlapMode.NO_OVERLAP,
-                    size_warning_threshold: int = 100_000) -> list[CartesianCell]:
+                    overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> list[SweepCell]:
     """Full cross-product sweep over every axis combination.
 
-    Emits a warning when the report would exceed ``size_warning_threshold``
+    Emits a warning when the report would exceed ``CARTESIAN_WARNING_CELLS``
     cells; prefer ``hardware_sweep`` for routine studies.
     """
-    pop.require_nonempty()
-    if not axes:
-        raise ValueError("no sweep axes given")
-    n_cells = len(pop)
-    for axis in axes:
-        n_cells *= len(axis.candidates)
-    if n_cells > size_warning_threshold:
+    n_cells = len(pop) * math.prod(len(axis.candidates) for axis in axes)
+    if n_cells > CARTESIAN_WARNING_CELLS:
         warnings.warn(f"cartesian sweep emits {n_cells} cells", stacklevel=2)
-    cols = Columns.of(pop)
-    base_totals = evaluate(cols, base_hw, eff, overlap).t_total
-    job_ids = [rec.job_id for rec in pop]
-    cells = []
-    for combo in itertools.product(*(axis.candidates for axis in axes)):
-        settings = tuple((axis.resource, value) for axis, value in zip(axes, combo))
-        hw = base_hw
-        for resource, value in settings:
-            hw = apply_axis(hw, resource, value)
-        new_totals = evaluate(cols, hw, eff, overlap).t_total
-        cells.extend(
-            CartesianCell(job_id=job_id, settings=settings, speedup=speedup(base, new))
-            for job_id, base, new in zip(job_ids, base_totals, new_totals))
-    return cells
+    resources = [axis.resource for axis in axes]
+    settings = [tuple(zip(resources, combo))
+                for combo in itertools.product(*(axis.candidates for axis in axes))]
+    return _sweep(pop, axes, settings, base_hw, eff, overlap)
 
 
 @dataclass(frozen=True)
@@ -232,7 +204,6 @@ class OverlapModeStats:
     overlap: OverlapMode
     job_level_weight_share: float
     cnode_level_weight_share: float
-    weight_share_cdf: EmpiricalCDF
     summary: ProjectionSummary
 
 
@@ -259,7 +230,6 @@ def overlap_comparison(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyM
             overlap=overlap,
             job_level_weight_share=job_level_mean(weight_shares),
             cnode_level_weight_share=cnode_level_mean(weight_shares, cnodes),
-            weight_share_cdf=EmpiricalCDF.from_samples(weight_shares),
             summary=summary,
         ), results
 

@@ -135,12 +135,8 @@ def test_08_monotonicity_suite():
                 better = dataclasses.replace(EFF, **{field: min(1.0, getattr(EFF, field) * 1.3)})
                 new = breakdown(rec, PAI, better)
                 assert all(n <= b for n, b in zip(_components(new), _components(base)))
-        axes = [SweepAxis(resource=r, candidates=(baseline,), baseline=baseline)
-                for r, baseline in (
-                    (SweepResource.ETHERNET, PAI.ethernet_bandwidth),
-                    (SweepResource.PCIE, PAI.pcie_bandwidth),
-                    (SweepResource.GPU_FLOPS, PAI.gpu_peak_flops),
-                    (SweepResource.GPU_MEM_BANDWIDTH, PAI.gpu_mem_bandwidth))]
+        axes = [SweepAxis(resource=r, candidates=(getattr(PAI, r.field.name),))
+                for r in SweepResource]
         for cell in hardware_sweep(JobPopulation.of(SYNTH_1000.records), axes, PAI, EFF):
             assert cell.speedup == 1.0
 

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import assume, given
+import hypothesis.strategies as st
 
 from dlcost.cli import EX_DATA, EX_NOINPUT, EX_OK, EX_USAGE, run
 from dlcost.report import Report, emit
@@ -140,6 +143,7 @@ class TestSweepCommand:
         assert code == EX_OK
         rows = parse_csv(data)
         assert len(rows) == 18  # 6 jobs x 3 candidates
+        assert [r["normalized"] for r in rows[::6]] == ["0.4", "1", "4"]
         at_baseline = [r for r in rows if r["normalized"] == "1"]
         assert len(at_baseline) == 6
         assert all(float(r["speedup"]) == 1.0 for r in at_baseline)
@@ -261,6 +265,21 @@ class TestValidateCommand:
             ("2", "error"), ("", "ok")]
         assert capsys.readouterr().err == f"{trace}:2: {message}\n"
 
+    @pytest.mark.parametrize("field", ["num_cnodes", "batch_size"])
+    @pytest.mark.parametrize("command", [["validate"], ["breakdown"],
+                                         ["project", "--target", "allreduce_local"],
+                                         ["aggregate"]])
+    def test_count_too_large_for_a_float_exit_2(self, tmp_path, capsys, field, command):
+        job = {"job_id": "c", "arch": "ps_worker", "num_cnodes": 4, "batch_size": 64,
+               "flops": 1e12, "mem_access_bytes": 1e10, "input_bytes": 1e6,
+               "weight_traffic_bytes": 1e9, "dense_weight_bytes": 1e8,
+               "embedding_weight_bytes": 0, field: 10 ** 400}
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps(job) + "\n")
+        code = run([*command, "--trace", str(trace), "--out", str(tmp_path / "out")])
+        assert code == EX_DATA
+        assert capsys.readouterr().err == f"{trace}:1: {field} is too large for a float\n"
+
     def test_malformed_lines_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         trace.write_text('{"job_id": "x"}\n')
@@ -287,6 +306,14 @@ class TestExitCodes:
 
     def test_unknown_hw_preset(self):
         assert run(["breakdown", "--corpus", "--hw", "dgx-9000"]) == EX_NOINPUT
+
+    def test_hw_field_set_twice_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.hw"
+        cfg.write_text("gpu = 11TFLOPs\nmemory = 1TB/s\npcie = 10GB/s\npci = 20GB/s\n"
+                       "ethernet = 25Gbps\nnvlink = 50GB/s\n")
+        assert run(["breakdown", "--corpus", "--hw", str(cfg)]) == EX_DATA
+        assert capsys.readouterr().err == (
+            f"dlcost: {cfg}:4: pcie_bandwidth already set on line 3\n")
 
     def test_malformed_trace_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "bad.jsonl"
@@ -322,3 +349,43 @@ class TestEmit:
         report = Report(kind="breakdown", columns=(), rows=(), metadata={})
         with pytest.raises(ValueError):
             emit(report, "yaml")
+
+    @given(st.lists(st.from_regex(r"[a-z_][a-z0-9_]*", fullmatch=True),
+                    min_size=1, max_size=4, unique=True).flatmap(
+        lambda columns: st.tuples(st.just(tuple(columns)), st.lists(st.tuples(*(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+            st.sampled_from(['a,b', 'say "hi"', "two\nlines", "cr\r", "", "-", "#"]),
+        ) for _ in columns)), max_size=5))))
+    def test_csv_and_json_parse_to_identical_values(self, table):
+        columns, rows = table
+        report = Report(kind="k", columns=columns, rows=tuple(rows), metadata={"kind": "k"})
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(emit(report, "json"), parse_constant=reject)
+        text = emit(report, "csv").decode("utf-8")
+        # Python 3.10's csv reader refuses a NUL anywhere in its input.
+        assume(sys.version_info >= (3, 11) or "\0" not in text)
+        # One '# kind: k' metadata line, then the table.
+        meta, body = text.split("\n", 1)
+        assert meta == "# kind: k"
+        header, *csv_rows = csv.reader(io.StringIO(body, newline=""))
+        assert tuple(header) == columns == tuple(payload["columns"])
+        assert len(csv_rows) == len(payload["rows"]) == len(rows)
+        for row, c_row, j_row in zip(rows, csv_rows, payload["rows"]):
+            assert list(j_row) == list(columns)
+            for value, c_val, j_val in zip(row, c_row, j_row.values()):
+                if isinstance(value, float):  # emitted to 9 digits, or missing
+                    value = float(f"{value:.9g}") if math.isfinite(value) else None
+                assert type(j_val) is type(value) and repr(j_val) == repr(value)
+                if j_val is None:
+                    assert c_val == ""
+                elif isinstance(j_val, bool):
+                    assert c_val == ("true" if j_val else "false")
+                elif isinstance(j_val, int):
+                    assert int(c_val) == j_val
+                elif isinstance(j_val, float):
+                    assert float(c_val).hex() == j_val.hex()
+                else:
+                    assert c_val == j_val

@@ -273,6 +273,16 @@ class TestHardwareProfiles:
         with pytest.raises(TraceFormatError, match="unknown hardware key"):
             parse_hardware_config("infiniband = 100Gbps\n")
 
+    @pytest.mark.parametrize("again", ["pcie = 20GB/s", "pci = 20GB/s"],
+                             ids=["same-key", "alias"])
+    def test_config_field_set_twice_rejected(self, tmp_path, again):
+        cfg = tmp_path / "lab.hw"
+        cfg.write_text("gpu = 11TFLOPs\nmemory = 1TB/s\npcie = 10GB/s\n"
+                       f"ethernet = 25Gbps\n{again}\nnvlink = 50GB/s\n")
+        with pytest.raises(TraceFormatError) as exc:
+            load_hardware_profile(str(cfg))
+        assert str(exc.value) == f"{cfg}:5: pcie_bandwidth already set on line 3"
+
 
 class TestEfficiencyModels:
     def test_default(self):
@@ -292,6 +302,13 @@ class TestEfficiencyModels:
         cfg.write_text("compute_eff = 0.9\npcie_eff = 0.5\n")
         eff = load_efficiency_model(str(cfg))
         assert eff == EfficiencyModel(compute_eff=0.9, pcie_eff=0.5)
+
+    def test_field_set_twice_rejected(self, tmp_path):
+        cfg = tmp_path / "eff.cfg"
+        cfg.write_text("compute_eff = 0.9\n# tuned\ncompute_eff = 0.8\n")
+        with pytest.raises(TraceFormatError) as exc:
+            load_efficiency_model(str(cfg))
+        assert str(exc.value) == f"{cfg}:3: compute_eff already set on line 1"
 
     def test_out_of_range_value_rejected(self, tmp_path):
         cfg = tmp_path / "eff.cfg"

@@ -1,18 +1,19 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from dlcost import sweep
 from dlcost.aggregate import JobPopulation
 from dlcost.core import ArchitectureKind, OverlapMode
-from dlcost.engine import breakdown
+from dlcost.engine import breakdown, speedup
 from dlcost.sweep import (
     STANDARD_CANDIDATES,
     SweepAxis,
     SweepResource,
-    apply_axis,
     cartesian_sweep,
     efficiency_sensitivity,
     hardware_sweep,
@@ -20,7 +21,17 @@ from dlcost.sweep import (
     standard_axes,
     weight_bound_before_and_after,
 )
-from helpers import EFF, PAI, TESTBED, make_record, workload_records
+from helpers import (
+    EFF,
+    PAI,
+    TESTBED,
+    efficiency_models,
+    float_bits,
+    hardware_profiles,
+    make_record,
+    record_lists_with_idle_job,
+    workload_records,
+)
 
 A = ArchitectureKind
 R = SweepResource
@@ -43,84 +54,104 @@ class TestAxes:
         assert STANDARD_CANDIDATES[R.PCIE] == (1e10, 5e10)
         assert STANDARD_CANDIDATES[R.GPU_FLOPS] == (8e12, 16e12, 32e12, 64e12)
         assert STANDARD_CANDIDATES[R.GPU_MEM_BANDWIDTH] == (1e12, 2e12, 4e12)
-
-    def test_baselines_come_from_the_profile(self):
-        axes = {a.resource: a for a in standard_axes(PAI)}
-        assert axes[R.ETHERNET].baseline == PAI.ethernet_bandwidth
-        assert axes[R.GPU_FLOPS].baseline == PAI.gpu_peak_flops
+        assert {a.resource: a.candidates for a in standard_axes()} == STANDARD_CANDIDATES
+        assert [a.resource for a in standard_axes([R.PCIE, R.ETHERNET])] == [R.PCIE, R.ETHERNET]
 
     def test_axis_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            SweepAxis(resource=R.ETHERNET, candidates=(), baseline=1.0)
+            SweepAxis(resource=R.ETHERNET, candidates=())
         with pytest.raises(ValueError):
-            SweepAxis(resource=R.ETHERNET, candidates=(0.0,), baseline=1.0)
-
-    def test_apply_axis_changes_exactly_one_field(self):
-        hw = apply_axis(PAI, R.ETHERNET, 1.25e10)
-        assert hw.ethernet_bandwidth == 1.25e10
-        assert dataclasses.replace(hw, ethernet_bandwidth=PAI.ethernet_bandwidth) == PAI
+            SweepAxis(resource=R.ETHERNET, candidates=(0.0,))
 
 
 class TestHardwareSweep:
     def test_baseline_candidate_gives_exactly_one(self):
         pop = pop_of(make_record(job_id="a"), pure_weight_record(job_id="b"))
-        axes = standard_axes(PAI)
-        for cell in hardware_sweep(pop, axes, PAI, EFF):
-            if cell.candidate == next(a for a in axes if a.resource == cell.resource).baseline:
+        for cell in hardware_sweep(pop, standard_axes(), PAI, EFF):
+            [(resource, candidate)] = cell.settings
+            if candidate == getattr(PAI, resource.field.name):
                 assert cell.speedup == 1.0
+
+    def test_each_setting_replaces_exactly_its_field(self):
+        pop = pop_of(make_record(job_id="a"), pure_weight_record(job_id="b"))
+        cells = hardware_sweep(pop, standard_axes(), PAI, EFF)
+        assert len(cells) == 2 * sum(map(len, STANDARD_CANDIDATES.values()))
+        for cell, rec in zip(cells, itertools.cycle(pop)):
+            [(resource, candidate)] = cell.settings
+            hw = dataclasses.replace(PAI, **{resource.field.name: candidate})
+            assert cell.job_id == rec.job_id
+            assert float_bits([cell.speedup]) == float_bits(
+                [speedup(breakdown(rec, PAI, EFF).t_total, breakdown(rec, hw, EFF).t_total)])
 
     def test_weight_bound_ethernet_upgrade(self):
         # oracle: (1/(3.125*0.7) + 1/(10*0.7)) / (1/(12.5*0.7) + 1/(10*0.7)) = 2.3333...
         pop = pop_of(pure_weight_record())
-        axis = SweepAxis(resource=R.ETHERNET, candidates=(1.25e10,), baseline=PAI.ethernet_bandwidth)
+        axis = SweepAxis(resource=R.ETHERNET, candidates=(1.25e10,))
         [cell] = hardware_sweep(pop, [axis], PAI, EFF)
         assert cell.speedup == pytest.approx(2.3333333333333335, rel=1e-12)
-        assert cell.normalized == pytest.approx(4.0, rel=1e-12)
+        assert cell.settings == ((R.ETHERNET, 1.25e10),)
 
     def test_unused_resource_leaves_speedup_at_one(self):
         compute_only = make_record(flops=1e12, mem_access_bytes=0.0, input_bytes=0.0,
                                    weight_traffic_bytes=0.0)
         pop = pop_of(compute_only)
-        axis = SweepAxis(resource=R.ETHERNET, candidates=(1.25e9, 1.25e10),
-                         baseline=PAI.ethernet_bandwidth)
+        axis = SweepAxis(resource=R.ETHERNET, candidates=(1.25e9, 1.25e10))
         for cell in hardware_sweep(pop, [axis], PAI, EFF):
             assert cell.speedup == 1.0
 
     @given(workload_records(), st.sampled_from(list(R)))
     def test_speedup_monotone_in_candidate(self, rec, resource):
         pop = pop_of(rec)
-        axis = SweepAxis(resource=resource, candidates=(1e9, 1e10, 1e11, 1e12),
-                         baseline=getattr(PAI, "ethernet_bandwidth"))
+        axis = SweepAxis(resource=resource, candidates=(1e9, 1e10, 1e11, 1e12))
         cells = hardware_sweep(pop, [axis], PAI, EFF)
-        speedups = [c.speedup for c in sorted(cells, key=lambda c: c.candidate)]
+        speedups = [c.speedup for c in cells]
         assert all(a <= b for a, b in zip(speedups, speedups[1:]))
 
     @given(workload_records(allow_zero_demands=False), st.sampled_from(list(R)),
            st.floats(min_value=1e8, max_value=1e16))
     def test_speedup_bounded_by_untouched_residual(self, rec, resource, candidate):
         pop = pop_of(rec)
-        axis = SweepAxis(resource=resource, candidates=(candidate,), baseline=candidate)
+        axis = SweepAxis(resource=resource, candidates=(candidate,))
         [cell] = hardware_sweep(pop, [axis], PAI, EFF)
         base = breakdown(rec, PAI, EFF)
         # components the axis can never touch stay as a lower bound on time
-        infinite = apply_axis(PAI, resource, 1e30)
+        infinite = dataclasses.replace(PAI, **{resource.field.name: 1e30})
         residual = breakdown(rec, infinite, EFF).t_total
         if residual > 0:
             assert cell.speedup <= base.t_total / residual * (1 + 1e-12)
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
-            hardware_sweep(JobPopulation.of([]), standard_axes(PAI), PAI, EFF)
+            hardware_sweep(JobPopulation.of([]), standard_axes(), PAI, EFF)
         with pytest.raises(ValueError):
             hardware_sweep(pop_of(make_record()), [], PAI, EFF)
+        with pytest.raises(ValueError):
+            cartesian_sweep(JobPopulation.of([]), standard_axes(), PAI, EFF)
+        with pytest.raises(ValueError):
+            cartesian_sweep(pop_of(make_record()), [], PAI, EFF)
+
+    @given(records=record_lists_with_idle_job(max_size=6),
+           axes=st.lists(st.builds(
+               SweepAxis, resource=st.sampled_from(list(R)),
+               candidates=st.lists(st.floats(min_value=1e6, max_value=1e15),
+                                   min_size=1, max_size=3).map(tuple)),
+               min_size=1, max_size=4),
+           hw=hardware_profiles(), eff=efficiency_models(),
+           overlap=st.sampled_from(list(OverlapMode)))
+    def test_is_the_one_axis_cartesian_sweep_per_axis(self, records, axes, hw, eff, overlap):
+        pop = JobPopulation.of(records)
+        cells = hardware_sweep(pop, axes, hw, eff, overlap)
+        per_axis = [cell for axis in axes for cell in cartesian_sweep(pop, [axis], hw, eff, overlap)]
+        assert [cell[:2] for cell in cells] == [cell[:2] for cell in per_axis]
+        assert float_bits(c.speedup for c in cells) == float_bits(c.speedup for c in per_axis)
 
 
 class TestCartesianSweep:
     def test_covers_the_cross_product(self):
         pop = pop_of(make_record())
         axes = [
-            SweepAxis(resource=R.ETHERNET, candidates=(1.25e9, 3.125e9), baseline=3.125e9),
-            SweepAxis(resource=R.PCIE, candidates=(1e10, 5e10), baseline=1e10),
+            SweepAxis(resource=R.ETHERNET, candidates=(1.25e9, 3.125e9)),
+            SweepAxis(resource=R.PCIE, candidates=(1e10, 5e10)),
         ]
         cells = cartesian_sweep(pop, axes, PAI, EFF)
         assert len(cells) == 4
@@ -131,11 +162,12 @@ class TestCartesianSweep:
             ((R.ETHERNET, 3.125e9), (R.PCIE, 5e10)),
         }
 
-    def test_warns_when_report_is_huge(self):
+    def test_warns_when_report_is_huge(self, monkeypatch):
+        monkeypatch.setattr(sweep, "CARTESIAN_WARNING_CELLS", 1)
         pop = pop_of(make_record())
-        axes = [SweepAxis(resource=R.ETHERNET, candidates=(1e9, 2e9), baseline=1e9)]
-        with pytest.warns(UserWarning, match="cells"):
-            cartesian_sweep(pop, axes, PAI, EFF, size_warning_threshold=1)
+        axes = [SweepAxis(resource=R.ETHERNET, candidates=(1e9, 2e9))]
+        with pytest.warns(UserWarning, match="emits 2 cells"):
+            cartesian_sweep(pop, axes, PAI, EFF)
 
 
 class TestEfficiencySensitivity:
@@ -227,12 +259,11 @@ class TestDuplicateJobIds:
         heavy = make_record(job_id="dup", weight_traffic_bytes=1e12,
                             flops=0.0, mem_access_bytes=0.0, input_bytes=0.0)
         pop = pop_of(light, heavy)
-        axis = SweepAxis(resource=R.ETHERNET, candidates=(1.25e10,),
-                         baseline=PAI.ethernet_bandwidth)
+        axis = SweepAxis(resource=R.ETHERNET, candidates=(1.25e10,))
         cells = hardware_sweep(pop, [axis], PAI, EFF)
         assert len(cells) == 2
         base = [breakdown(rec, PAI, EFF).t_total for rec in pop]
-        modified_hw = apply_axis(PAI, R.ETHERNET, 1.25e10)
+        modified_hw = dataclasses.replace(PAI, ethernet_bandwidth=1.25e10)
         expected = [b / breakdown(rec, modified_hw, EFF).t_total
                     for rec, b in zip(pop, base)]
         assert [c.speedup for c in cells] == pytest.approx(expected, rel=1e-12)
