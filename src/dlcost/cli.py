@@ -216,11 +216,8 @@ _PROJECT = (
     *_attrs("job_id", of="rec"),
     ("source_arch", attrgetter("res.source_arch.value")),
     ("target_arch", attrgetter("res.target_arch.value")),
-    *_attrs("source_cnodes", "target_cnodes", "feasible", "reason", of="res"),
-    ("source_t_total", attrgetter("res.source_breakdown.t_total")),
-    ("target_t_total", lambda job: (job.res.target_breakdown.t_total
-                                    if job.res.target_breakdown else None)),
-    *_attrs("step_speedup", "throughput_speedup", of="res"),
+    *_attrs("source_cnodes", "target_cnodes", "feasible", "reason", "source_t_total",
+            "target_t_total", "step_speedup", "throughput_speedup", of="res"),
 )
 
 #: The ProjectionSummary fractions that project and overlap reports carry.

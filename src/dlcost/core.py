@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 
 class ArchitectureKind(Enum):
@@ -200,6 +200,12 @@ def _finite_number(value) -> bool:
 def record_errors(rec: WorkloadRecord) -> list[str]:
     """Return every invariant violated by ``rec`` (empty list if valid)."""
     errors: list[str] = []
+    if isinstance(rec.job_id, str) and not rec.job_id.isascii():
+        try:
+            rec.job_id.encode("utf-8")
+        except UnicodeEncodeError:
+            errors.append(f"job_id {rec.job_id!r} holds a lone surrogate, "
+                          f"which UTF-8 cannot encode")
     for name in ("num_cnodes", "batch_size"):
         value = getattr(rec, name)
         if not isinstance(value, int) or value < 1:
@@ -240,8 +246,7 @@ def validate_record(rec: WorkloadRecord) -> WorkloadRecord:
     return rec
 
 
-@dataclass(frozen=True)
-class Shares:
+class Shares(NamedTuple):
     """Fractions of the (non-overlapped) step time, a partition of unity."""
 
     data: float
@@ -263,8 +268,7 @@ class Shares:
 ZERO_SHARES = Shares(0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class TimeBreakdown:
+class TimeBreakdown(NamedTuple):
     """Per-step time decomposition of one workload on one hardware profile.
 
     ``t_total`` follows the breakdown's overlap mode (sum or max of the
@@ -280,5 +284,5 @@ class TimeBreakdown:
     t_weight: float
     t_total: float
     overlap: OverlapMode
-    shares: Shares = field(default=ZERO_SHARES)
-    shares_defined: bool = True
+    shares: Shares
+    shares_defined: bool

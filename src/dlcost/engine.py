@@ -120,29 +120,14 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
     else:
         t_total = component_sum
 
-    if component_sum > 0:
-        shares = Shares(
-            data=t_data / component_sum,
-            compute_bound=t_cb / component_sum,
-            memory_bound=t_mb / component_sum,
-            weight=t_weight / component_sum,
-        )
-        shares_defined = True
+    shares_defined = component_sum > 0
+    if shares_defined:
+        shares = Shares(t_data / component_sum, t_cb / component_sum,
+                        t_mb / component_sum, t_weight / component_sum)
     else:
         shares = ZERO_SHARES
-        shares_defined = False
-
-    return TimeBreakdown(
-        t_data=t_data,
-        t_compute_bound=t_cb,
-        t_memory_bound=t_mb,
-        t_weight_per_medium=per_medium,
-        t_weight=t_weight,
-        t_total=t_total,
-        overlap=overlap,
-        shares=shares,
-        shares_defined=shares_defined,
-    )
+    return TimeBreakdown(t_data, t_cb, t_mb, per_medium, t_weight, t_total, overlap,
+                         shares, shares_defined)
 
 
 class Columns(NamedTuple):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .aggregate import JobPopulation
 from .core import (
@@ -54,18 +54,31 @@ def target_cnode_count(rec: WorkloadRecord, target: ArchitectureKind) -> int:
     return rec.num_cnodes
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+def _weight_bound(bd: TimeBreakdown) -> bool:
+    """Weight traffic dominates the step (is the max component, nonzero)."""
+    t_compute = bd.t_compute_bound + bd.t_memory_bound
+    return bd.t_weight > 0 and bd.t_weight >= bd.t_data and bd.t_weight >= t_compute
+
+
+class ProjectionResult(NamedTuple):
+    """One job projected onto a target architecture.
+
+    ``weight_bound``: weight traffic dominates the step on both sides, so
+    the ideal-overlap step speedup is the pure weight-path ratio of the
+    two architectures (e.g. 21x for PS/Worker to AllReduce-Local).
+    """
+
     source_arch: ArchitectureKind
     target_arch: ArchitectureKind
     source_cnodes: int
     target_cnodes: int
-    source_breakdown: TimeBreakdown
-    target_breakdown: Optional[TimeBreakdown]
+    source_t_total: float
+    target_t_total: Optional[float]
     step_speedup: Optional[float]
     throughput_speedup: Optional[float]
     feasible: bool
-    reason: str = ""
+    weight_bound: bool
+    reason: str
 
 
 def project(rec: WorkloadRecord, target: ArchitectureKind, hw: HardwareProfile,
@@ -87,13 +100,9 @@ def project(rec: WorkloadRecord, target: ArchitectureKind, hw: HardwareProfile,
         elif target is ArchitectureKind.PEARL and rec.embedding_weight_bytes <= 0:
             feasible, reason = False, "no sparse embedding"
     if not feasible:
-        return ProjectionResult(
-            source_arch=rec.arch, target_arch=target,
-            source_cnodes=rec.num_cnodes, target_cnodes=target_cnodes,
-            source_breakdown=source_bd, target_breakdown=None,
-            step_speedup=None, throughput_speedup=None,
-            feasible=False, reason=reason,
-        )
+        return ProjectionResult(rec.arch, target, rec.num_cnodes, target_cnodes,
+                                source_bd.t_total, None, None, None,
+                                feasible=False, weight_bound=False, reason=reason)
 
     # Per-cNode demands are untouched; only arch and placement change.  A
     # 1w1g target simply has no weight path, so a nonzero weight volume in
@@ -106,13 +115,11 @@ def project(rec: WorkloadRecord, target: ArchitectureKind, hw: HardwareProfile,
     # An infinite speedup is emitted as an empty cell; the reason says why.
     reason = "target step time is zero" if step_speedup == math.inf else ""
 
-    return ProjectionResult(
-        source_arch=rec.arch, target_arch=target,
-        source_cnodes=rec.num_cnodes, target_cnodes=target_cnodes,
-        source_breakdown=source_bd, target_breakdown=target_bd,
-        step_speedup=step_speedup, throughput_speedup=throughput_speedup,
-        feasible=True, reason=reason,
-    )
+    return ProjectionResult(rec.arch, target, rec.num_cnodes, target_cnodes,
+                            source_bd.t_total, target_bd.t_total,
+                            step_speedup, throughput_speedup, feasible=True,
+                            weight_bound=_weight_bound(source_bd) and _weight_bound(target_bd),
+                            reason=reason)
 
 
 @dataclass(frozen=True)

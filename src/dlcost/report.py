@@ -51,10 +51,26 @@ def _csv_field(value: Any) -> str:
     return _csv_cell(value)
 
 
+#: A line break (anything ``str.splitlines`` splits on) or a lone surrogate,
+#: which UTF-8 cannot encode.
+_COMMENT_UNSAFE = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
+
+
+def _comment_value(value: Any) -> str:
+    """A metadata value for a CSV comment line: the cell text, or, if that
+    would break the line or not encode, the text as a JSON string literal."""
+    text = _csv_cell(value)
+    return json.dumps(text) if _COMMENT_UNSAFE.search(text) else text
+
+
 def _json_cell(value: Any):
     if isinstance(value, float):
         return round9(value) if math.isfinite(value) else None
     return value
+
+
+#: Encodes a row dict with its items laid out as ``json.dumps(indent=2)`` does.
+_JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
 
 def model_metadata(model: HardwareProfile | EfficiencyModel) -> dict[str, float]:
@@ -107,18 +123,25 @@ def emit(report: Report, format: str = "csv") -> bytes:
     if format == "csv":
         buf = io.StringIO()
         for key, value in _flatten_metadata(report.metadata):
-            buf.write(f"# {key}: {_csv_cell(value)}\n")
+            buf.write(f"# {key}: {_comment_value(value)}\n")
         for row in (report.columns, *report.rows):
             line = ",".join([_csv_field(value) for value in row])
             # A lone empty field is quoted so that its row is not a blank line.
             buf.write(f"{line}\n" if line or len(row) != 1 else '""\n')
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        payload = {
-            "metadata": report.metadata,
-            "columns": list(report.columns),
-            "rows": [{col: _json_cell(value) for col, value in zip(report.columns, row)}
-                     for row in report.rows],
-        }
-        return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
+        # The rows, the bulk of the bytes, go through the C encoder, which
+        # ``indent`` would bypass, and are spliced into the indented frame.
+        head = json.dumps({"metadata": report.metadata, "columns": list(report.columns)},
+                          indent=2, allow_nan=False)
+        columns = report.columns
+        if columns:
+            encode = _JSON_ROW.encode
+            rows = ["{\n      " + encode({col: _json_cell(value)
+                                              for col, value in zip(columns, row)})[1:-1]
+                    + "\n    }" for row in report.rows]
+        else:
+            rows = ["{}"] * len(report.rows)
+        body = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+        return f'{head[:-2]},\n  "rows": {body}\n}}\n'.encode("utf-8")
     raise ValueError(f"unknown report format {format!r} (expected one of {FORMATS})")

@@ -24,7 +24,6 @@ from .core import (
     EfficiencyModel,
     HardwareProfile,
     OverlapMode,
-    TimeBreakdown,
 )
 from .engine import Columns, evaluate, speedup
 # Unused here, but perfbench's tracer patches ``dlcost.sweep.breakdown``.
@@ -181,24 +180,6 @@ def efficiency_sensitivity(pop: JobPopulation, hw: HardwareProfile,
     return cells
 
 
-def _weight_bound(bd: TimeBreakdown) -> bool:
-    """Weight traffic dominates the step (is the max component, nonzero)."""
-    t_compute = bd.t_compute_bound + bd.t_memory_bound
-    return bd.t_weight > 0 and bd.t_weight >= bd.t_data and bd.t_weight >= t_compute
-
-
-def weight_bound_before_and_after(result: ProjectionResult) -> bool:
-    """Whether a projected job is weight-traffic-bound on both sides.
-
-    Such jobs' ideal-overlap step speedup equals the pure weight-path
-    ratio between the two architectures (e.g. 21x for PS/Worker to
-    AllReduce-Local on the baseline profile).
-    """
-    if not result.feasible or result.target_breakdown is None:
-        return False
-    return _weight_bound(result.source_breakdown) and _weight_bound(result.target_breakdown)
-
-
 @dataclass(frozen=True)
 class OverlapModeStats:
     overlap: OverlapMode
@@ -221,21 +202,20 @@ def overlap_comparison(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyM
                        target: ArchitectureKind) -> OverlapComparison:
     """Paired no-overlap / ideal-overlap summaries for one projection target."""
     pop.require_nonempty()
-    cnodes = [rec.num_cnodes for rec in pop]
+    # Shares divide by the component sum, so they are the same under both
+    # overlap modes.
+    cols = Columns.of(pop)
+    weight_shares = evaluate(cols, hw, eff).share("weight")
+    job_share = job_level_mean(weight_shares)
+    cnode_share = cnode_level_mean(weight_shares, cols.num_cnodes)
 
     def stats(overlap: OverlapMode) -> tuple[OverlapModeStats, list[ProjectionResult]]:
         results, summary = population_speedup_profile(pop, target, hw, eff, overlap)
-        weight_shares = [r.source_breakdown.shares.weight for r in results]
-        return OverlapModeStats(
-            overlap=overlap,
-            job_level_weight_share=job_level_mean(weight_shares),
-            cnode_level_weight_share=cnode_level_mean(weight_shares, cnodes),
-            summary=summary,
-        ), results
+        return OverlapModeStats(overlap, job_share, cnode_share, summary), results
 
     none_stats, _ = stats(OverlapMode.NO_OVERLAP)
     ideal_stats, ideal_results = stats(OverlapMode.IDEAL_OVERLAP)
-    at_ratio = sum(1 for r in ideal_results if weight_bound_before_and_after(r))
+    at_ratio = sum(1 for r in ideal_results if r.weight_bound)
     return OverlapComparison(
         target=target,
         no_overlap=none_stats,

@@ -251,6 +251,8 @@ class TestValidateCommand:
         ({"arch": "allreduce_local", "num_cnodes": 64},
          "allreduce_local runs on one server: num_cnodes must be at most 8, got 64"),
         ({"job_id": "c"}, "duplicate job_id 'c' (first on line 1)"),
+        ({"job_id": "\ud800"},
+         "job_id '\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
     ])
     def test_rejected_inputs_exit_2(self, tmp_path, capsys, changes, message):
         job = {"job_id": "c", "arch": "ps_worker", "num_cnodes": 4, "batch_size": 64,
@@ -279,6 +281,20 @@ class TestValidateCommand:
         code = run([*command, "--trace", str(trace), "--out", str(tmp_path / "out")])
         assert code == EX_DATA
         assert capsys.readouterr().err == f"{trace}:1: {field} is too large for a float\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_lone_surrogate_job_id_exit_2_before_any_report(self, tmp_path, capsys, fmt):
+        job = {"job_id": "\ud800", "arch": "ps_worker", "num_cnodes": 4, "batch_size": 64,
+               "flops": 1e12, "mem_access_bytes": 1e10, "input_bytes": 1e6,
+               "weight_traffic_bytes": 1e9, "dense_weight_bytes": 1e8,
+               "embedding_weight_bytes": 0}
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps(job) + "\n")
+        out = tmp_path / "out"
+        code = run(["breakdown", "--trace", str(trace), "--format", fmt, "--out", str(out)])
+        assert code == EX_DATA and not out.exists()
+        assert capsys.readouterr().err == (
+            f"{trace}:1: job_id '\\ud800' holds a lone surrogate, which UTF-8 cannot encode\n")
 
     def test_malformed_lines_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
@@ -389,3 +405,61 @@ class TestEmit:
                     assert float(c_val).hex() == j_val.hex()
                 else:
                     assert c_val == j_val
+
+    @given(st.lists(st.text(), max_size=4, unique=True).flatmap(
+        lambda columns: st.tuples(st.just(tuple(columns)), st.lists(st.tuples(*(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+            st.sampled_from(['say "hi"', "back\\slash", "\x00\x1f\t\n\r", "\u00e9\u2028",
+                             "\ud800", "\U0001f600"]),
+        ) for _ in columns)), max_size=4))),
+        st.dictionaries(st.text(), st.recursive(
+            st.one_of(st.none(), st.booleans(), st.integers(), st.text(),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            lambda children: st.one_of(st.lists(children, max_size=3),
+                                       st.dictionaries(st.text(), children, max_size=3)),
+            max_leaves=8), max_size=4))
+    def test_json_is_json_dumps_with_indent(self, table, metadata):
+        columns, rows = table
+        report = Report(kind="k", columns=columns, rows=tuple(rows), metadata=metadata)
+
+        def cell(value):  # floats are emitted to 9 digits, or as null
+            if isinstance(value, float):
+                return float(f"{value:.9g}") if math.isfinite(value) else None
+            return value
+
+        payload = {"metadata": metadata, "columns": list(columns),
+                   "rows": [{c: cell(v) for c, v in zip(columns, row)} for row in rows]}
+        expected = (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
+        assert emit(report, "json") == expected
+
+    @given(st.text(alphabet=st.characters(blacklist_categories=())))
+    def test_csv_metadata_value_stays_on_one_encodable_line(self, value):
+        report = Report(kind="k", columns=("a",), rows=(), metadata={"v": value})
+        line, header = emit(report, "csv").decode("utf-8").splitlines()
+        assert header == "a" and line.startswith("# v: ")
+        shown = line[len("# v: "):]
+        try:
+            value.encode("utf-8")
+            unchanged = len(f"{value}x".splitlines()) == 1
+        except UnicodeEncodeError:
+            unchanged = False
+        # A value without a line break or a lone surrogate is written as it is.
+        assert shown == value if unchanged else json.loads(shown) == value
+
+
+class TestCsvMetadata:
+    @pytest.mark.parametrize("name", ["a\nb.jsonl", "\udcff.jsonl"],
+                             ids=["newline", "non-utf-8"])
+    def test_trace_path_is_one_encodable_comment_line(self, tmp_path, name):
+        trace = tmp_path / name
+        assert run(["corpus", "--out", str(trace)]) == EX_OK
+        code, data = run_to_file(tmp_path, "aggregate", "--trace", str(trace))
+        assert code == EX_OK
+        lines = data.decode("utf-8").splitlines()
+        n_meta = sum(1 for line in lines if line.startswith("# "))
+        assert lines[n_meta] == "level,share_data,share_compute_bound,share_memory_bound,share_weight"
+        assert all(line.startswith("# ") for line in lines[:n_meta])
+        assert json.loads(csv_metadata(data)["input.source"]) == str(trace)
+        code, data = run_to_file(tmp_path, "aggregate", "--trace", str(trace), "--format", "json")
+        assert code == EX_OK
+        assert json.loads(data)["metadata"]["input"]["source"] == str(trace)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -7,6 +9,8 @@ import hypothesis.strategies as st
 
 from dlcost.aggregate import JobPopulation
 from dlcost.core import ArchitectureKind, OverlapMode
+from dlcost.corpus import SynthSpec, synth_population
+from dlcost.engine import breakdown
 from dlcost.projection import (
     check_allreduce_eligibility,
     population_speedup_profile,
@@ -14,7 +18,15 @@ from dlcost.projection import (
     summarize,
     target_cnode_count,
 )
-from helpers import EFF, PAI, make_record, workload_records
+from helpers import (
+    EFF,
+    PAI,
+    efficiency_models,
+    float_bits,
+    hardware_profiles,
+    make_record,
+    workload_records,
+)
 
 A = ArchitectureKind
 
@@ -87,7 +99,8 @@ class TestProject:
         res = project(rec, A.ALLREDUCE_LOCAL, PAI, EFF)
         assert not res.feasible
         assert res.step_speedup is None and res.throughput_speedup is None
-        assert res.target_breakdown is None
+        assert res.target_t_total is None
+        assert not res.weight_bound
 
     def test_pearl_requires_sparse_embedding(self):
         rec = make_record(arch=A.PS_WORKER, embedding_weight_bytes=0.0)
@@ -124,10 +137,33 @@ class TestProject:
     @given(workload_records(), st.sampled_from(list(A)))
     def test_per_cnode_demands_are_never_altered(self, rec, target):
         res = project(rec, target, PAI, EFF)
-        if res.feasible and res.target_breakdown is not None:
+        if res.feasible:
+            source = breakdown(rec, PAI, EFF)
+            projected = breakdown(
+                dataclasses.replace(rec, arch=target, num_cnodes=res.target_cnodes), PAI, EFF)
             # compute and memory times depend only on per-cNode demands
-            assert res.target_breakdown.t_compute_bound == res.source_breakdown.t_compute_bound
-            assert res.target_breakdown.t_memory_bound == res.source_breakdown.t_memory_bound
+            assert projected.t_compute_bound == source.t_compute_bound
+            assert projected.t_memory_bound == source.t_memory_bound
+
+    @given(workload_records(), st.sampled_from(list(A)), st.sampled_from(list(OverlapMode)),
+           hardware_profiles(), efficiency_models())
+    def test_result_carries_the_breakdown_totals(self, rec, target, overlap, hw, eff):
+        res = project(rec, target, hw, eff, overlap)
+        source = breakdown(rec, hw, eff, overlap)
+        assert float_bits([res.source_t_total]) == float_bits([source.t_total])
+        if not res.feasible:
+            assert res.target_t_total is None and res.weight_bound is False
+            return
+        projected = breakdown(
+            dataclasses.replace(rec, arch=target, num_cnodes=target_cnode_count(rec, target)),
+            hw, eff, overlap)
+        assert float_bits([res.target_t_total]) == float_bits([projected.t_total])
+
+        def weight_bound(bd):
+            t_compute = bd.t_compute_bound + bd.t_memory_bound
+            return bd.t_weight > 0 and bd.t_weight >= bd.t_data and bd.t_weight >= t_compute
+
+        assert res.weight_bound is (weight_bound(source) and weight_bound(projected))
 
 
 class TestPopulationProfile:
@@ -163,12 +199,28 @@ class TestPopulationProfile:
         with pytest.raises(ValueError):
             population_speedup_profile(JobPopulation.of([]), A.ALLREDUCE_LOCAL, PAI, EFF)
 
+    def test_results_retain_no_breakdowns(self):
+        # A result that held both TimeBreakdowns retained about 1,500 bytes
+        # (1,730 on Python 3.10); one holding step times retains about 260.
+        pop = synth_population(SynthSpec(size=2000, seed=7))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            profile = population_speedup_profile(pop, A.ALLREDUCE_LOCAL, PAI, EFF)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(profile[0]) == len(pop)
+        assert retained / len(pop) < 600
+
 
 class TestZeroTimeTarget:
     def test_speedup_is_infinite_with_a_reason_and_counts_as_sped_up(self):
         # only weight traffic, and a 1w1g target has no weight path
         res = project(pure_weight_record(num_cnodes=4), A.ONE_WORKER_ONE_GPU, PAI, EFF)
-        assert res.feasible and res.target_breakdown.t_total == 0.0
+        assert res.feasible and res.target_t_total == 0.0
         assert res.step_speedup == math.inf and res.throughput_speedup == math.inf
         assert res.reason == "target step time is zero"
         summary = summarize([res])

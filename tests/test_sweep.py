@@ -19,7 +19,6 @@ from dlcost.sweep import (
     hardware_sweep,
     overlap_comparison,
     standard_axes,
-    weight_bound_before_and_after,
 )
 from helpers import (
     EFF,
@@ -236,7 +235,7 @@ class TestOverlapComparison:
         from dlcost.engine import weight_time
         rec = pure_weight_record()
         res = project(rec, A.ALLREDUCE_LOCAL, PAI, EFF, OverlapMode.IDEAL_OVERLAP)
-        assert weight_bound_before_and_after(res)
+        assert res.weight_bound
         _, t_ps = weight_time(rec, PAI, EFF)
         _, t_arl = weight_time(rec, PAI, EFF, arch_override=A.ALLREDUCE_LOCAL)
         assert res.step_speedup == pytest.approx(t_ps / t_arl, rel=1e-12)
