@@ -38,6 +38,7 @@ from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
 from .engine import breakdown, throughput, validation_gap
 from .ingest import (
     TraceFormatError,
+    decode_trace,
     dump_trace,
     load_efficiency_model,
     load_hardware_profile,
@@ -145,15 +146,19 @@ def build_parser() -> _Parser:
 
 
 def _load_inputs(args) -> tuple[JobPopulation, list, str, str]:
-    """Population, per-line errors, source label, input digest."""
+    """Population, per-line errors, source label, and the SHA-256 of the
+    input's bytes."""
     if getattr(args, "corpus", False):
-        text = dump_trace(builtin_corpus())
+        data = dump_trace(builtin_corpus()).encode("utf-8")
         source = "builtin-corpus"
     else:
-        text = Path(args.trace).read_text(encoding="utf-8")
+        data = Path(args.trace).read_bytes()
         source = args.trace
+    digest = input_digest(data)
+    text = decode_trace(data, source)
+    del data  # parse the text alone; do not hold the bytes as well
     pop, errors = parse_trace(text, strict=False, source=source)
-    return pop, errors, source, input_digest(text.encode("utf-8"))
+    return pop, errors, source, digest
 
 
 def _write_output(data: bytes, out: Optional[str]) -> None:

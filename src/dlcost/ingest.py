@@ -13,13 +13,17 @@ a directory to the preset search path.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Optional, TextIO, Union
 
 from .aggregate import JobPopulation
 from .core import (
+    GPUS_PER_SERVER,
+    LOCAL_MULTI_GPU,
     RECORD_QUANTITIES,
     ArchitectureKind,
     EfficiencyModel,
@@ -44,6 +48,10 @@ class TraceError:
 
 _TRACE_KEYS = frozenset(f.name for f in fields(WorkloadRecord))
 _QUANTITY_KINDS = tuple((f.name, f.metadata["kind"]) for f in RECORD_QUANTITIES)
+_ARCH_BY_LABEL = {arch.value: arch for arch in ArchitectureKind}
+_FLOAT_MAX = sys.float_info.max
+_INF = math.inf
+_RAW_DECODE = json.JSONDecoder().raw_decode
 
 
 def _coerce_int(value, name: str) -> int:
@@ -121,6 +129,84 @@ def record_to_dict(rec: WorkloadRecord) -> dict:
     return obj
 
 
+def _decode_line(line: str):
+    """``json.loads(line)`` for a stripped, non-blank line.
+
+    The C scanner decodes a line that is one JSON value; anything else,
+    including every error, goes to ``json.loads`` for its exact result or
+    message.
+    """
+    try:
+        obj, end = _RAW_DECODE(line)
+    except (ValueError, RecursionError):
+        end = -1
+    return obj if end == len(line) else json.loads(line)
+
+
+def _screen_record(obj) -> Optional[WorkloadRecord]:
+    """The record ``record_from_dict(obj)`` returns, for a clean object.
+
+    A clean object has every required field and no unknown one, a str
+    ``job_id`` of ASCII, a known ``arch`` label, int cNodes and batch size
+    within the architecture's rules, quantities that are floats, ints or
+    unit strings with a finite non-negative value, and, if given, a
+    positive finite measured step time and finite numeric notes: a subset
+    of what ``record_from_dict`` accepts, each value converted as it does.
+    Every other object gets None: ``record_from_dict`` then builds it or
+    names what is wrong, so it stays the one source of every rejection
+    message.
+    """
+    if type(obj) is not dict or not _TRACE_KEYS.issuperset(obj):
+        return None
+    job_id = obj.get("job_id")
+    label = obj.get("arch")
+    num_cnodes = obj.get("num_cnodes")
+    batch_size = obj.get("batch_size")
+    if not (type(job_id) is str and job_id.isascii() and type(label) is str
+            and type(num_cnodes) is int and type(batch_size) is int
+            and 1 <= num_cnodes <= _FLOAT_MAX and 1 <= batch_size <= _FLOAT_MAX):
+        return None
+    arch = _ARCH_BY_LABEL.get(label)
+    if arch is None or (num_cnodes > GPUS_PER_SERVER and arch in LOCAL_MULTI_GPU):
+        return None
+    values = []
+    for name, kind in _QUANTITY_KINDS:
+        value = obj.get(name)
+        kind_of = type(value)
+        if kind_of is int:
+            if not 0 <= value <= _FLOAT_MAX:
+                return None
+            value = float(value)
+        elif kind_of is str:
+            try:
+                value = parse_count(value) if kind == "count" else parse_quantity(value, kind)
+            except QuantityError:
+                return None
+        elif kind_of is not float:
+            return None
+        if not 0.0 <= value < _INF:
+            return None
+        values.append(value)
+    flops, mem_access, input_bytes, weight_traffic, dense, embedding = values
+    if arch is ArchitectureKind.ONE_WORKER_ONE_GPU and (num_cnodes != 1 or weight_traffic != 0):
+        return None
+    measured = obj.get("measured_step_seconds")
+    if measured is not None:
+        if type(measured) is int and 0 < measured <= _FLOAT_MAX:
+            measured = float(measured)
+        elif not (type(measured) is float and 0.0 < measured < _INF):
+            return None
+    notes = obj.get("notes")
+    if notes is not None:
+        if type(notes) is not dict:
+            return None
+        for value in notes.values():
+            if not (type(value) is int or (type(value) is float and -_INF < value < _INF)):
+                return None
+    return WorkloadRecord(job_id, arch, num_cnodes, batch_size, flops, mem_access, input_bytes,
+                          weight_traffic, dense, embedding, measured, notes)
+
+
 def parse_trace(text: str, strict: bool = False,
                 source: str = "<trace>") -> tuple[JobPopulation, list[TraceError]]:
     """Parse newline-delimited JSON text into a population plus a per-line
@@ -138,14 +224,14 @@ def parse_trace(text: str, strict: bool = False,
         if not stripped:
             continue
         try:
-            obj = json.loads(stripped)
+            obj = _decode_line(stripped)
         # Besides a JSONDecodeError, an over-long integer literal raises a
         # ValueError and over-deep nesting a RecursionError.
         except (ValueError, RecursionError) as exc:
             message = f"invalid JSON: {getattr(exc, 'msg', exc)}"
         else:
             try:
-                rec = record_from_dict(obj)
+                rec = _screen_record(obj) or record_from_dict(obj)
             except TraceFormatError as exc:
                 message = str(exc)
             else:
@@ -160,10 +246,20 @@ def parse_trace(text: str, strict: bool = False,
     return JobPopulation.of(records), errors
 
 
+def decode_trace(data: bytes, source: str = "<trace>") -> str:
+    """The text of a trace file's bytes; a byte that is not UTF-8 raises
+    TraceFormatError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TraceFormatError(f"{source}:{line}: invalid UTF-8 byte 0x{data[exc.start]:02x} "
+                               f"({exc.reason})") from None
+
+
 def load_trace(path: PathLike, strict: bool = False) -> tuple[JobPopulation, list[TraceError]]:
     """Read a trace file; see parse_trace for the per-line error contract."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = decode_trace(Path(path).read_bytes(), source=str(path))
     return parse_trace(text, strict=strict, source=str(path))
 
 

@@ -49,25 +49,28 @@ def parse_quantity(text: str, kind: str) -> float:
         m = _BYTES_RE.fullmatch(s)
         if m is None:
             raise QuantityError(f"malformed byte size {text!r} (expected e.g. '204MB')")
-        value = float(m.group("num")) * _PREFIX[m.group("prefix")]
-        if m.group("unit") == "b":
+        num, prefix, unit = m.groups()
+        value = float(num) * _PREFIX[prefix]
+        if unit == "b":
             value /= 8
         return value
     if kind == "bandwidth":
         m = _BANDWIDTH_RE.fullmatch(s)
         if m is None:
             raise QuantityError(f"malformed bandwidth {text!r} (expected e.g. '25Gbps' or '10GB/s')")
-        value = float(m.group("num")) * _PREFIX[m.group("prefix")]
-        if m.group("unit") == "b":
+        num, prefix, unit, _rate = m.groups()
+        value = float(num) * _PREFIX[prefix]
+        if unit == "b":
             value /= 8
         if value <= 0:
             raise QuantityError(f"bandwidth must be positive, got {text!r}")
         return value
     # flops_rate
     m = _FLOPS_RE.fullmatch(s)
-    if m is None or (not m.group("prefix") and not m.group("unit")):
+    num, prefix, unit, _rate = m.groups() if m else (None,) * 4
+    if not (prefix or unit):
         raise QuantityError(f"malformed FLOPs rate {text!r} (expected e.g. '11TFLOPs')")
-    value = float(m.group("num")) * _PREFIX[m.group("prefix")]
+    value = float(num) * _PREFIX[prefix]
     if value <= 0:
         raise QuantityError(f"FLOPs rate must be positive, got {text!r}")
     return value
@@ -77,9 +80,10 @@ def parse_count(text: str) -> float:
     """Parse an operation count such as "1.56T" or "330.7GFLOPs" (no rate suffix)."""
     s = text.strip()
     m = _FLOPS_RE.fullmatch(s)
-    if m is None or m.group("rate") or (not m.group("prefix") and not m.group("unit")):
+    num, prefix, unit, rate = m.groups() if m else (None,) * 4
+    if rate or not (prefix or unit):
         raise QuantityError(f"malformed operation count {text!r} (expected e.g. '1.56T')")
-    return float(m.group("num")) * _PREFIX[m.group("prefix")]
+    return float(num) * _PREFIX[prefix]
 
 
 def format_quantity(value: float, kind: str) -> str:

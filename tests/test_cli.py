@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -56,6 +57,18 @@ class TestBreakdownCommand:
         assert meta["overlap"] == "none"
         assert meta["input.source"] == "builtin-corpus"
         assert len(meta["input.sha256"]) == 64
+
+    def test_input_digest_is_the_sha256_of_the_file_bytes(self, tmp_path):
+        job = {"job_id": "c", "arch": "ps_worker", "num_cnodes": 4, "batch_size": 64,
+               "flops": 1e12, "mem_access_bytes": 1e10, "input_bytes": 1e6,
+               "weight_traffic_bytes": 1e9, "dense_weight_bytes": 1e8,
+               "embedding_weight_bytes": 0}
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(json.dumps(job).encode() + b"\r\n")
+        code, data = run_to_file(tmp_path, "breakdown", "--trace", str(trace))
+        assert code == EX_OK
+        assert csv_metadata(data)["input.sha256"] == hashlib.sha256(
+            trace.read_bytes()).hexdigest()
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = run_to_file(tmp_path, "breakdown", "--corpus", name="a")
@@ -336,6 +349,16 @@ class TestExitCodes:
         trace.write_text("{broken\n")
         assert run(["breakdown", "--trace", str(trace)]) == EX_DATA
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["validate"], ["aggregate"]])
+    def test_invalid_utf8_is_a_line_numbered_data_error(self, tmp_path, capsys, command):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_bytes(b'{"job_id": "a"}\n{"job_id": "\xff"}\n')
+        out = tmp_path / "out"
+        assert run([*command, "--trace", str(trace), "--out", str(out)]) == EX_DATA
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"dlcost: {trace}:2: invalid UTF-8 byte 0xff (invalid start byte)\n")
 
     def test_empty_trace_is_data_error(self, tmp_path):
         trace = tmp_path / "empty.jsonl"

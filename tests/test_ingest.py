@@ -1,11 +1,20 @@
 import dataclasses
+import itertools
 import json
+import math
+import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from dlcost.core import ArchitectureKind, EfficiencyModel, HardwareProfile, WorkloadRecord
+from dlcost.core import (
+    RECORD_QUANTITIES,
+    ArchitectureKind,
+    EfficiencyModel,
+    HardwareProfile,
+    WorkloadRecord,
+)
 from dlcost.ingest import (
     TraceFormatError,
     case_study_testbed,
@@ -45,6 +54,120 @@ def traced_records(draw):
         measured_step_seconds=draw(st.none() | demand(1e-6, 1e6)),
         notes=draw(st.none() | st.dictionaries(st.text(max_size=8), demand(0.0, 1e15),
                                                 max_size=3)))
+
+
+_QUANTITY_VARIANTS = [
+    True, 0, 1, 0.0, -0.0, -1, -1e-300, 5e-324, math.nan, math.inf, -math.inf, 10 ** 400,
+    2 ** 1024, int(sys.float_info.max),
+    int(sys.float_info.max) + 2 ** 969,  # rounds down to the largest float
+    "1.5GB", "2T", "10Gbps", "0MB", " 3 kB ", "1.56TFLOPs", "1e999GB", "1e999T", "fast",
+    "12", "-1GB", None, [1]]
+
+#: For each field, values on either side of each rule that it must meet.
+FIELD_VARIANTS = {
+    "job_id": ["a", "\u00e9", "\ud800", "job\u2028", "", 1, 1.5, None, ["a"]],
+    "arch": [*(arch.value for arch in ArchitectureKind), "ring", "PS_WORKER", 1, None, ["pearl"]],
+    "num_cnodes": [True, False, 0, -1, 1, 1.0, 2.0, 2.5, 8, 9, 10 ** 400, "2", None, math.nan],
+    "batch_size": [True, 0, -1, 1, 64.0, 2.5, 10 ** 400, int(sys.float_info.max) + 1, "64"],
+    **{f.name: _QUANTITY_VARIANTS for f in RECORD_QUANTITIES},
+    "measured_step_seconds": [None, 0, 0.0, -0.0, -1, 1, 0.5, True, "1", math.nan, math.inf,
+                              10 ** 400, 2 ** 1024],
+    "notes": [None, {}, [], "x", 1, {"a": 1}, {"a": 1.5}, {"a": -2}, {"a": math.nan},
+              {"a": math.inf}, {"a": True}, {"a": "x"}, {"a": None}, {"a": 10 ** 400}],
+}
+
+
+def spelled(obj):
+    """``obj`` with every quantity as a unit string of the same value."""
+    return obj | {f.name: (f"{obj[f.name]!r}FLOPs" if f.metadata["kind"] == "count"
+                           else format_quantity(obj[f.name], f.metadata["kind"]))
+                  for f in RECORD_QUANTITIES}
+
+
+@st.composite
+def edited_record_lines(draw):
+    """A valid record with one field set to one of its variants, and at most
+    one more change: a new architecture and cNode count, any JSON value in
+    some field, a dropped field, or an unknown key.  The job_id comes from a
+    small set so that some lines repeat one."""
+    obj = record_to_dict(draw(traced_records())) | {"job_id": draw(st.sampled_from("abc"))}
+    if draw(st.booleans()):
+        obj = spelled(obj)
+    key = draw(st.sampled_from(sorted(FIELD_VARIANTS)))
+    obj[key] = draw(st.sampled_from(FIELD_VARIANTS[key]))
+    change = draw(st.sampled_from([None, "relabel", "any", "drop", "unknown"]))
+    if change == "relabel":
+        obj["arch"] = draw(st.sampled_from([arch.value for arch in ArchitectureKind]))
+        obj["num_cnodes"] = draw(st.sampled_from([1, 8, 9])
+                                 | st.integers(min_value=1, max_value=64))
+    elif change == "any":
+        obj[draw(st.sampled_from(TRACE_KEYS))] = draw(JSON_VALUES)
+    elif change == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif change == "unknown":
+        obj["bogus"] = 0
+    return [json.dumps(obj)]
+
+
+#: Line groups: half of them an edited record, the rest other JSON, text,
+#: or two lines that decode only when joined.
+TRACE_LINES = st.lists(st.one_of(
+    edited_record_lines(),
+    st.one_of(
+        st.sampled_from([["[]"], ["1"], ['"s"'], ["null"], ["{}"], ['{"job_id": "a"}'],
+                         ["{broken"], [""], ["   "], ["\ufeff{}"], ["{} {}"], ['{"a": 1} x'],
+                         ["[[["], ['{"job_id": "x"', '"arch": "ps_worker"}']]),
+        st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                max_size=8).map(lambda line: [line]),
+    ),
+), max_size=6).map(lambda groups: [line for group in groups for line in group])
+
+
+def reference_parse(text):
+    """parse_trace by its definition: json.loads and record_from_dict on
+    every non-blank line, and the first line of each job_id kept."""
+    records, errors, first_lines = [], [], {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.strip())
+        except (ValueError, RecursionError) as exc:
+            errors.append((lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
+            continue
+        try:
+            rec = record_from_dict(obj)
+        except TraceFormatError as exc:
+            errors.append((lineno, str(exc)))
+            continue
+        first = first_lines.setdefault(rec.job_id, lineno)
+        if first != lineno:
+            errors.append((lineno, f"duplicate job_id {rec.job_id!r} (first on line {first})"))
+            continue
+        records.append(rec)
+    return records, errors
+
+
+def exact(records):
+    """Each field's type and repr, which tell 1 from 1.0 and 0.0 from -0.0."""
+    return [[(type(value), repr(value)) for value in vars(rec).values()] for rec in records]
+
+
+def assert_parsed_as_reference(text):
+    """parse_trace returns the reference's records, bit for bit, and its
+    errors; strict mode raises the first of them."""
+    records, errors = reference_parse(text)
+    pop, got_errors = parse_trace(text)
+    assert list(pop.records) == records
+    assert exact(pop.records) == exact(records)
+    assert [(err.line, err.message) for err in got_errors] == errors
+    if errors:
+        line, message = errors[0]
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(text, strict=True)
+        assert str(exc.value) == f"<trace>:{line}: {message}"
+    else:
+        assert exact(parse_trace(text, strict=True)[0].records) == exact(records)
 
 
 RESNET_LINE = ('{"job_id":"r50","arch":"allreduce_local","num_cnodes":8,"batch_size":64,'
@@ -166,6 +289,24 @@ class TestTraceParsing:
         if errors:
             with pytest.raises(TraceFormatError, match=f"^<trace>:{errors[0].line}: "):
                 parse_trace(text, strict=True)
+
+    @settings(max_examples=300)
+    @given(TRACE_LINES)
+    def test_parse_trace_matches_record_from_dict_on_every_line(self, lines):
+        assert_parsed_as_reference("\n".join(lines))
+
+    def test_parse_trace_matches_record_from_dict_on_every_field_variant(self):
+        lines = []
+        for arch, num_cnodes, weight, as_text in itertools.product(
+                ArchitectureKind, (1, 8, 9), (0.0, 1e9), (False, True)):
+            base = record_to_dict(make_record()) | {
+                "arch": arch.value, "num_cnodes": num_cnodes, "weight_traffic_bytes": weight}
+            if as_text:
+                base = spelled(base)
+            for key, variants in FIELD_VARIANTS.items():
+                for value in variants:
+                    lines.append(json.dumps(base | {"job_id": f"j{len(lines)}", key: value}))
+        assert_parsed_as_reference("\n".join(lines))
 
 
 class TestRoundTrip:

@@ -51,23 +51,37 @@ def test_parse_count(text, expected):
     assert parse_count(text) == expected
 
 
-@pytest.mark.parametrize("kind,text", [
-    ("bytes", "10GB/s"),        # rate suffix forbidden on sizes
-    ("bytes", "10Gbps"),
-    ("bytes", "10"),            # unit required
-    ("bytes", "10GiB"),         # no binary prefixes
-    ("bytes", "-1GB"),
-    ("bandwidth", "fast"),
-    ("bandwidth", "0GB/s"),     # bandwidths strictly positive
-    ("bandwidth", "10G"),       # bits-or-bytes ambiguous
-    ("bandwidth", "10TFLOPs"),
-    ("flops_rate", "10GB/s"),
-    ("flops_rate", "0TFLOPs"),
-    ("flops_rate", "12"),
-])
-def test_rejects_malformed(kind, text):
-    with pytest.raises(QuantityError):
+def _malformed(kind, text):
+    example = {"bytes": "byte size {!r} (expected e.g. '204MB')",
+               "bandwidth": "bandwidth {!r} (expected e.g. '25Gbps' or '10GB/s')",
+               "flops_rate": "FLOPs rate {!r} (expected e.g. '11TFLOPs')",
+               "count": "operation count {!r} (expected e.g. '1.56T')"}[kind]
+    return "malformed " + example.format(text)
+
+
+MALFORMED = [
+    ("bytes", "10GB/s", _malformed("bytes", "10GB/s")),      # rate suffix forbidden on sizes
+    ("bytes", "10Gbps", _malformed("bytes", "10Gbps")),
+    ("bytes", "10", _malformed("bytes", "10")),              # unit required
+    ("bytes", "10GiB", _malformed("bytes", "10GiB")),        # no binary prefixes
+    ("bytes", "-1GB", _malformed("bytes", "-1GB")),
+    ("bandwidth", "fast", _malformed("bandwidth", "fast")),
+    ("bandwidth", "0GB/s", "bandwidth must be positive, got '0GB/s'"),
+    ("bandwidth", "10G", _malformed("bandwidth", "10G")),    # bits-or-bytes ambiguous
+    ("bandwidth", "10TFLOPs", _malformed("bandwidth", "10TFLOPs")),
+    ("flops_rate", "10GB/s", _malformed("flops_rate", "10GB/s")),
+    ("flops_rate", "0TFLOPs", "FLOPs rate must be positive, got '0TFLOPs'"),
+    ("flops_rate", "12", _malformed("flops_rate", "12")),    # a prefix or unit is required
+    ("flops_rate", "12/s", _malformed("flops_rate", "12/s")),
+]
+
+
+@pytest.mark.parametrize("kind,text,message", MALFORMED,
+                         ids=[f"{kind}-{text}" for kind, text, _ in MALFORMED])
+def test_rejects_malformed(kind, text, message):
+    with pytest.raises(QuantityError) as exc:
         parse_quantity(text, kind)
+    assert str(exc.value) == message
 
 
 def test_rejects_unknown_kind():
@@ -76,10 +90,45 @@ def test_rejects_unknown_kind():
 
 
 def test_count_rejects_rates():
-    with pytest.raises(QuantityError):
-        parse_count("11TFLOPs/s")
-    with pytest.raises(QuantityError):
-        parse_count("330700000000")
+    for text in ["11TFLOPs/s", "330700000000", "1.5GB"]:
+        with pytest.raises(QuantityError) as exc:
+            parse_count(text)
+        assert str(exc.value) == _malformed("count", text)
+
+
+PREFIX = {"": 1.0, "k": 1e3, "K": 1e3, "M": 1e6, "G": 1e9, "T": 1e12}
+FLOPS_UNITS = ["", "FLOPs", "FLOPS", "flops", "FLOP", "Flop"]
+
+
+@st.composite
+def unit_strings(draw):
+    """(kind, text, num, prefix, unit) over the whole grammar of each kind."""
+    kind = draw(st.sampled_from(["bytes", "bandwidth", "flops_rate", "count"]))
+    num = draw(st.from_regex(r"(?:\d{1,5}(?:\.\d{0,4})?|\.\d{1,4})(?:[eE][+-]?\d{1,2})?",
+                             fullmatch=True))
+    prefix = draw(st.sampled_from(sorted(PREFIX)))
+    if kind in ("bytes", "bandwidth"):
+        unit = draw(st.sampled_from("bB"))
+    else:  # a FLOPs rate or count needs a prefix or a unit
+        unit = draw(st.sampled_from(FLOPS_UNITS if prefix else FLOPS_UNITS[1:]))
+    rate = draw(st.sampled_from({"bytes": [""], "bandwidth": ["", "/s", "ps"],
+                                 "flops_rate": ["", "/s"], "count": [""]}[kind]))
+    space = draw(st.sampled_from(["", " "]))
+    return kind, f"{num}{space}{prefix}{unit}{rate}", num, prefix, unit
+
+
+@given(unit_strings())
+def test_parsers_scale_the_number_bit_for_bit(case):
+    kind, text, num, prefix, unit = case
+    expected = float(num) * PREFIX[prefix]
+    if unit == "b":
+        expected /= 8
+    if kind in ("bandwidth", "flops_rate") and expected <= 0:
+        with pytest.raises(QuantityError, match="must be positive"):
+            parse_quantity(text, kind)
+        return
+    value = parse_count(text) if kind == "count" else parse_quantity(text, kind)
+    assert value.hex() == expected.hex()
 
 
 @given(st.floats(min_value=1e-6, max_value=1e18, allow_nan=False, allow_infinity=False),
