@@ -150,18 +150,6 @@ class BreakdownAverages:
     cnode_level: Shares
 
 
-def population_shares(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyModel,
-                      overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> list[Shares]:
-    """Per-job share vectors, in population order.
-
-    Jobs without any weight path (1w1g) contribute a weight share of 0;
-    degenerate all-zero records contribute all-zero shares.
-    """
-    pop.require_nonempty()
-    ev = evaluate(Columns.of(pop), hw, eff, overlap)
-    return [Shares(*job) for job in zip(*(ev.share(name) for name in Shares.COMPONENTS))]
-
-
 def weighted_breakdown(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyModel,
                        overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> BreakdownAverages:
     """Average shares per component, job-level and cNode-weighted."""

@@ -290,8 +290,11 @@ def cmd_sweep(args, pop, hw, eff, overlap):
         if len(axes) != 1:
             raise _UsageError("--candidates requires exactly one axis in --axes")
         resource = axes[0].resource
-        axes = [SweepAxis(resource=resource,
-                          candidates=_parse_candidates(args.candidates, resource))]
+        candidates = _parse_candidates(args.candidates, resource)
+        try:
+            axes = [SweepAxis(resource=resource, candidates=candidates)]
+        except ValueError as exc:  # a candidate out of range
+            raise _UsageError(str(exc)) from None
     extra = {"axes": {a.resource.value: [round9(c) for c in a.candidates] for a in axes}}
     if args.cartesian:
         return ("sweep-cartesian", _CARTESIAN,
@@ -355,7 +358,10 @@ def cmd_sensitivity(args, pop, hw, eff, overlap):
     if args.analysis == "efficiency":
         comp_grid = _parse_grid(args.comp_grid, "--comp-grid")
         comm_grid = _parse_grid(args.comm_grid, "--comm-grid")
-        cells = efficiency_sensitivity(pop, hw, comp_grid, comm_grid, overlap)
+        try:
+            cells = efficiency_sensitivity(pop, hw, comp_grid, comm_grid, overlap)
+        except ValueError as exc:  # on a non-empty population, only a grid out of range
+            raise _UsageError(str(exc)) from None
         return "sensitivity", _EFFICIENCY, cells, {"analysis": "efficiency"}
     target = ArchitectureKind.from_label(args.target)
     cmp = overlap_comparison(pop, hw, eff, target)
@@ -377,6 +383,8 @@ def _parse_mix(text: str) -> dict[ArchitectureKind, float]:
             raise _UsageError(f"--mix entries must look like arch=fraction, got {item!r}")
         label, _, frac = item.partition("=")
         arch = ArchitectureKind.from_label(label.strip())
+        if arch in mix:
+            raise _UsageError(f"--mix gives {arch.value} more than once")
         mix[arch] = float(frac)
     return mix
 

@@ -256,14 +256,6 @@ class Shares(NamedTuple):
 
     COMPONENTS = ("data", "compute_bound", "memory_bound", "weight")
 
-    def component(self, name: str) -> float:
-        if name not in self.COMPONENTS:
-            raise ValueError(f"unknown share component {name!r} (known: {self.COMPONENTS})")
-        return getattr(self, name)
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.COMPONENTS}
-
 
 ZERO_SHARES = Shares(0.0, 0.0, 0.0, 0.0)
 
@@ -283,6 +275,5 @@ class TimeBreakdown(NamedTuple):
     t_weight_per_medium: Mapping[Medium, float]
     t_weight: float
     t_total: float
-    overlap: OverlapMode
     shares: Shares
     shares_defined: bool

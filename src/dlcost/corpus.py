@@ -21,6 +21,7 @@ from typing import Mapping
 from .aggregate import JobPopulation
 from .core import (
     GPUS_PER_SERVER,
+    LOCAL_MULTI_GPU,
     ArchitectureKind,
     EfficiencyModel,
     WorkloadRecord,
@@ -116,27 +117,6 @@ def measured_efficiency() -> dict[str, EfficiencyModel]:
     }
 
 
-@dataclass(frozen=True)
-class FieldRange:
-    """Log-uniform sampling bounds (both positive, lo <= hi)."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and 0 < self.lo <= self.hi):
-            raise ValueError(f"range must satisfy 0 < lo <= hi, got ({self.lo!r}, {self.hi!r})")
-
-    def sample(self, rng: random.Random) -> float:
-        if self.lo == self.hi:
-            return self.lo
-        return math.exp(rng.uniform(math.log(self.lo), math.log(self.hi)))
-
-    def sample_int(self, rng: random.Random) -> int:
-        return max(1, round(self.sample(rng)))
-
-
 DEFAULT_MIX: Mapping[ArchitectureKind, float] = {
     ArchitectureKind.ONE_WORKER_ONE_GPU: 0.42,
     ArchitectureKind.ONE_WORKER_N_GPU: 0.21,
@@ -146,12 +126,25 @@ DEFAULT_MIX: Mapping[ArchitectureKind, float] = {
     ArchitectureKind.PEARL: 0.01,
 }
 
+# Log-uniform sampling bounds of the synthetic jobs, spans bracketing the
+# case-study corpus.
+CNODE_RANGE = (1, 256)
+BATCH_RANGE = (1, 8192)
+FLOPS_RANGE = (1e9, 1e13)
+MEM_ACCESS_RANGE = (1e9, 2e11)
+INPUT_RANGE = (1e4, 1e9)
+WEIGHT_TRAFFIC_RANGE = (1e6, 1e10)
+DENSE_WEIGHT_RANGE = (1e6, 2e9)
+EMBEDDING_WEIGHT_RANGE = (1e8, 3e11)
+#: Chance that a job of an architecture other than PEARL has a sparse
+#: embedding; every PEARL job has one.
+EMBEDDING_PROBABILITY = 0.3
+
 
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a reproducible synthetic population.
 
-    Demand ranges default to spans bracketing the case-study corpus.
     ``seed`` is mandatory: identical specs always yield identical
     populations.
     """
@@ -159,15 +152,6 @@ class SynthSpec:
     size: int
     seed: int
     mix: Mapping[ArchitectureKind, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
-    cnode_range: FieldRange = FieldRange(1, 256)
-    batch_range: FieldRange = FieldRange(1, 8192)
-    flops: FieldRange = FieldRange(1e9, 1e13)
-    mem_access_bytes: FieldRange = FieldRange(1e9, 2e11)
-    input_bytes: FieldRange = FieldRange(1e4, 1e9)
-    weight_traffic_bytes: FieldRange = FieldRange(1e6, 1e10)
-    dense_weight_bytes: FieldRange = FieldRange(1e6, 2e9)
-    embedding_weight_bytes: FieldRange = FieldRange(1e8, 3e11)
-    embedding_probability: float = 0.3
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -177,22 +161,23 @@ class SynthSpec:
         for arch, frac in self.mix.items():
             if not isinstance(arch, ArchitectureKind):
                 raise ValueError(f"mix key {arch!r} is not an ArchitectureKind")
-            if frac < 0:
-                raise ValueError(f"mix fraction for {arch.value} is negative")
+            if not (math.isfinite(frac) and frac >= 0):
+                raise ValueError(f"mix fraction for {arch.value} must be finite and "
+                                 f"non-negative, got {frac!r}")
         total = math.fsum(self.mix.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"mix fractions must sum to 1, got {total!r}")
-        if not 0 <= self.embedding_probability <= 1:
-            raise ValueError(f"embedding_probability outside [0, 1]: {self.embedding_probability!r}")
 
 
-def _sample_cnodes(spec: SynthSpec, arch: ArchitectureKind, rng: random.Random) -> int:
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _sample_cnodes(arch: ArchitectureKind, rng: random.Random) -> int:
     if arch is ArchitectureKind.ONE_WORKER_ONE_GPU:
         return 1
-    n = spec.cnode_range.sample_int(rng)
-    if arch in (ArchitectureKind.ONE_WORKER_N_GPU, ArchitectureKind.ALLREDUCE_LOCAL):
-        return min(n, GPUS_PER_SERVER)
-    return n
+    n = max(1, round(_log_uniform(rng, *CNODE_RANGE)))
+    return min(n, GPUS_PER_SERVER) if arch in LOCAL_MULTI_GPU else n
 
 
 def synth_population(spec: SynthSpec) -> JobPopulation:
@@ -203,25 +188,23 @@ def synth_population(spec: SynthSpec) -> JobPopulation:
     records = []
     for i in range(spec.size):
         arch = rng.choices(archs, weights=weights)[0]
-        num_cnodes = _sample_cnodes(spec, arch, rng)
+        num_cnodes = _sample_cnodes(arch, rng)
         weight_traffic = (0.0 if arch is ArchitectureKind.ONE_WORKER_ONE_GPU
-                          else spec.weight_traffic_bytes.sample(rng))
-        if arch is ArchitectureKind.PEARL:
-            embedding = spec.embedding_weight_bytes.sample(rng)
-        elif rng.random() < spec.embedding_probability:
-            embedding = spec.embedding_weight_bytes.sample(rng)
+                          else _log_uniform(rng, *WEIGHT_TRAFFIC_RANGE))
+        if arch is ArchitectureKind.PEARL or rng.random() < EMBEDDING_PROBABILITY:
+            embedding = _log_uniform(rng, *EMBEDDING_WEIGHT_RANGE)
         else:
             embedding = 0.0
         rec = WorkloadRecord(
             job_id=f"synth-{i:06d}",
             arch=arch,
             num_cnodes=num_cnodes,
-            batch_size=spec.batch_range.sample_int(rng),
-            flops=spec.flops.sample(rng),
-            mem_access_bytes=spec.mem_access_bytes.sample(rng),
-            input_bytes=spec.input_bytes.sample(rng),
+            batch_size=max(1, round(_log_uniform(rng, *BATCH_RANGE))),
+            flops=_log_uniform(rng, *FLOPS_RANGE),
+            mem_access_bytes=_log_uniform(rng, *MEM_ACCESS_RANGE),
+            input_bytes=_log_uniform(rng, *INPUT_RANGE),
             weight_traffic_bytes=weight_traffic,
-            dense_weight_bytes=spec.dense_weight_bytes.sample(rng),
+            dense_weight_bytes=_log_uniform(rng, *DENSE_WEIGHT_RANGE),
             embedding_weight_bytes=embedding,
         )
         records.append(validate_record(rec))

@@ -28,7 +28,7 @@ operations in the same order, so their results are bit-identical.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .core import (
     GPUS_PER_SERVER,
@@ -81,20 +81,16 @@ def compute_time(rec: WorkloadRecord, hw: HardwareProfile,
     return t_cb, t_mb
 
 
-def weight_time(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
-                arch_override: Optional[ArchitectureKind] = None,
-                ) -> tuple[dict[Medium, float], float]:
+def weight_time(rec: WorkloadRecord, hw: HardwareProfile,
+                eff: EfficiencyModel) -> tuple[dict[Medium, float], float]:
     """Per-medium and total weight-movement seconds.
 
     The traffic volume crosses every medium on the architecture's path in
     sequence, so the total is the sum of per-medium times.
-    ``arch_override`` reroutes the same volume over another
-    architecture's path (what-if evaluation).
     """
-    arch = rec.arch if arch_override is None else arch_override
     per_medium: dict[Medium, float] = {}
     total = 0.0
-    for medium in WEIGHT_MEDIUM_PATHS[arch]:
+    for medium in WEIGHT_MEDIUM_PATHS[rec.arch]:
         t = rec.weight_traffic_bytes / (hw.bandwidth_for(medium) * eff.for_medium(medium))
         per_medium[medium] = t
         total += t
@@ -126,8 +122,8 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
                         t_mb / component_sum, t_weight / component_sum)
     else:
         shares = ZERO_SHARES
-    return TimeBreakdown(t_data, t_cb, t_mb, per_medium, t_weight, t_total, overlap,
-                         shares, shares_defined)
+    return TimeBreakdown(t_data, t_cb, t_mb, per_medium, t_weight, t_total, shares,
+                         shares_defined)
 
 
 class Columns(NamedTuple):

@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, TextIO, Union
+from typing import Iterable, Optional, Union
 
 from .aggregate import JobPopulation
 from .core import (
@@ -212,14 +212,16 @@ def parse_trace(text: str, strict: bool = False,
     """Parse newline-delimited JSON text into a population plus a per-line
     error report.
 
-    Blank lines are skipped.  A record whose ``job_id`` an earlier line
-    already used is malformed.  In strict mode the first malformed line
-    raises TraceFormatError instead of being reported.
+    Lines end at a line feed alone, since JSON allows a raw U+2028 and
+    the other characters ``str.splitlines`` also breaks at inside a
+    string.  Blank lines are skipped.  A record whose ``job_id`` an
+    earlier line already used is malformed.  In strict mode the first
+    malformed line raises TraceFormatError instead of being reported.
     """
     records = []
     errors = []
     first_lines: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -269,13 +271,9 @@ def dump_trace(pop: Iterable[WorkloadRecord]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def write_trace(pop: Iterable[WorkloadRecord], dest: Union[PathLike, TextIO]) -> None:
-    text = dump_trace(pop)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def write_trace(pop: Iterable[WorkloadRecord], path: PathLike) -> None:
+    """Write records to ``path`` as a newline-delimited JSON trace."""
+    Path(path).write_text(dump_trace(pop), encoding="utf-8")
 
 
 # --- hardware and efficiency configuration ---------------------------------

@@ -131,8 +131,6 @@ class ProjectionSummary:
     """Population-level view of one projection target.
 
     Fractions are over all jobs; infeasible jobs count as not sped up.
-    Speedup tuples cover feasible jobs only and are sorted for CDF
-    emission.
     """
 
     n_jobs: int
@@ -140,8 +138,6 @@ class ProjectionSummary:
     fraction_infeasible: float
     fraction_step_sped_up: float
     fraction_throughput_sped_up: float
-    step_speedups: tuple[float, ...]
-    throughput_speedups: tuple[float, ...]
 
 
 def summarize(results: list[ProjectionResult]) -> ProjectionSummary:
@@ -158,8 +154,6 @@ def summarize(results: list[ProjectionResult]) -> ProjectionSummary:
         fraction_infeasible=n_infeasible / n,
         fraction_step_sped_up=step_up / n,
         fraction_throughput_sped_up=thr_up / n,
-        step_speedups=tuple(sorted(r.step_speedup for r in feasible)),
-        throughput_speedups=tuple(sorted(r.throughput_speedup for r in feasible)),
     )
 
 

@@ -84,7 +84,6 @@ def input_digest(data: bytes) -> str:
 
 @dataclass(frozen=True)
 class Report:
-    kind: str
     columns: tuple[str, ...]
     rows: tuple[tuple[Any, ...], ...]
     metadata: Mapping[str, Any]
@@ -104,7 +103,7 @@ def build_report(kind: str, columns: Sequence[str], rows: Sequence[tuple[Any, ..
     }
     if extra_metadata:
         metadata.update(extra_metadata)
-    return Report(kind=kind, columns=tuple(columns), rows=tuple(rows), metadata=metadata)
+    return Report(columns=tuple(columns), rows=tuple(rows), metadata=metadata)
 
 
 def _flatten_metadata(meta: Mapping[str, Any], prefix: str = "") -> list[tuple[str, Any]]:

@@ -190,7 +190,6 @@ class OverlapModeStats:
 
 @dataclass(frozen=True)
 class OverlapComparison:
-    target: ArchitectureKind
     no_overlap: OverlapModeStats
     ideal_overlap: OverlapModeStats
     #: Fraction of all jobs weight-bound before and after projection
@@ -217,7 +216,6 @@ def overlap_comparison(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyM
     ideal_stats, ideal_results = stats(OverlapMode.IDEAL_OVERLAP)
     at_ratio = sum(1 for r in ideal_results if r.weight_bound)
     return OverlapComparison(
-        target=target,
         no_overlap=none_stats,
         ideal_overlap=ideal_stats,
         fraction_at_weight_path_ratio=at_ratio / len(pop),

@@ -10,13 +10,12 @@ from dlcost.aggregate import (
     cnode_level_mean,
     composition,
     job_level_mean,
-    population_shares,
     scale_distribution,
     share_cdf,
     weighted_breakdown,
 )
 from dlcost.core import ArchitectureKind, OverlapMode, Shares
-from dlcost.engine import breakdown
+from dlcost.engine import Columns, breakdown, evaluate
 from helpers import (
     EFF,
     PAI,
@@ -47,7 +46,7 @@ def naive_composition(pop):
 
 
 def naive_weighted_shares(pop, component):
-    shares = [breakdown(r, PAI, EFF).shares.component(component) for r in pop]
+    shares = [getattr(breakdown(r, PAI, EFF).shares, component) for r in pop]
     total_cnodes = sum(r.num_cnodes for r in pop)
     job = sum(shares) / len(shares)
     cnode = sum(s * r.num_cnodes for s, r in zip(shares, pop)) / total_cnodes
@@ -119,11 +118,11 @@ class TestPopulationShares:
     @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
            eff=efficiency_models(), overlap=st.sampled_from(list(OverlapMode)))
     def test_equal_to_scalar_shares_bit_for_bit(self, records, hw, eff, overlap):
-        shares = population_shares(JobPopulation.of(records), hw, eff, overlap)
+        ev = evaluate(Columns.of(records), hw, eff, overlap)
         oracle = [breakdown(rec, hw, eff, overlap).shares for rec in records]
         for name in Shares.COMPONENTS:
-            assert float_bits(s.component(name) for s in shares) == float_bits(
-                s.component(name) for s in oracle)
+            assert float_bits(ev.share(name)) == float_bits(
+                getattr(s, name) for s in oracle)
 
 
 # --- weighted breakdown -----------------------------------------------------
@@ -164,8 +163,8 @@ class TestWeightedBreakdown:
         avg = weighted_breakdown(pop, PAI, EFF)
         for component in ("data", "compute_bound", "memory_bound", "weight"):
             job, cnode = naive_weighted_shares(pop, component)
-            assert abs(avg.job_level.component(component) - job) <= 1e-9
-            assert abs(avg.cnode_level.component(component) - cnode) <= 1e-9
+            assert abs(getattr(avg.job_level, component) - job) <= 1e-9
+            assert abs(getattr(avg.cnode_level, component) - cnode) <= 1e-9
 
     @given(populations(min_size=2), st.randoms(use_true_random=False))
     def test_permutation_invariant(self, pop, rnd):
@@ -174,10 +173,10 @@ class TestWeightedBreakdown:
         a = weighted_breakdown(pop, PAI, EFF)
         b = weighted_breakdown(JobPopulation.of(shuffled), PAI, EFF)
         for component in ("data", "compute_bound", "memory_bound", "weight"):
-            assert abs(a.job_level.component(component)
-                       - b.job_level.component(component)) <= 1e-12
-            assert abs(a.cnode_level.component(component)
-                       - b.cnode_level.component(component)) <= 1e-12
+            assert abs(getattr(a.job_level, component)
+                       - getattr(b.job_level, component)) <= 1e-12
+            assert abs(getattr(a.cnode_level, component)
+                       - getattr(b.cnode_level, component)) <= 1e-12
 
 
 # --- CDFs ---------------------------------------------------------------
@@ -210,7 +209,7 @@ class TestShareCdf:
            st.sampled_from(["job", "cnode"]))
     def test_matches_naive_and_is_well_formed(self, pop, component, level):
         cdf = share_cdf(pop, component, PAI, EFF, level=level)
-        values = [breakdown(r, PAI, EFF).shares.component(component) for r in pop]
+        values = [getattr(breakdown(r, PAI, EFF).shares, component) for r in pop]
         weights = [r.num_cnodes for r in pop] if level == "cnode" else [1] * len(pop)
         oracle = naive_cdf(values, weights)
         assert len(cdf.points) == len(oracle)

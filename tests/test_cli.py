@@ -176,6 +176,14 @@ class TestSweepCommand:
         assert run(["sweep", "--corpus", "--axes", "ethernet,pcie",
                     "--candidates", "10Gbps"]) == EX_USAGE
 
+    @pytest.mark.parametrize("candidates, shown", [("0", "0.0"), ("nan", "nan"),
+                                                   ("-1", "-1.0"), ("10Gbps,0", "0.0")])
+    def test_out_of_range_candidate_is_a_usage_error(self, capsys, candidates, shown):
+        assert run(["sweep", "--corpus", "--axes", "ethernet",
+                    "--candidates", candidates]) == EX_USAGE
+        assert capsys.readouterr().err == (
+            f"dlcost: axis ethernet: candidate {shown} must be positive\n")
+
 
 class TestAggregateCommand:
     @pytest.mark.parametrize("stat", ["shares", "composition", "share-cdf", "scale-cdf"])
@@ -201,6 +209,16 @@ class TestSensitivityCommand:
         assert len(rows) == 2
         shares = {r["compute_eff"]: float(r["job_level_weight_share"]) for r in rows}
         assert shares["0.25"] < shares["0.7"]  # weaker compute dilutes the weight share
+
+    @pytest.mark.parametrize("flag, grid, message", [
+        ("--comp-grid", "1.5", "compute efficiency 1.5 outside (0, 1]"),
+        ("--comp-grid", "nan", "compute efficiency nan outside (0, 1]"),
+        ("--comm-grid", "0", "communication efficiency 0.0 outside (0, 1]"),
+        ("--comm-grid", ",", "empty communication efficiency grid"),
+    ])
+    def test_out_of_range_grid_is_a_usage_error(self, capsys, flag, grid, message):
+        assert run(["sensitivity", "--corpus", flag, grid]) == EX_USAGE
+        assert capsys.readouterr().err == f"dlcost: {message}\n"
 
     def test_overlap_analysis(self, tmp_path):
         code, data = run_to_file(tmp_path, "sensitivity", "--corpus",
@@ -232,6 +250,21 @@ class TestSynthAndCorpusCommands:
     def test_synth_bad_mix(self):
         assert run(["synth", "--size", "10", "--seed", "1",
                     "--mix", "ps_worker=0.4"]) == EX_USAGE
+
+    @pytest.mark.parametrize("mix, message", [
+        ("ps_worker=nan,pearl=0.5",
+         "mix fraction for ps_worker must be finite and non-negative, got nan"),
+        ("ps_worker=nan", "mix fraction for ps_worker must be finite and non-negative, got nan"),
+        ("ps_worker=inf", "mix fraction for ps_worker must be finite and non-negative, got inf"),
+        ("ps_worker=1,ps_worker=1", "--mix gives ps_worker more than once"),
+        ("ps_worker=0.5,pearl=0.5,ps_worker=0", "--mix gives ps_worker more than once"),
+    ])
+    def test_synth_mix_fraction_errors_are_usage_errors(self, tmp_path, capsys, mix, message):
+        out = tmp_path / "out"
+        assert run(["synth", "--size", "5", "--seed", "1", "--mix", mix,
+                    "--out", str(out)]) == EX_USAGE
+        assert capsys.readouterr().err == f"dlcost: {message}\n"
+        assert not out.exists()
 
     def test_corpus_dump_round_trips(self, tmp_path):
         code, data = run_to_file(tmp_path, "corpus")
@@ -372,20 +405,18 @@ class TestExitCodes:
 
 class TestEmit:
     def test_empty_rows_give_header_only_csv(self):
-        report = Report(kind="breakdown", columns=("a", "b"), rows=(),
-                        metadata={"kind": "breakdown"})
+        report = Report(columns=("a", "b"), rows=(), metadata={"kind": "breakdown"})
         data = emit(report, "csv").decode()
         lines = [ln for ln in data.splitlines() if not ln.startswith("#")]
         assert lines == ["a,b"]
 
     def test_nine_significant_digits(self):
-        report = Report(kind="breakdown", columns=("x",),
-                        rows=((math.pi,),), metadata={})
+        report = Report(columns=("x",), rows=((math.pi,),), metadata={})
         assert "3.14159265" in emit(report, "csv").decode()
         assert json.loads(emit(report, "json"))["rows"][0]["x"] == 3.14159265
 
     def test_unknown_format_rejected(self):
-        report = Report(kind="breakdown", columns=(), rows=(), metadata={})
+        report = Report(columns=(), rows=(), metadata={})
         with pytest.raises(ValueError):
             emit(report, "yaml")
 
@@ -397,7 +428,7 @@ class TestEmit:
         ) for _ in columns)), max_size=5))))
     def test_csv_and_json_parse_to_identical_values(self, table):
         columns, rows = table
-        report = Report(kind="k", columns=columns, rows=tuple(rows), metadata={"kind": "k"})
+        report = Report(columns=columns, rows=tuple(rows), metadata={"kind": "k"})
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -443,7 +474,7 @@ class TestEmit:
             max_leaves=8), max_size=4))
     def test_json_is_json_dumps_with_indent(self, table, metadata):
         columns, rows = table
-        report = Report(kind="k", columns=columns, rows=tuple(rows), metadata=metadata)
+        report = Report(columns=columns, rows=tuple(rows), metadata=metadata)
 
         def cell(value):  # floats are emitted to 9 digits, or as null
             if isinstance(value, float):
@@ -457,7 +488,7 @@ class TestEmit:
 
     @given(st.text(alphabet=st.characters(blacklist_categories=())))
     def test_csv_metadata_value_stays_on_one_encodable_line(self, value):
-        report = Report(kind="k", columns=("a",), rows=(), metadata={"v": value})
+        report = Report(columns=("a",), rows=(), metadata={"v": value})
         line, header = emit(report, "csv").decode("utf-8").splitlines()
         assert header == "a" and line.startswith("# v: ")
         shown = line[len("# v: "):]

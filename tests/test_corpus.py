@@ -1,9 +1,10 @@
+import math
+
 import pytest
 
 from dlcost.core import ArchitectureKind, record_errors
 from dlcost.corpus import (
     DEFAULT_MIX,
-    FieldRange,
     SynthSpec,
     builtin_corpus,
     corpus_record,
@@ -104,7 +105,7 @@ class TestSynthPopulation:
             assert 1 <= rec.num_cnodes <= 8
 
     def test_pearl_jobs_always_have_embeddings(self):
-        spec = SynthSpec(size=100, seed=11, mix={A.PEARL: 1.0}, embedding_probability=0.0)
+        spec = SynthSpec(size=100, seed=11, mix={A.PEARL: 1.0})
         for rec in synth_population(spec):
             assert rec.embedding_weight_bytes > 0
 
@@ -119,11 +120,15 @@ class TestSynthPopulation:
     def test_default_mix_sums_to_one(self):
         assert abs(sum(DEFAULT_MIX.values()) - 1.0) <= 1e-9
 
-    def test_field_range_validation(self):
-        with pytest.raises(ValueError):
-            FieldRange(0.0, 1.0)
-        with pytest.raises(ValueError):
-            FieldRange(2.0, 1.0)
+    @pytest.mark.parametrize("mix", [
+        {A.PS_WORKER: math.nan},
+        {A.PS_WORKER: math.nan, A.PEARL: 0.5},
+        {A.PS_WORKER: math.inf},
+        {A.PS_WORKER: -0.5, A.PEARL: 1.5},
+    ])
+    def test_mix_fractions_must_be_finite_and_non_negative(self, mix):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            SynthSpec(size=10, seed=1, mix=mix)
 
     def test_known_seed_snapshot(self):
         # frozen draw from seed 1234: guards against accidental generator drift

@@ -18,6 +18,7 @@ from dlcost.engine import (
     validation_gap,
     weight_time,
 )
+from dlcost.projection import project
 from helpers import (
     EFF,
     PAI,
@@ -31,6 +32,15 @@ from helpers import (
 )
 
 A = ArchitectureKind
+
+
+def weight_path_ratio(s_w, eff):
+    """The PS/Worker over AllReduce-Local step time of a job whose only
+    demand is ``s_w`` weight bytes, projected under ideal overlap, where
+    each side's step is its weight path alone."""
+    rec = make_record(arch=A.PS_WORKER, flops=0.0, mem_access_bytes=0.0, input_bytes=0.0,
+                      weight_traffic_bytes=s_w)
+    return project(rec, A.ALLREDUCE_LOCAL, PAI, eff, OverlapMode.IDEAL_OVERLAP).step_speedup
 
 
 class TestWeightMediumPath:
@@ -106,8 +116,9 @@ class TestWeightTime:
     def test_ps_over_allreduce_ratio_is_21(self):
         rec = make_record(arch=A.PS_WORKER, weight_traffic_bytes=1e9)
         _, t_ps = weight_time(rec, PAI, EFF)
-        _, t_arl = weight_time(rec, PAI, EFF, arch_override=A.ALLREDUCE_LOCAL)
-        assert abs(t_ps / t_arl - 21.0) < 21.0 * 1e-9
+        _, t_arl = weight_time(dataclasses.replace(rec, arch=A.ALLREDUCE_LOCAL), PAI, EFF)
+        assert weight_path_ratio(1e9, EFF) == t_ps / t_arl
+        assert abs(weight_path_ratio(1e9, EFF) - 21.0) < 21.0 * 1e-9
 
     def test_single_gpu_has_no_weight_path(self):
         rec = make_record(arch=A.ONE_WORKER_ONE_GPU)
@@ -115,20 +126,14 @@ class TestWeightTime:
 
     @given(st.floats(min_value=1.0, max_value=1e15, allow_nan=False))
     def test_ratio_is_independent_of_traffic_volume(self, s_w):
-        rec = make_record(arch=A.PS_WORKER, weight_traffic_bytes=s_w)
-        _, t_ps = weight_time(rec, PAI, EFF)
-        _, t_arl = weight_time(rec, PAI, EFF, arch_override=A.ALLREDUCE_LOCAL)
-        assert abs(t_ps / t_arl - 21.0) < 21.0 * 1e-9
+        assert abs(weight_path_ratio(s_w, EFF) - 21.0) < 21.0 * 1e-9
 
     @given(efficiency_models(), st.floats(min_value=1.0, max_value=1e12, allow_nan=False))
     def test_ratio_matches_closed_form_for_any_efficiency(self, eff, s_w):
-        rec = make_record(arch=A.PS_WORKER, weight_traffic_bytes=s_w)
-        _, t_ps = weight_time(rec, PAI, eff)
-        _, t_arl = weight_time(rec, PAI, eff, arch_override=A.ALLREDUCE_LOCAL)
         expected = ((1 / (PAI.ethernet_bandwidth * eff.ethernet_eff)
                      + 1 / (PAI.pcie_bandwidth * eff.pcie_eff))
                     / (1 / (PAI.nvlink_bandwidth * eff.nvlink_eff)))
-        assert t_ps / t_arl == pytest.approx(expected, rel=1e-9)
+        assert weight_path_ratio(s_w, eff) == pytest.approx(expected, rel=1e-9)
 
 
 class TestBreakdown:
@@ -160,7 +165,7 @@ class TestBreakdown:
         bd = breakdown(rec, PAI, EFF)
         assert bd.t_total == 0.0
         assert not bd.shares_defined
-        assert bd.shares.as_dict() == {"data": 0.0, "compute_bound": 0.0,
+        assert bd.shares._asdict() == {"data": 0.0, "compute_bound": 0.0,
                                        "memory_bound": 0.0, "weight": 0.0}
 
     @given(workload_records(), hardware_profiles(), efficiency_models(),
@@ -170,7 +175,7 @@ class TestBreakdown:
         if bd.shares_defined:
             total = bd.shares.data + bd.shares.compute_bound + bd.shares.memory_bound + bd.shares.weight
             assert abs(total - 1.0) <= 1e-9
-        for share in bd.shares.as_dict().values():
+        for share in bd.shares:
             assert share >= 0.0
 
     @given(workload_records())
@@ -256,7 +261,7 @@ def assert_kernel_matches_breakdown(records, hw, eff, overlap):
         for bd in oracle)
     for name in Shares.COMPONENTS:
         assert float_bits(ev.share(name)) == float_bits(
-            bd.shares.component(name) for bd in oracle)
+            getattr(bd.shares, name) for bd in oracle)
 
 
 class TestColumnarKernel:

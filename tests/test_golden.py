@@ -245,6 +245,14 @@ GOLDEN = {
 }
 
 
+#: SHA-256 of the ``synth --size 1000 --seed 7`` trace that the synth cases read.
+SYNTH_TRACE = "41be9edb2ac47e0fb4f3993b812ed2973697b108d4cc7e0b2af1dbd21fa394a9"
+
+
+def test_synth_trace_digest_is_unchanged(workdir):
+    assert hashlib.sha256((workdir / TRACE).read_bytes()).hexdigest() == SYNTH_TRACE
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_report_digest_is_unchanged(case, workdir, monkeypatch):
     monkeypatch.chdir(workdir)

@@ -127,7 +127,7 @@ def reference_parse(text):
     """parse_trace by its definition: json.loads and record_from_dict on
     every non-blank line, and the first line of each job_id kept."""
     records, errors, first_lines = [], [], {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -221,6 +221,22 @@ class TestTraceParsing:
         [err] = errors
         assert err.line == 2
         assert "invalid JSON" in err.message
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_lines_end_at_a_line_feed_alone(self, char):
+        # JSON allows each of these raw inside a string; str.splitlines
+        # would break the first line there.
+        first = RESNET_LINE.replace('"r50"', f'"r{char}50"')
+        pop, [err] = parse_trace(first + "\r\n" + RESNET_LINE + "\n{broken\n")
+        assert [rec.job_id for rec in pop] == [f"r{char}50", "r50"]
+        assert err.line == 3 and err.message.startswith("invalid JSON: ")
+
+    @pytest.mark.parametrize("sep", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_records_not_separated_by_a_line_feed_are_one_line(self, sep):
+        pop, [err] = parse_trace(RESNET_LINE + sep + RESNET_LINE.replace('"r50"', '"r51"'))
+        assert len(pop) == 0
+        assert err.line == 1 and err.message.startswith("invalid JSON: Extra data")
 
     def test_invariant_violations_reported_per_line(self):
         bad = json.dumps(record_to_dict(make_record()) | {"arch": "one_worker_one_gpu"})

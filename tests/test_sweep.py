@@ -10,6 +10,7 @@ from dlcost import sweep
 from dlcost.aggregate import JobPopulation
 from dlcost.core import ArchitectureKind, OverlapMode
 from dlcost.engine import breakdown, speedup
+from dlcost.projection import population_speedup_profile
 from dlcost.sweep import (
     STANDARD_CANDIDATES,
     SweepAxis,
@@ -205,19 +206,26 @@ class TestEfficiencySensitivity:
             efficiency_sensitivity(pop, PAI, [0.7], [1.1])
 
 
+def ideal_step_speedups(pop):
+    """Each feasible job's ideal-overlap step speedup onto AllReduce-Local."""
+    results, _ = population_speedup_profile(pop, A.ALLREDUCE_LOCAL, PAI, EFF,
+                                            OverlapMode.IDEAL_OVERLAP)
+    return [res.step_speedup for res in results if res.feasible]
+
+
 class TestOverlapComparison:
     def test_weight_bound_job_achieves_the_pure_path_ratio(self):
         pop = pop_of(pure_weight_record())
         cmp = overlap_comparison(pop, PAI, EFF, A.ALLREDUCE_LOCAL)
         assert cmp.fraction_at_weight_path_ratio == 1.0
-        [speedup] = cmp.ideal_overlap.summary.step_speedups
+        [speedup] = ideal_step_speedups(pop)
         assert speedup == pytest.approx(21.0, rel=1e-9)
 
     def test_compute_bound_job_sees_no_ideal_speedup(self):
         rec = make_record(flops=1e13, mem_access_bytes=0.0, input_bytes=0.0,
                           weight_traffic_bytes=1e3, dense_weight_bytes=1e6)
         cmp = overlap_comparison(pop_of(rec), PAI, EFF, A.ALLREDUCE_LOCAL)
-        [speedup] = cmp.ideal_overlap.summary.step_speedups
+        [speedup] = ideal_step_speedups(pop_of(rec))
         assert speedup == 1.0
         assert cmp.fraction_at_weight_path_ratio == 0.0
 
@@ -232,13 +240,13 @@ class TestOverlapComparison:
 
     def test_at_ratio_predicate_matches_ideal_speedup(self):
         from dlcost.projection import project
-        from dlcost.engine import weight_time
         rec = pure_weight_record()
         res = project(rec, A.ALLREDUCE_LOCAL, PAI, EFF, OverlapMode.IDEAL_OVERLAP)
         assert res.weight_bound
-        _, t_ps = weight_time(rec, PAI, EFF)
-        _, t_arl = weight_time(rec, PAI, EFF, arch_override=A.ALLREDUCE_LOCAL)
-        assert res.step_speedup == pytest.approx(t_ps / t_arl, rel=1e-12)
+        path_ratio = ((1 / (PAI.ethernet_bandwidth * EFF.ethernet_eff)
+                       + 1 / (PAI.pcie_bandwidth * EFF.pcie_eff))
+                      / (1 / (PAI.nvlink_bandwidth * EFF.nvlink_eff)))
+        assert res.step_speedup == pytest.approx(path_ratio, rel=1e-12)
 
     def test_infeasible_jobs_never_count_as_at_ratio(self):
         too_big = make_record(job_id="big", arch=A.PS_WORKER,
