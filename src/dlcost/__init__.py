@@ -21,14 +21,7 @@ from .core import (
     record_errors,
     validate_record,
 )
-from .engine import (
-    breakdown,
-    compute_time,
-    data_io_time,
-    throughput,
-    validation_gap,
-    weight_time,
-)
+from .engine import breakdown, throughput, validation_gap
 from .aggregate import (
     EmpiricalCDF,
     JobPopulation,
@@ -40,7 +33,6 @@ from .aggregate import (
 from .projection import (
     ProjectionResult,
     ProjectionSummary,
-    check_allreduce_eligibility,
     population_speedup_profile,
     project,
 )
@@ -83,10 +75,7 @@ __all__ = [
     "breakdown",
     "builtin_corpus",
     "case_study_testbed",
-    "check_allreduce_eligibility",
     "composition",
-    "compute_time",
-    "data_io_time",
     "efficiency_sensitivity",
     "format_quantity",
     "hardware_sweep",
@@ -107,7 +96,6 @@ __all__ = [
     "throughput",
     "validate_record",
     "validation_gap",
-    "weight_time",
     "weighted_breakdown",
     "write_trace",
 ]

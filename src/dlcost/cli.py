@@ -35,7 +35,7 @@ from .aggregate import (
 )
 from .core import ArchitectureKind, Medium, OverlapMode, Shares
 from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
-from .engine import breakdown, throughput, validation_gap
+from .engine import Columns, breakdown, evaluate, throughput, validation_gap
 from .ingest import (
     TraceFormatError,
     decode_trace,
@@ -281,10 +281,13 @@ def cmd_sweep(args, pop, hw, eff, overlap):
     for name in args.axes.split(","):
         name = name.strip()
         try:
-            resources.append(SweepResource(name))
+            resource = SweepResource(name)
         except ValueError:
             raise _UsageError(f"unknown sweep axis {name!r} "
                               f"(known: {', '.join(r.value for r in SweepResource)})") from None
+        if resource in resources:
+            raise _UsageError(f"--axes gives {resource.value} more than once")
+        resources.append(resource)
     axes = list(standard_axes(resources))
     if args.candidates is not None:
         if len(axes) != 1:
@@ -391,7 +394,7 @@ def _parse_mix(text: str) -> dict[ArchitectureKind, float]:
 
 def cmd_synth(args) -> int:
     try:
-        mix = _parse_mix(args.mix) if args.mix else dict(DEFAULT_MIX)
+        mix = _parse_mix(args.mix) if args.mix is not None else dict(DEFAULT_MIX)
         spec = SynthSpec(size=args.size, seed=args.seed, mix=mix)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -424,11 +427,12 @@ _VALIDATE = (
 
 
 def cmd_validate(pop, errors, hw, eff, overlap):
+    predicted = evaluate(Columns.of(pop), hw, eff, overlap).t_total
     checked = itertools.chain(
         (_Checked(line=err.line, status="error", message=err.message) for err in errors),
-        (_Checked(job_id=rec.job_id,
-                  predicted_step_seconds=breakdown(rec, hw, eff, overlap).t_total,
-                  measured_step_seconds=rec.measured_step_seconds) for rec in pop))
+        (_Checked(job_id=rec.job_id, predicted_step_seconds=t,
+                  measured_step_seconds=rec.measured_step_seconds)
+         for rec, t in zip(pop, predicted)))
     return "validate", _VALIDATE, checked, {"n_errors": len(errors)}
 
 

@@ -55,6 +55,17 @@ LOCAL_MULTI_GPU = frozenset({ArchitectureKind.ONE_WORKER_N_GPU, ArchitectureKind
 GPUS_PER_SERVER = 8
 
 
+def placed_cnodes(arch: ArchitectureKind, num_cnodes: int) -> int:
+    """cNodes that ``arch`` can place for a job of ``num_cnodes`` replicas:
+    one for 1w1g, at most one server's GPUs for a local architecture, and
+    every replica (one per server) for a cluster architecture."""
+    if arch is ArchitectureKind.ONE_WORKER_ONE_GPU:
+        return 1
+    if arch in LOCAL_MULTI_GPU:
+        return min(num_cnodes, GPUS_PER_SERVER)
+    return num_cnodes
+
+
 class Medium(Enum):
     """Interconnect media that weight/gradient traffic can traverse."""
 
@@ -74,17 +85,20 @@ class OverlapMode(Enum):
     IDEAL_OVERLAP = "ideal"
 
 
-def quantity(kind: str, *aliases: str, axis: Optional[str] = None, **kwargs: Any) -> Any:
+def quantity(kind: str, *aliases: str, axis: Optional[str] = None,
+             medium: Optional[Medium] = None, **kwargs: Any) -> Any:
     """A dataclass field holding a number, declared with what reads and varies it.
 
     ``kind`` is the grammar of the field's text form: a ``units`` quantity
     kind (``bytes``, ``bandwidth``, ``flops_rate``), ``count`` for an
     operation count, or ``fraction`` for a plain number.  ``aliases`` are
-    further keys that name the field in a config file, and ``axis`` is
-    the value of the ``sweep.SweepResource`` that varies it.  ``kwargs``
-    go to ``dataclasses.field`` (e.g. ``default``).
+    further keys that name the field in a config file, ``axis`` is the
+    value of the ``sweep.SweepResource`` that varies it, and ``medium`` is
+    the interconnect whose weight-traffic rate it scales.  ``kwargs`` go
+    to ``dataclasses.field`` (e.g. ``default``).
     """
-    return field(metadata={"kind": kind, "aliases": aliases, "axis": axis}, **kwargs)
+    return field(metadata={"kind": kind, "aliases": aliases, "axis": axis, "medium": medium},
+                 **kwargs)
 
 
 @dataclass(frozen=True)
@@ -97,9 +111,10 @@ class HardwareProfile:
 
     gpu_peak_flops: float = quantity("flops_rate", "gpu", axis="gpu_flops")
     gpu_mem_bandwidth: float = quantity("bandwidth", "memory", axis="gpu_mem_bandwidth")
-    pcie_bandwidth: float = quantity("bandwidth", "pcie", "pci", axis="pcie")
-    ethernet_bandwidth: float = quantity("bandwidth", "ethernet", axis="ethernet")
-    nvlink_bandwidth: float = quantity("bandwidth", "nvlink")
+    pcie_bandwidth: float = quantity("bandwidth", "pcie", "pci", axis="pcie", medium=Medium.PCIE)
+    ethernet_bandwidth: float = quantity("bandwidth", "ethernet", axis="ethernet",
+                                         medium=Medium.ETHERNET)
+    nvlink_bandwidth: float = quantity("bandwidth", "nvlink", medium=Medium.NVLINK)
     gpu_mem_capacity: float = quantity("bytes", default=16e9)
 
     def __post_init__(self) -> None:
@@ -107,13 +122,6 @@ class HardwareProfile:
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{f.name} must be finite and strictly positive, got {value!r}")
-
-    def bandwidth_for(self, medium: Medium) -> float:
-        if medium is Medium.PCIE:
-            return self.pcie_bandwidth
-        if medium is Medium.ETHERNET:
-            return self.ethernet_bandwidth
-        return self.nvlink_bandwidth
 
 
 @dataclass(frozen=True)
@@ -125,22 +133,15 @@ class EfficiencyModel:
 
     compute_eff: float = quantity("fraction", default=0.7)
     mem_eff: float = quantity("fraction", default=0.7)
-    pcie_eff: float = quantity("fraction", default=0.7)
-    ethernet_eff: float = quantity("fraction", default=0.7)
-    nvlink_eff: float = quantity("fraction", default=0.7)
+    pcie_eff: float = quantity("fraction", medium=Medium.PCIE, default=0.7)
+    ethernet_eff: float = quantity("fraction", medium=Medium.ETHERNET, default=0.7)
+    nvlink_eff: float = quantity("fraction", medium=Medium.NVLINK, default=0.7)
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if not (math.isfinite(value) and 0 < value <= 1):
                 raise ValueError(f"{f.name} must lie in (0, 1], got {value!r}")
-
-    def for_medium(self, medium: Medium) -> float:
-        if medium is Medium.PCIE:
-            return self.pcie_eff
-        if medium is Medium.ETHERNET:
-            return self.ethernet_eff
-        return self.nvlink_eff
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,10 @@ from typing import Mapping
 
 from .aggregate import JobPopulation
 from .core import (
-    GPUS_PER_SERVER,
-    LOCAL_MULTI_GPU,
     ArchitectureKind,
     EfficiencyModel,
     WorkloadRecord,
+    placed_cnodes,
     validate_record,
 )
 
@@ -176,8 +175,7 @@ def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
 def _sample_cnodes(arch: ArchitectureKind, rng: random.Random) -> int:
     if arch is ArchitectureKind.ONE_WORKER_ONE_GPU:
         return 1
-    n = max(1, round(_log_uniform(rng, *CNODE_RANGE)))
-    return min(n, GPUS_PER_SERVER) if arch in LOCAL_MULTI_GPU else n
+    return placed_cnodes(arch, max(1, round(_log_uniform(rng, *CNODE_RANGE))))
 
 
 def synth_population(spec: SynthSpec) -> JobPopulation:

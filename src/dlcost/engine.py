@@ -28,6 +28,7 @@ operations in the same order, so their results are bit-identical.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -54,6 +55,13 @@ WEIGHT_MEDIUM_PATHS: dict[ArchitectureKind, tuple[Medium, ...]] = {
     ArchitectureKind.PEARL: (Medium.NVLINK,),
 }
 
+#: Each medium's (``HardwareProfile`` bandwidth, ``EfficiencyModel``
+#: efficiency) field names, from the fields' ``medium`` metadata.
+_MEDIUM_RATE_FIELDS: dict[Medium, tuple[str, ...]] = {
+    medium: tuple(f.name for cls in (HardwareProfile, EfficiencyModel) for f in fields(cls)
+                  if f.metadata["medium"] is medium)
+    for medium in Medium}
+
 
 def pcie_contention(arch: ArchitectureKind, num_cnodes: int) -> int:
     """Replicas competing for one server's PCIe during input loading.
@@ -67,36 +75,6 @@ def pcie_contention(arch: ArchitectureKind, num_cnodes: int) -> int:
     return 1
 
 
-def data_io_time(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel) -> float:
-    """Seconds to load one step's input samples from host to GPU."""
-    contention = pcie_contention(rec.arch, rec.num_cnodes)
-    return rec.input_bytes / (hw.pcie_bandwidth * eff.pcie_eff / contention)
-
-
-def compute_time(rec: WorkloadRecord, hw: HardwareProfile,
-                 eff: EfficiencyModel) -> tuple[float, float]:
-    """(compute-bound, memory-bound) seconds of GPU computation."""
-    t_cb = rec.flops / (hw.gpu_peak_flops * eff.compute_eff)
-    t_mb = rec.mem_access_bytes / (hw.gpu_mem_bandwidth * eff.mem_eff)
-    return t_cb, t_mb
-
-
-def weight_time(rec: WorkloadRecord, hw: HardwareProfile,
-                eff: EfficiencyModel) -> tuple[dict[Medium, float], float]:
-    """Per-medium and total weight-movement seconds.
-
-    The traffic volume crosses every medium on the architecture's path in
-    sequence, so the total is the sum of per-medium times.
-    """
-    per_medium: dict[Medium, float] = {}
-    total = 0.0
-    for medium in WEIGHT_MEDIUM_PATHS[rec.arch]:
-        t = rec.weight_traffic_bytes / (hw.bandwidth_for(medium) * eff.for_medium(medium))
-        per_medium[medium] = t
-        total += t
-    return per_medium, total
-
-
 def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
               overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> TimeBreakdown:
     """Full per-step time decomposition of ``rec`` on ``hw``.
@@ -105,10 +83,19 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
     overlap they still partition unity even though ``t_total`` is the
     max.
     """
-    t_data = data_io_time(rec, hw, eff)
-    t_cb, t_mb = compute_time(rec, hw, eff)
+    contention = pcie_contention(rec.arch, rec.num_cnodes)
+    t_data = rec.input_bytes / (hw.pcie_bandwidth * eff.pcie_eff / contention)
+    t_cb = rec.flops / (hw.gpu_peak_flops * eff.compute_eff)
+    t_mb = rec.mem_access_bytes / (hw.gpu_mem_bandwidth * eff.mem_eff)
     t_compute = t_cb + t_mb
-    per_medium, t_weight = weight_time(rec, hw, eff)
+    # The weight volume crosses every medium on the path in sequence.
+    per_medium: dict[Medium, float] = {}
+    t_weight = 0.0
+    for medium in WEIGHT_MEDIUM_PATHS[rec.arch]:
+        bandwidth, efficiency = _MEDIUM_RATE_FIELDS[medium]
+        t = rec.weight_traffic_bytes / (getattr(hw, bandwidth) * getattr(eff, efficiency))
+        per_medium[medium] = t
+        t_weight += t
 
     component_sum = t_data + t_compute + t_weight
     if overlap is OverlapMode.IDEAL_OVERLAP:
@@ -204,7 +191,8 @@ def evaluate(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel,
     mb_rate = hw.gpu_mem_bandwidth * eff.mem_eff
     t_mb = [m / mb_rate for m in cols.mem_access_bytes]
 
-    medium_rate = {m: hw.bandwidth_for(m) * eff.for_medium(m) for m in Medium}
+    medium_rate = {m: getattr(hw, bandwidth) * getattr(eff, efficiency)
+                   for m, (bandwidth, efficiency) in _MEDIUM_RATE_FIELDS.items()}
     t_weight = [0.0] * len(t_data)
     for path, jobs, volumes in cols.weight_groups:
         totals = [0.0] * len(jobs)

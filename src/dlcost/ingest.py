@@ -22,13 +22,12 @@ from typing import Iterable, Optional, Union
 
 from .aggregate import JobPopulation
 from .core import (
-    GPUS_PER_SERVER,
-    LOCAL_MULTI_GPU,
     RECORD_QUANTITIES,
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
     WorkloadRecord,
+    placed_cnodes,
     record_errors,
 )
 from .units import QuantityError, parse_count, parse_quantity
@@ -84,9 +83,11 @@ def record_from_dict(obj: dict) -> WorkloadRecord:
         raise TraceFormatError(f"unknown field {unknown!r}")
     try:
         job_id = obj["job_id"]
+        if not isinstance(job_id, str):
+            raise TraceFormatError(f"job_id must be a string, got {job_id!r}")
         arch = ArchitectureKind.from_label(obj["arch"])
         kwargs = dict(
-            job_id=str(job_id),
+            job_id=job_id,
             arch=arch,
             num_cnodes=_coerce_int(obj["num_cnodes"], "num_cnodes"),
             batch_size=_coerce_int(obj["batch_size"], "batch_size"),
@@ -167,7 +168,7 @@ def _screen_record(obj) -> Optional[WorkloadRecord]:
             and 1 <= num_cnodes <= _FLOAT_MAX and 1 <= batch_size <= _FLOAT_MAX):
         return None
     arch = _ARCH_BY_LABEL.get(label)
-    if arch is None or (num_cnodes > GPUS_PER_SERVER and arch in LOCAL_MULTI_GPU):
+    if arch is None or placed_cnodes(arch, num_cnodes) != num_cnodes:
         return None
     values = []
     for name, kind in _QUANTITY_KINDS:
@@ -188,7 +189,7 @@ def _screen_record(obj) -> Optional[WorkloadRecord]:
             return None
         values.append(value)
     flops, mem_access, input_bytes, weight_traffic, dense, embedding = values
-    if arch is ArchitectureKind.ONE_WORKER_ONE_GPU and (num_cnodes != 1 or weight_traffic != 0):
+    if arch is ArchitectureKind.ONE_WORKER_ONE_GPU and weight_traffic != 0:
         return None
     measured = obj.get("measured_step_seconds")
     if measured is not None:
@@ -292,10 +293,12 @@ def _config_value(text: str, kind: str) -> float:
 def _parse_model_config(cls, text: str, source: str, what: str):
     """Build ``cls`` from flat ``key = value`` lines whose keys are its field
     names or their aliases, each field set at most once; fields without a
-    default are required."""
+    default are required.  Lines end at a line feed, as in a trace, so a
+    comment may hold any other line separator."""
     by_key = {key: f for f in fields(cls) for key in (f.name, *f.metadata["aliases"])}
     values, first_lines = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -305,14 +308,14 @@ def _parse_model_config(cls, text: str, source: str, what: str):
         key = key.strip()
         f = by_key.get(key)
         if f is None:
-            raise TraceFormatError(f"{source}: unknown {what} key {key!r}")
+            raise TraceFormatError(f"{source}:{lineno}: unknown {what} key {key!r}")
         first = first_lines.setdefault(f.name, lineno)
         if first != lineno:
             raise TraceFormatError(f"{source}:{lineno}: {f.name} already set on line {first}")
         try:
             values[f.name] = _config_value(value.strip().strip("'\""), f.metadata["kind"])
         except QuantityError as exc:
-            raise TraceFormatError(f"{source}: {key}: {exc}") from None
+            raise TraceFormatError(f"{source}:{lineno}: {key}: {exc}") from None
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
         raise TraceFormatError(f"{source}: missing {what} keys: {', '.join(missing)}")
@@ -359,12 +362,12 @@ def load_hardware_profile(spec: str) -> HardwareProfile:
     built-in preset name, in that order."""
     path = Path(spec)
     if path.is_file():
-        return parse_hardware_config(path.read_text(encoding="utf-8"), source=str(path))
+        return parse_hardware_config(path.read_bytes().decode("utf-8"), source=str(path))
     hw_dir = os.environ.get(HW_DIR_ENV)
     if hw_dir:
         for candidate in (Path(hw_dir) / spec, Path(hw_dir) / f"{spec}.hw"):
             if candidate.is_file():
-                return parse_hardware_config(candidate.read_text(encoding="utf-8"),
+                return parse_hardware_config(candidate.read_bytes().decode("utf-8"),
                                              source=str(candidate))
     if spec in BUILTIN_HARDWARE:
         return BUILTIN_HARDWARE[spec]()
@@ -394,6 +397,6 @@ def load_efficiency_model(spec: str = "default") -> EfficiencyModel:
         return table[name]
     path = Path(spec)
     if path.is_file():
-        return parse_efficiency_config(path.read_text(encoding="utf-8"), source=str(path))
+        return parse_efficiency_config(path.read_bytes().decode("utf-8"), source=str(path))
     raise FileNotFoundError(f"unknown efficiency spec {spec!r} (expected 'default', "
                             f"'measured:<corpus job>', or a config file path)")

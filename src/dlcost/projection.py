@@ -19,39 +19,22 @@ from typing import NamedTuple, Optional
 
 from .aggregate import JobPopulation
 from .core import (
-    GPUS_PER_SERVER,
-    LOCAL_MULTI_GPU,
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
     OverlapMode,
     TimeBreakdown,
     WorkloadRecord,
+    placed_cnodes,
 )
 from .engine import breakdown, speedup
 
 _ALLREDUCE_TARGETS = frozenset({ArchitectureKind.ALLREDUCE_LOCAL, ArchitectureKind.ALLREDUCE_CLUSTER})
 
 
-def check_allreduce_eligibility(rec: WorkloadRecord, hw: HardwareProfile) -> tuple[bool, str]:
-    """AllReduce replicates all weights per GPU, so the model must fit in GPU memory."""
-    if rec.model_bytes <= hw.gpu_mem_capacity:
-        return True, ""
-    return False, (
-        f"model weights ({rec.model_bytes:.6g} B) exceed GPU memory capacity "
-        f"({hw.gpu_mem_capacity:.6g} B)"
-    )
-
-
 def target_cnode_count(rec: WorkloadRecord, target: ArchitectureKind) -> int:
     """cNode count after projection; identity projections never change it."""
-    if target is rec.arch:
-        return rec.num_cnodes
-    if target is ArchitectureKind.ONE_WORKER_ONE_GPU:
-        return 1
-    if target in LOCAL_MULTI_GPU:
-        return min(rec.num_cnodes, GPUS_PER_SERVER)
-    return rec.num_cnodes
+    return rec.num_cnodes if target is rec.arch else placed_cnodes(target, rec.num_cnodes)
 
 
 def _weight_bound(bd: TimeBreakdown) -> bool:
@@ -93,13 +76,16 @@ def project(rec: WorkloadRecord, target: ArchitectureKind, hw: HardwareProfile,
     source_bd = breakdown(rec, hw, eff, overlap)
     target_cnodes = target_cnode_count(rec, target)
 
-    feasible, reason = True, ""
+    reason = ""
     if target is not rec.arch:
-        if target in _ALLREDUCE_TARGETS:
-            feasible, reason = check_allreduce_eligibility(rec, hw)
+        # AllReduce replicates all weights per GPU, so the model must fit
+        # in GPU memory; PEARL partitions a sparse embedding.
+        if target in _ALLREDUCE_TARGETS and rec.model_bytes > hw.gpu_mem_capacity:
+            reason = (f"model weights ({rec.model_bytes:.6g} B) exceed GPU memory capacity "
+                      f"({hw.gpu_mem_capacity:.6g} B)")
         elif target is ArchitectureKind.PEARL and rec.embedding_weight_bytes <= 0:
-            feasible, reason = False, "no sparse embedding"
-    if not feasible:
+            reason = "no sparse embedding"
+    if reason:
         return ProjectionResult(rec.arch, target, rec.num_cnodes, target_cnodes,
                                 source_bd.t_total, None, None, None,
                                 feasible=False, weight_bound=False, reason=reason)

@@ -21,7 +21,7 @@ from dlcost.aggregate import (
 from dlcost.cli import EX_OK, run
 from dlcost.core import ArchitectureKind, EfficiencyModel, OverlapMode
 from dlcost.corpus import SynthSpec, builtin_corpus, corpus_record, synth_population
-from dlcost.engine import breakdown, compute_time, throughput, validation_gap
+from dlcost.engine import breakdown, throughput, validation_gap
 from dlcost.ingest import case_study_testbed, pai_baseline
 from dlcost.projection import population_speedup_profile, project, target_cnode_count
 from dlcost.sweep import SweepAxis, SweepResource, hardware_sweep
@@ -49,12 +49,12 @@ def criterion(number: int, name: str):
 def test_01_resnet50_compute_bound_time():
     with criterion(1, "resnet50 compute-bound 0.149s +/- 1%"):
         rec = corpus_record("resnet50")
-        t_cb, _ = compute_time(rec, TESTBED, EFF)
+        t_cb = breakdown(rec, TESTBED, EFF).t_compute_bound
         assert abs(t_cb - 0.149) / 0.149 <= 0.01
         timings = []
         for _ in range(5):
             start = time.perf_counter()
-            compute_time(rec, TESTBED, EFF)
+            breakdown(rec, TESTBED, EFF).t_compute_bound
             timings.append(time.perf_counter() - start)
         assert min(timings) < 1e-3
 

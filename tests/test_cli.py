@@ -172,6 +172,14 @@ class TestSweepCommand:
     def test_unknown_axis(self):
         assert run(["sweep", "--corpus", "--axes", "infiniband"]) == EX_USAGE
 
+    @pytest.mark.parametrize("cartesian", [[], ["--cartesian"]])
+    def test_repeated_axis_is_a_usage_error(self, tmp_path, capsys, cartesian):
+        out = tmp_path / "out"
+        assert run(["sweep", "--corpus", "--axes", "ethernet,pcie, ethernet", *cartesian,
+                    "--out", str(out)]) == EX_USAGE
+        assert capsys.readouterr().err == "dlcost: --axes gives ethernet more than once\n"
+        assert not out.exists()
+
     def test_candidates_need_single_axis(self):
         assert run(["sweep", "--corpus", "--axes", "ethernet,pcie",
                     "--candidates", "10Gbps"]) == EX_USAGE
@@ -258,6 +266,8 @@ class TestSynthAndCorpusCommands:
         ("ps_worker=inf", "mix fraction for ps_worker must be finite and non-negative, got inf"),
         ("ps_worker=1,ps_worker=1", "--mix gives ps_worker more than once"),
         ("ps_worker=0.5,pearl=0.5,ps_worker=0", "--mix gives ps_worker more than once"),
+        ("", "architecture mix is empty"),
+        (",", "architecture mix is empty"),
     ])
     def test_synth_mix_fraction_errors_are_usage_errors(self, tmp_path, capsys, mix, message):
         out = tmp_path / "out"
@@ -299,6 +309,9 @@ class TestValidateCommand:
         ({"job_id": "c"}, "duplicate job_id 'c' (first on line 1)"),
         ({"job_id": "\ud800"},
          "job_id '\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
+        ({"job_id": None}, "job_id must be a string, got None"),
+        ({"job_id": 5}, "job_id must be a string, got 5"),
+        ({"job_id": [1]}, "job_id must be a string, got [1]"),
     ])
     def test_rejected_inputs_exit_2(self, tmp_path, capsys, changes, message):
         job = {"job_id": "c", "arch": "ps_worker", "num_cnodes": 4, "batch_size": 64,

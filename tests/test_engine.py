@@ -10,13 +10,10 @@ from dlcost.engine import (
     WEIGHT_MEDIUM_PATHS,
     Columns,
     breakdown,
-    compute_time,
-    data_io_time,
     evaluate,
     pcie_contention,
     throughput,
     validation_gap,
-    weight_time,
 )
 from dlcost.projection import project
 from helpers import (
@@ -57,16 +54,16 @@ class TestDataIoTime:
     # oracle: 804e6 / (1e10 * 0.7) = 0.11485714285714285
     def test_single_gpu(self):
         rec = make_record(arch=A.ONE_WORKER_ONE_GPU, input_bytes=804e6)
-        assert data_io_time(rec, TESTBED, EFF) == pytest.approx(0.11485714285714285, rel=1e-12)
+        assert breakdown(rec, TESTBED, EFF).t_data == pytest.approx(0.11485714285714285, rel=1e-12)
 
     # oracle: 804e6 / (1e10 * 0.7 / 8) = 0.9188571428571428
     def test_contention_on_allreduce_local(self):
         rec = make_record(arch=A.ALLREDUCE_LOCAL, num_cnodes=8, input_bytes=804e6)
-        assert data_io_time(rec, TESTBED, EFF) == pytest.approx(0.9188571428571428, rel=1e-12)
+        assert breakdown(rec, TESTBED, EFF).t_data == pytest.approx(0.9188571428571428, rel=1e-12)
 
     def test_zero_input(self):
         rec = make_record(input_bytes=0.0)
-        assert data_io_time(rec, TESTBED, EFF) == 0.0
+        assert breakdown(rec, TESTBED, EFF).t_data == 0.0
 
     def test_contention_rules(self):
         assert pcie_contention(A.ONE_WORKER_N_GPU, 4) == 4
@@ -82,7 +79,8 @@ class TestComputeTime:
     # oracle: 1.56e12 / (15e12 * 0.7) = 0.14857142857142858 (quoted as 0.149)
     def test_compute_bound_part(self):
         rec = make_record(flops=1.56e12, mem_access_bytes=0.0)
-        t_cb, t_mb = compute_time(rec, TESTBED, EFF)
+        bd = breakdown(rec, TESTBED, EFF)
+        t_cb, t_mb = bd.t_compute_bound, bd.t_memory_bound
         assert t_cb == pytest.approx(0.14857142857142858, rel=1e-12)
         assert abs(t_cb - 0.149) / 0.149 < 0.01
         assert t_mb == 0.0
@@ -90,18 +88,21 @@ class TestComputeTime:
     # oracle: 31.9e9 / (1e12 * 0.7) = 0.04557142857142857
     def test_memory_bound_part(self):
         rec = make_record(flops=0.0, mem_access_bytes=31.9e9)
-        assert compute_time(rec, TESTBED, EFF)[1] == pytest.approx(0.04557142857142857, rel=1e-12)
+        assert breakdown(rec, TESTBED, EFF).t_memory_bound == pytest.approx(0.04557142857142857,
+                                                                           rel=1e-12)
 
     def test_zero_demands(self):
         rec = make_record(flops=0.0, mem_access_bytes=0.0)
-        assert compute_time(rec, TESTBED, EFF) == (0.0, 0.0)
+        bd = breakdown(rec, TESTBED, EFF)
+        assert (bd.t_compute_bound, bd.t_memory_bound) == (0.0, 0.0)
 
 
 class TestWeightTime:
     # oracle: 1e9/(3.125e9*0.7) + 1e9/(1e10*0.7) = 0.45714285714285713 + 0.14285714285714285
     def test_ps_worker_serial_sum(self):
         rec = make_record(arch=A.PS_WORKER, weight_traffic_bytes=1e9)
-        per_medium, total = weight_time(rec, PAI, EFF)
+        bd = breakdown(rec, PAI, EFF)
+        per_medium, total = bd.t_weight_per_medium, bd.t_weight
         assert per_medium[Medium.ETHERNET] == pytest.approx(0.45714285714285713, rel=1e-12)
         assert per_medium[Medium.PCIE] == pytest.approx(0.14285714285714285, rel=1e-12)
         assert total == pytest.approx(0.6, rel=1e-12)
@@ -109,20 +110,22 @@ class TestWeightTime:
     # oracle: 1e9 / (5e10 * 0.7) = 0.02857142857142857
     def test_allreduce_local(self):
         rec = make_record(arch=A.ALLREDUCE_LOCAL, num_cnodes=8, weight_traffic_bytes=1e9)
-        per_medium, total = weight_time(rec, PAI, EFF)
+        bd = breakdown(rec, PAI, EFF)
+        per_medium, total = bd.t_weight_per_medium, bd.t_weight
         assert per_medium == {Medium.NVLINK: pytest.approx(0.02857142857142857, rel=1e-12)}
         assert total == pytest.approx(0.02857142857142857, rel=1e-12)
 
     def test_ps_over_allreduce_ratio_is_21(self):
         rec = make_record(arch=A.PS_WORKER, weight_traffic_bytes=1e9)
-        _, t_ps = weight_time(rec, PAI, EFF)
-        _, t_arl = weight_time(dataclasses.replace(rec, arch=A.ALLREDUCE_LOCAL), PAI, EFF)
+        t_ps = breakdown(rec, PAI, EFF).t_weight
+        t_arl = breakdown(dataclasses.replace(rec, arch=A.ALLREDUCE_LOCAL), PAI, EFF).t_weight
         assert weight_path_ratio(1e9, EFF) == t_ps / t_arl
         assert abs(weight_path_ratio(1e9, EFF) - 21.0) < 21.0 * 1e-9
 
     def test_single_gpu_has_no_weight_path(self):
         rec = make_record(arch=A.ONE_WORKER_ONE_GPU)
-        assert weight_time(rec, PAI, EFF) == ({}, 0.0)
+        bd = breakdown(rec, PAI, EFF)
+        assert (bd.t_weight_per_medium, bd.t_weight) == ({}, 0.0)
 
     @given(st.floats(min_value=1.0, max_value=1e15, allow_nan=False))
     def test_ratio_is_independent_of_traffic_volume(self, s_w):

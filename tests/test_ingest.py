@@ -430,6 +430,26 @@ class TestHardwareProfiles:
         with pytest.raises(TraceFormatError, match="unknown hardware key"):
             parse_hardware_config("infiniband = 100Gbps\n")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("separator", ["\u2028", "\r"], ids=["u2028", "cr"])
+    def test_config_lines_end_at_a_line_feed(self, tmp_path, newline, separator):
+        lines = [f"gpu = 11TFLOPs # lab{separator}x", "memory = 1TB/s", "pcie = 10GB/s",
+                 "ethernet = 25Gbps", "nvlink = 50GB/s"]
+        cfg = tmp_path / "lab.hw"
+        cfg.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        assert load_hardware_profile(str(cfg)) == pai_baseline()
+
+    @pytest.mark.parametrize("text, message", [
+        ("gpu = 11TFLOPs\nbogus = 1\n", "bad.hw:2: unknown hardware key 'bogus'"),
+        ("gpu = 11TFLOPs\r\nmemory = 1TB/s\r\nnvlink = fast\r\n",
+         "bad.hw:3: nvlink: malformed bandwidth 'fast' (expected e.g. '25Gbps' or '10GB/s')"),
+        ("gpu = 11TFLOPs\r\nx\r\n", "bad.hw:2: expected 'key = value', got 'x'"),
+    ], ids=["unknown-key", "malformed-value", "crlf-no-equals"])
+    def test_config_errors_name_their_line(self, text, message):
+        with pytest.raises(TraceFormatError) as exc:
+            parse_hardware_config(text, source="bad.hw")
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("again", ["pcie = 20GB/s", "pci = 20GB/s"],
                              ids=["same-key", "alias"])
     def test_config_field_set_twice_rejected(self, tmp_path, again):

@@ -12,7 +12,6 @@ from dlcost.core import ArchitectureKind, OverlapMode
 from dlcost.corpus import SynthSpec, synth_population
 from dlcost.engine import breakdown
 from dlcost.projection import (
-    check_allreduce_eligibility,
     population_speedup_profile,
     project,
     summarize,
@@ -40,17 +39,18 @@ def pure_weight_record(arch=A.PS_WORKER, num_cnodes=32, s_w=1e9, **kw):
 class TestEligibility:
     def test_small_dense_model_fits(self):
         rec = make_record(dense_weight_bytes=204e6, embedding_weight_bytes=0.0)
-        assert check_allreduce_eligibility(rec, PAI) == (True, "")
+        res = project(rec, A.ALLREDUCE_LOCAL, PAI, EFF)
+        assert (res.feasible, res.reason) == (True, "")
 
     def test_huge_embedding_does_not_fit(self):
         rec = make_record(dense_weight_bytes=1.19e6, embedding_weight_bytes=239.45e9)
-        feasible, reason = check_allreduce_eligibility(rec, PAI)
-        assert not feasible
-        assert "GPU memory" in reason
+        res = project(rec, A.ALLREDUCE_LOCAL, PAI, EFF)
+        assert not res.feasible
+        assert "GPU memory" in res.reason
 
     def test_exactly_at_capacity_is_feasible(self):
         rec = make_record(dense_weight_bytes=PAI.gpu_mem_capacity, embedding_weight_bytes=0.0)
-        assert check_allreduce_eligibility(rec, PAI)[0]
+        assert project(rec, A.ALLREDUCE_LOCAL, PAI, EFF).feasible
 
 
 class TestCnodeMapping:
