@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from collections import namedtuple
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,7 +36,9 @@ from .aggregate import (
 )
 from .core import ArchitectureKind, Medium, OverlapMode, Shares
 from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
-from .engine import Columns, breakdown, evaluate, throughput, validation_gap
+from .engine import Columns, evaluate, throughput, validation_gap
+# Unused here, but perfbench's tracer patches ``dlcost.cli.breakdown``.
+from .engine import breakdown  # noqa: F401
 from .ingest import (
     TraceFormatError,
     decode_trace,
@@ -175,9 +178,8 @@ def _attrs(*names: str, of: str = "") -> tuple[tuple[str, Callable], ...]:
     return tuple((name, attrgetter(prefix + name)) for name in names)
 
 
-def _share_columns(path: str) -> tuple[tuple[str, Callable], ...]:
-    """One ``share_<component>`` column per ``Shares`` component of ``path``."""
-    return tuple((f"share_{c}", attrgetter(f"{path}.{c}")) for c in Shares.COMPONENTS)
+#: One ``share_<component>`` column per component of the item's ``shares``.
+_SHARE_COLUMNS = tuple((f"share_{c}", attrgetter(f"shares.{c}")) for c in Shares.COMPONENTS)
 
 
 def _table(spec, items) -> tuple[tuple[str, ...], list[tuple]]:
@@ -192,29 +194,30 @@ def _table(spec, items) -> tuple[tuple[str, ...], list[tuple]]:
 # its handler returns; attribute paths read plain values and functions
 # derive the others.
 
-def _t_weight_on(medium: Medium) -> Callable:
-    return lambda job: job.bd.t_weight_per_medium.get(medium, 0.0)
-
+#: A job's record, its ``Evaluation`` values per medium and total, and its ``Shares``.
+_EvaluatedJob = namedtuple("_EvaluatedJob", (
+    "rec", "t_data", "t_compute_bound", "t_memory_bound",
+    *(f"t_weight_{m.value}" for m in Medium), "t_weight", "t_total", "component_sum", "shares"))
 
 _BREAKDOWN = (
     *_attrs("job_id", of="rec"),
     ("arch", attrgetter("rec.arch.value")),
     *_attrs("num_cnodes", "batch_size", of="rec"),
-    *_attrs("t_data", "t_compute_bound", "t_memory_bound", of="bd"),
-    ("t_compute", lambda job: job.bd.t_compute_bound + job.bd.t_memory_bound),
-    *((f"t_weight_{m.value}", _t_weight_on(m))
-      for m in (Medium.ETHERNET, Medium.PCIE, Medium.NVLINK)),
-    *_attrs("t_weight", "t_total", of="bd"),
-    *_share_columns("bd.shares"),
-    ("shares_defined", attrgetter("bd.shares_defined")),
-    ("throughput",
-     lambda job: throughput(job.rec, job.bd.t_total) if job.bd.t_total > 0 else None),
+    *_attrs("t_data", "t_compute_bound", "t_memory_bound"),
+    ("t_compute", lambda job: job.t_compute_bound + job.t_memory_bound),
+    *_attrs(*(f"t_weight_{m.value}" for m in Medium), "t_weight", "t_total"),
+    *_SHARE_COLUMNS,
+    ("shares_defined", lambda job: job.component_sum > 0),
+    ("throughput", lambda job: throughput(job.rec, job.t_total) if job.t_total > 0 else None),
 )
 
 
 def cmd_breakdown(args, pop, hw, eff, overlap):
-    jobs = (SimpleNamespace(rec=rec, bd=breakdown(rec, hw, eff, overlap)) for rec in pop)
-    return "breakdown", _BREAKDOWN, jobs, None
+    ev = evaluate(Columns.of(pop), hw, eff, overlap)
+    shares = map(Shares._make, zip(*map(ev.share, Shares.COMPONENTS)))
+    jobs = zip(pop, ev.t_data, ev.t_compute_bound, ev.t_memory_bound, *ev.t_weight_on.values(),
+               ev.t_weight, ev.t_total, ev.component_sum, shares)
+    return "breakdown", _BREAKDOWN, map(_EvaluatedJob._make, jobs), None
 
 
 _PROJECT = (
@@ -305,7 +308,7 @@ def cmd_sweep(args, pop, hw, eff, overlap):
     return "sweep", _sweep_columns(hw), hardware_sweep(pop, axes, hw, eff, overlap), extra
 
 
-_SHARES = (("level", attrgetter("level")), *_share_columns("shares"))
+_SHARES = (("level", attrgetter("level")), *_SHARE_COLUMNS)
 
 _COMPOSITION = (
     ("arch", attrgetter("arch.value")),

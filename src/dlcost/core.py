@@ -67,10 +67,11 @@ def placed_cnodes(arch: ArchitectureKind, num_cnodes: int) -> int:
 
 
 class Medium(Enum):
-    """Interconnect media that weight/gradient traffic can traverse."""
+    """Interconnect media that weight/gradient traffic can traverse, declared
+    in the order every weight path crosses them."""
 
-    PCIE = "pcie"
     ETHERNET = "ethernet"
+    PCIE = "pcie"
     NVLINK = "nvlink"
 
 
@@ -101,6 +102,16 @@ def quantity(kind: str, *aliases: str, axis: Optional[str] = None,
                  **kwargs)
 
 
+def check_range(f: Field, value: float) -> None:
+    """Raise ValueError unless ``value`` lies in the range of the hardware or
+    efficiency field ``f``: (0, 1] for an efficiency, else finite and > 0."""
+    if f.metadata["kind"] == "fraction":
+        if not 0 < value <= 1:
+            raise ValueError(f"{f.name} must lie in (0, 1], got {value!r}")
+    elif not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{f.name} must be finite and strictly positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HardwareProfile:
     """Peak capacities of one server class, in canonical units.
@@ -119,9 +130,7 @@ class HardwareProfile:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be finite and strictly positive, got {value!r}")
+            check_range(f, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -139,9 +148,7 @@ class EfficiencyModel:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and 0 < value <= 1):
-                raise ValueError(f"{f.name} must lie in (0, 1], got {value!r}")
+            check_range(f, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -273,7 +280,6 @@ class TimeBreakdown(NamedTuple):
     t_data: float
     t_compute_bound: float
     t_memory_bound: float
-    t_weight_per_medium: Mapping[Medium, float]
     t_weight: float
     t_total: float
     shares: Shares

@@ -17,12 +17,12 @@ total is either the sum of the three parts (no overlap) or their
 maximum (ideal overlap).  All functions are pure and deterministic.
 
 The model is evaluated two ways.  ``breakdown`` decomposes one job into
-a ``TimeBreakdown``; it serves per-job reports and projections and is
+a ``TimeBreakdown``; it serves projections and the one-job API and is
 the reference the other path is tested against.  ``evaluate`` runs the
-same arithmetic over a whole population held as ``Columns``, for the
-analyses that re-evaluate every job at many model points (sweeps,
-sensitivity grids, population shares).  Both perform the same float
-operations in the same order, so their results are bit-identical.
+same arithmetic over a population held as ``Columns`` for every other
+analysis, each medium's weight time included.  Both perform the same
+float operations in the same order (``Medium`` order is every weight
+path's order), so their results are bit-identical.
 """
 
 from __future__ import annotations
@@ -89,13 +89,10 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
     t_mb = rec.mem_access_bytes / (hw.gpu_mem_bandwidth * eff.mem_eff)
     t_compute = t_cb + t_mb
     # The weight volume crosses every medium on the path in sequence.
-    per_medium: dict[Medium, float] = {}
     t_weight = 0.0
     for medium in WEIGHT_MEDIUM_PATHS[rec.arch]:
         bandwidth, efficiency = _MEDIUM_RATE_FIELDS[medium]
-        t = rec.weight_traffic_bytes / (getattr(hw, bandwidth) * getattr(eff, efficiency))
-        per_medium[medium] = t
-        t_weight += t
+        t_weight += rec.weight_traffic_bytes / (getattr(hw, bandwidth) * getattr(eff, efficiency))
 
     component_sum = t_data + t_compute + t_weight
     if overlap is OverlapMode.IDEAL_OVERLAP:
@@ -109,40 +106,35 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
                         t_mb / component_sum, t_weight / component_sum)
     else:
         shares = ZERO_SHARES
-    return TimeBreakdown(t_data, t_cb, t_mb, per_medium, t_weight, t_total, shares,
-                         shares_defined)
+    return TimeBreakdown(t_data, t_cb, t_mb, t_weight, t_total, shares, shares_defined)
 
 
 class Columns(NamedTuple):
     """A population's model inputs as parallel per-job lists, in job order.
 
-    ``weight_groups`` partitions the jobs by architecture: one
-    ``(weight path, job indices, weight bytes)`` triple per architecture
-    present, so each medium on a path divides a whole group at once.
+    ``weight_on`` holds one list per medium, in ``Medium`` order: a job's
+    weight bytes where that medium is on its architecture's weight path,
+    else 0.0.
     """
 
     flops: list[float]
     mem_access_bytes: list[float]
     input_bytes: list[float]
     pcie_contention: list[int]
-    weight_groups: tuple[tuple[tuple[Medium, ...], list[int], list[float]], ...]
+    weight_on: dict[Medium, list[float]]
     num_cnodes: list[int]
 
     @classmethod
     def of(cls, records: Iterable[WorkloadRecord]) -> "Columns":
         records = tuple(records)
-        groups: dict[ArchitectureKind, tuple[list[int], list[float]]] = {}
-        for i, rec in enumerate(records):
-            jobs, volumes = groups.setdefault(rec.arch, ([], []))
-            jobs.append(i)
-            volumes.append(rec.weight_traffic_bytes)
+        paths = [WEIGHT_MEDIUM_PATHS[rec.arch] for rec in records]
         return cls(
             flops=[rec.flops for rec in records],
             mem_access_bytes=[rec.mem_access_bytes for rec in records],
             input_bytes=[rec.input_bytes for rec in records],
             pcie_contention=[pcie_contention(rec.arch, rec.num_cnodes) for rec in records],
-            weight_groups=tuple((WEIGHT_MEDIUM_PATHS[arch], jobs, volumes)
-                                for arch, (jobs, volumes) in groups.items()),
+            weight_on={m: [rec.weight_traffic_bytes if m in path else 0.0
+                           for rec, path in zip(records, paths)] for m in Medium},
             num_cnodes=[rec.num_cnodes for rec in records],
         )
 
@@ -155,12 +147,14 @@ class Evaluation(NamedTuple):
     """Per-job step times of a population at one model point, in job order.
 
     Each list holds, per job, the value of the ``TimeBreakdown`` field of
-    the same name; ``component_sum`` is the denominator of the shares.
+    the same name; ``t_weight_on`` holds each medium's part of ``t_weight``,
+    in ``Medium`` order, and ``component_sum`` the denominator of the shares.
     """
 
     t_data: list[float]
     t_compute_bound: list[float]
     t_memory_bound: list[float]
+    t_weight_on: dict[Medium, list[float]]
     t_weight: list[float]
     t_total: list[float]
     component_sum: list[float]
@@ -193,21 +187,18 @@ def evaluate(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel,
 
     medium_rate = {m: getattr(hw, bandwidth) * getattr(eff, efficiency)
                    for m, (bandwidth, efficiency) in _MEDIUM_RATE_FIELDS.items()}
-    t_weight = [0.0] * len(t_data)
-    for path, jobs, volumes in cols.weight_groups:
-        totals = [0.0] * len(jobs)
-        for medium in path:
-            rate = medium_rate[medium]
-            totals = [t + v / rate for t, v in zip(totals, volumes)]
-        for i, t in zip(jobs, totals):
-            t_weight[i] = t
+    t_on = {m: [v / rate for v in cols.weight_on[m]] for m, rate in medium_rate.items()}
+    # Bit-identical to ``breakdown``'s sum from 0.0 in path order: every path
+    # lists its media in ``Medium`` order, an off-path term is exactly 0.0, and
+    # adding 0.0 to a sum that starts at 0.0 (never -0.0) changes nothing.
+    t_weight = [0.0 + e + p + n for e, p, n in zip(*t_on.values())]
 
     sums = [d + (cb + mb) + w for d, cb, mb, w in zip(t_data, t_cb, t_mb, t_weight)]
     if overlap is OverlapMode.IDEAL_OVERLAP:
         t_total = [max(d, cb + mb, w) for d, cb, mb, w in zip(t_data, t_cb, t_mb, t_weight)]
     else:
         t_total = sums
-    return Evaluation(t_data=t_data, t_compute_bound=t_cb, t_memory_bound=t_mb,
+    return Evaluation(t_data=t_data, t_compute_bound=t_cb, t_memory_bound=t_mb, t_weight_on=t_on,
                       t_weight=t_weight, t_total=t_total, component_sum=sums)
 
 

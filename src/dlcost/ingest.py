@@ -27,6 +27,7 @@ from .core import (
     EfficiencyModel,
     HardwareProfile,
     WorkloadRecord,
+    check_range,
     placed_cnodes,
     record_errors,
 )
@@ -316,13 +317,14 @@ def _parse_model_config(cls, text: str, source: str, what: str):
             values[f.name] = _config_value(value.strip().strip("'\""), f.metadata["kind"])
         except QuantityError as exc:
             raise TraceFormatError(f"{source}:{lineno}: {key}: {exc}") from None
+        try:
+            check_range(f, values[f.name])
+        except ValueError as exc:
+            raise TraceFormatError(f"{source}:{lineno}: {exc}") from None
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
         raise TraceFormatError(f"{source}: missing {what} keys: {', '.join(missing)}")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise TraceFormatError(f"{source}: {exc}") from None
+    return cls(**values)
 
 
 def parse_hardware_config(text: str, source: str = "<config>") -> HardwareProfile:

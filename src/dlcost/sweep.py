@@ -61,6 +61,9 @@ class SweepAxis:
         for c in self.candidates:
             if not (math.isfinite(c) and c > 0):
                 raise ValueError(f"axis {self.resource.value}: candidate {c!r} must be positive")
+            if self.candidates.count(c) > 1:
+                raise ValueError(
+                    f"axis {self.resource.value}: candidate {c!r} given more than once")
 
 
 #: Candidate grids for the standard what-if study, in canonical units:
@@ -164,6 +167,8 @@ def efficiency_sensitivity(pop: JobPopulation, hw: HardwareProfile,
         for g in grid:
             if not (0 < g <= 1):
                 raise ValueError(f"{name} efficiency {g!r} outside (0, 1]")
+            if grid.count(g) > 1:
+                raise ValueError(f"{name} efficiency {g!r} given more than once")
     cols = Columns.of(pop)
     cells = []
     for comp in compute_eff_grid:

@@ -192,6 +192,14 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             f"dlcost: axis ethernet: candidate {shown} must be positive\n")
 
+    @pytest.mark.parametrize("candidates, shown", [("10Gbps,1.25e9", "1250000000.0"),
+                                                   ("5e9,25Gbps,5e9", "5000000000.0")])
+    def test_repeated_candidate_is_a_usage_error(self, capsys, candidates, shown):
+        assert run(["sweep", "--corpus", "--axes", "ethernet",
+                    "--candidates", candidates]) == EX_USAGE
+        assert capsys.readouterr().err == (
+            f"dlcost: axis ethernet: candidate {shown} given more than once\n")
+
 
 class TestAggregateCommand:
     @pytest.mark.parametrize("stat", ["shares", "composition", "share-cdf", "scale-cdf"])
@@ -223,6 +231,8 @@ class TestSensitivityCommand:
         ("--comp-grid", "nan", "compute efficiency nan outside (0, 1]"),
         ("--comm-grid", "0", "communication efficiency 0.0 outside (0, 1]"),
         ("--comm-grid", ",", "empty communication efficiency grid"),
+        ("--comp-grid", "0.5,,0.5", "compute efficiency 0.5 given more than once"),
+        ("--comm-grid", "0.7,0.70", "communication efficiency 0.7 given more than once"),
     ])
     def test_out_of_range_grid_is_a_usage_error(self, capsys, flag, grid, message):
         assert run(["sensitivity", "--corpus", flag, grid]) == EX_USAGE

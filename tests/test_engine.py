@@ -49,6 +49,12 @@ class TestWeightMediumPath:
         assert WEIGHT_MEDIUM_PATHS[A.ALLREDUCE_CLUSTER] == (Medium.ETHERNET, Medium.NVLINK)
         assert WEIGHT_MEDIUM_PATHS[A.PEARL] == (Medium.NVLINK,)
 
+    def test_every_path_lists_its_media_in_medium_order(self):
+        # The kernel sums each job's per-medium weight times in Medium order.
+        order = list(Medium)
+        for path in WEIGHT_MEDIUM_PATHS.values():
+            assert list(path) == sorted(path, key=order.index)
+
 
 class TestDataIoTime:
     # oracle: 804e6 / (1e10 * 0.7) = 0.11485714285714285
@@ -101,19 +107,21 @@ class TestWeightTime:
     # oracle: 1e9/(3.125e9*0.7) + 1e9/(1e10*0.7) = 0.45714285714285713 + 0.14285714285714285
     def test_ps_worker_serial_sum(self):
         rec = make_record(arch=A.PS_WORKER, weight_traffic_bytes=1e9)
-        bd = breakdown(rec, PAI, EFF)
-        per_medium, total = bd.t_weight_per_medium, bd.t_weight
-        assert per_medium[Medium.ETHERNET] == pytest.approx(0.45714285714285713, rel=1e-12)
-        assert per_medium[Medium.PCIE] == pytest.approx(0.14285714285714285, rel=1e-12)
-        assert total == pytest.approx(0.6, rel=1e-12)
+        ev = evaluate(Columns.of([rec]), PAI, EFF)
+        per_medium, total = ev.t_weight_on, ev.t_weight
+        assert per_medium[Medium.ETHERNET] == [pytest.approx(0.45714285714285713, rel=1e-12)]
+        assert per_medium[Medium.PCIE] == [pytest.approx(0.14285714285714285, rel=1e-12)]
+        assert per_medium[Medium.NVLINK] == [0.0]
+        assert total == [pytest.approx(0.6, rel=1e-12)]
 
     # oracle: 1e9 / (5e10 * 0.7) = 0.02857142857142857
     def test_allreduce_local(self):
         rec = make_record(arch=A.ALLREDUCE_LOCAL, num_cnodes=8, weight_traffic_bytes=1e9)
-        bd = breakdown(rec, PAI, EFF)
-        per_medium, total = bd.t_weight_per_medium, bd.t_weight
-        assert per_medium == {Medium.NVLINK: pytest.approx(0.02857142857142857, rel=1e-12)}
-        assert total == pytest.approx(0.02857142857142857, rel=1e-12)
+        ev = evaluate(Columns.of([rec]), PAI, EFF)
+        per_medium, total = ev.t_weight_on, ev.t_weight
+        assert per_medium == {Medium.ETHERNET: [0.0], Medium.PCIE: [0.0],
+                              Medium.NVLINK: [pytest.approx(0.02857142857142857, rel=1e-12)]}
+        assert total == [pytest.approx(0.02857142857142857, rel=1e-12)]
 
     def test_ps_over_allreduce_ratio_is_21(self):
         rec = make_record(arch=A.PS_WORKER, weight_traffic_bytes=1e9)
@@ -124,8 +132,8 @@ class TestWeightTime:
 
     def test_single_gpu_has_no_weight_path(self):
         rec = make_record(arch=A.ONE_WORKER_ONE_GPU)
-        bd = breakdown(rec, PAI, EFF)
-        assert (bd.t_weight_per_medium, bd.t_weight) == ({}, 0.0)
+        ev = evaluate(Columns.of([rec]), PAI, EFF)
+        assert (ev.t_weight_on, ev.t_weight) == ({m: [0.0] for m in Medium}, [0.0])
 
     @given(st.floats(min_value=1.0, max_value=1e15, allow_nan=False))
     def test_ratio_is_independent_of_traffic_volume(self, s_w):
@@ -273,6 +281,23 @@ class TestColumnarKernel:
     def test_every_column_equals_the_scalar_breakdown_bit_for_bit(self, records, hw, eff,
                                                                   overlap):
         assert_kernel_matches_breakdown(records, hw, eff, overlap)
+
+    @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
+           eff=efficiency_models())
+    def test_per_medium_weight_times_sum_to_the_scalar_t_weight(self, records, hw, eff):
+        ev = evaluate(Columns.of(records), hw, eff)
+        rates = {Medium.ETHERNET: hw.ethernet_bandwidth * eff.ethernet_eff,
+                 Medium.PCIE: hw.pcie_bandwidth * eff.pcie_eff,
+                 Medium.NVLINK: hw.nvlink_bandwidth * eff.nvlink_eff}
+        for i, rec in enumerate(records):
+            path = WEIGHT_MEDIUM_PATHS[rec.arch]
+            times = [ev.t_weight_on[m][i] for m in Medium]
+            assert float_bits(times) == float_bits(
+                rec.weight_traffic_bytes / rates[m] if m in path else 0.0 for m in Medium)
+            total = 0.0
+            for t in times:
+                total += t
+            assert float_bits([total]) == float_bits([breakdown(rec, hw, eff).t_weight])
 
     @pytest.mark.parametrize("overlap", list(OverlapMode))
     def test_synthetic_population_equals_the_scalar_breakdown(self, overlap):

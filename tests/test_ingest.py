@@ -444,7 +444,12 @@ class TestHardwareProfiles:
         ("gpu = 11TFLOPs\r\nmemory = 1TB/s\r\nnvlink = fast\r\n",
          "bad.hw:3: nvlink: malformed bandwidth 'fast' (expected e.g. '25Gbps' or '10GB/s')"),
         ("gpu = 11TFLOPs\r\nx\r\n", "bad.hw:2: expected 'key = value', got 'x'"),
-    ], ids=["unknown-key", "malformed-value", "crlf-no-equals"])
+        ("gpu = 11TFLOPs\nmemory = 1TB/s\npcie = 10GB/s\nethernet = 25Gbps\nnvlink = 50GB/s\n"
+         "gpu_mem_capacity = 0B\n",
+         "bad.hw:6: gpu_mem_capacity must be finite and strictly positive, got 0.0"),
+        ("gpu = 11TFLOPs\n# overflows\npci = 1e300TB/s\n",
+         "bad.hw:3: pcie_bandwidth must be finite and strictly positive, got inf"),
+    ], ids=["unknown-key", "malformed-value", "crlf-no-equals", "out-of-range", "alias-overflow"])
     def test_config_errors_name_their_line(self, text, message):
         with pytest.raises(TraceFormatError) as exc:
             parse_hardware_config(text, source="bad.hw")
@@ -489,6 +494,11 @@ class TestEfficiencyModels:
 
     def test_out_of_range_value_rejected(self, tmp_path):
         cfg = tmp_path / "eff.cfg"
-        cfg.write_text("compute_eff = 1.5\n")
-        with pytest.raises(TraceFormatError):
-            load_efficiency_model(str(cfg))
+        for text, message in [
+                ("compute_eff = 1.5\n", "1: compute_eff must lie in (0, 1], got 1.5"),
+                ("compute_eff = 0.9\n\nmem_eff = 0\n", "3: mem_eff must lie in (0, 1], got 0.0"),
+                ("nvlink_eff = nan\n", "1: nvlink_eff must lie in (0, 1], got nan")]:
+            cfg.write_text(text)
+            with pytest.raises(TraceFormatError) as exc:
+                load_efficiency_model(str(cfg))
+            assert str(exc.value) == f"{cfg}:{message}"

@@ -23,6 +23,7 @@ def run_script(name, *args):
      ("population.jsonl", "aggregate_shares.csv", "composition.csv",
       "weight_share_cdf.csv", "project_arl.csv", "sweep.csv", "sensitivity.csv")),
     ("run_case_studies.py", (), ("breakdown.csv",)),
+    ("run_case_studies.py", ("--measured-eff",), ("breakdown.csv",)),
 ])
 def test_script_writes_its_reports(tmp_path, script, args, reports):
     proc = run_script(script, *args, "--outdir", str(tmp_path))

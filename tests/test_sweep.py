@@ -62,6 +62,8 @@ class TestAxes:
             SweepAxis(resource=R.ETHERNET, candidates=())
         with pytest.raises(ValueError):
             SweepAxis(resource=R.ETHERNET, candidates=(0.0,))
+        with pytest.raises(ValueError, match="candidate 1000000000.0 given more than once"):
+            SweepAxis(resource=R.ETHERNET, candidates=(1e9, 2e9, 1e9))
 
 
 class TestHardwareSweep:
@@ -134,7 +136,7 @@ class TestHardwareSweep:
            axes=st.lists(st.builds(
                SweepAxis, resource=st.sampled_from(list(R)),
                candidates=st.lists(st.floats(min_value=1e6, max_value=1e15),
-                                   min_size=1, max_size=3).map(tuple)),
+                                   min_size=1, max_size=3, unique=True).map(tuple)),
                min_size=1, max_size=4),
            hw=hardware_profiles(), eff=efficiency_models(),
            overlap=st.sampled_from(list(OverlapMode)))
@@ -204,6 +206,8 @@ class TestEfficiencySensitivity:
             efficiency_sensitivity(pop, PAI, [0.0], [0.7])
         with pytest.raises(ValueError):
             efficiency_sensitivity(pop, PAI, [0.7], [1.1])
+        with pytest.raises(ValueError, match="communication efficiency 0.7 given more than once"):
+            efficiency_sensitivity(pop, PAI, [0.7], [0.7, 0.7])
 
 
 def ideal_step_speedups(pop):
