@@ -14,7 +14,6 @@ from pathlib import Path
 from dlcost import (
     ArchitectureKind,
     EfficiencyModel,
-    JobPopulation,
     SynthSpec,
     composition,
     efficiency_sensitivity,
@@ -33,7 +32,7 @@ A = ArchitectureKind
 
 
 def ps_worker_jobs(pop):
-    return JobPopulation.of([r for r in pop if r.arch is A.PS_WORKER])
+    return tuple(r for r in pop if r.arch is A.PS_WORKER)
 
 
 def print_composition(pop):

@@ -24,7 +24,6 @@ from .core import (
 from .engine import breakdown, throughput, validation_gap
 from .aggregate import (
     EmpiricalCDF,
-    JobPopulation,
     composition,
     scale_distribution,
     share_cdf,
@@ -60,7 +59,6 @@ __all__ = [
     "EfficiencyModel",
     "EmpiricalCDF",
     "HardwareProfile",
-    "JobPopulation",
     "Medium",
     "OverlapMode",
     "ProjectionResult",

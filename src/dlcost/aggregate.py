@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     ArchitectureKind,
@@ -21,36 +21,11 @@ from .core import (
     OverlapMode,
     Shares,
     WorkloadRecord,
+    require_jobs,
 )
 from .engine import Columns, evaluate
 # Unused here, but perfbench's tracer patches ``dlcost.aggregate.breakdown``.
 from .engine import breakdown  # noqa: F401
-
-
-@dataclass(frozen=True)
-class JobPopulation:
-    """An ordered set of workload records with cNode aggregation weights."""
-
-    records: tuple[WorkloadRecord, ...]
-
-    @classmethod
-    def of(cls, records: Iterable[WorkloadRecord]) -> "JobPopulation":
-        return cls(records=tuple(records))
-
-    @property
-    def total_cnodes(self) -> int:
-        return sum(rec.num_cnodes for rec in self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[WorkloadRecord]:
-        return iter(self.records)
-
-    def require_nonempty(self) -> "JobPopulation":
-        if not self.records:
-            raise ValueError("population is empty")
-        return self
 
 
 @dataclass(frozen=True)
@@ -104,11 +79,11 @@ class ArchComposition:
     cnode_fraction: float
 
 
-def composition(pop: JobPopulation) -> dict[ArchitectureKind, ArchComposition]:
+def composition(pop: Iterable[WorkloadRecord]) -> dict[ArchitectureKind, ArchComposition]:
     """Per-architecture job and cNode counts and fractions."""
-    pop.require_nonempty()
+    pop = require_jobs(pop)
     total_jobs = len(pop)
-    total_cnodes = pop.total_cnodes
+    total_cnodes = sum(rec.num_cnodes for rec in pop)
     result = {}
     for arch in ArchitectureKind:
         jobs = [rec for rec in pop if rec.arch is arch]
@@ -150,10 +125,10 @@ class BreakdownAverages:
     cnode_level: Shares
 
 
-def weighted_breakdown(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyModel,
+def weighted_breakdown(pop: Iterable[WorkloadRecord], hw: HardwareProfile, eff: EfficiencyModel,
                        overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> BreakdownAverages:
     """Average shares per component, job-level and cNode-weighted."""
-    pop.require_nonempty()
+    pop = require_jobs(pop)
     cols = Columns.of(pop)
     ev = evaluate(cols, hw, eff, overlap)
     job = {}
@@ -165,13 +140,13 @@ def weighted_breakdown(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyM
     return BreakdownAverages(job_level=Shares(**job), cnode_level=Shares(**cnode))
 
 
-def share_cdf(pop: JobPopulation, component: str, hw: HardwareProfile,
+def share_cdf(pop: Iterable[WorkloadRecord], component: str, hw: HardwareProfile,
               eff: EfficiencyModel, overlap: OverlapMode = OverlapMode.NO_OVERLAP,
               level: str = "job") -> EmpiricalCDF:
     """Empirical CDF of one share component across the population."""
     if level not in ("job", "cnode"):
         raise ValueError(f"level must be 'job' or 'cnode', got {level!r}")
-    pop.require_nonempty()
+    pop = require_jobs(pop)
     cols = Columns.of(pop)
     values = evaluate(cols, hw, eff, overlap).share(component)
     weights = [float(c) for c in cols.num_cnodes] if level == "cnode" else None
@@ -187,9 +162,10 @@ class ScaleDistribution:
     model_bytes: EmpiricalCDF
 
 
-def scale_distribution(pop: JobPopulation) -> dict[ArchitectureKind, ScaleDistribution]:
+def scale_distribution(
+        pop: Iterable[WorkloadRecord]) -> dict[ArchitectureKind, ScaleDistribution]:
     """Per-architecture CDFs of cNode count and model weight size."""
-    pop.require_nonempty()
+    pop = require_jobs(pop)
     result = {}
     for arch in ArchitectureKind:
         jobs = [rec for rec in pop if rec.arch is arch]

@@ -27,14 +27,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
-from .aggregate import (
-    JobPopulation,
-    composition,
-    scale_distribution,
-    share_cdf,
-    weighted_breakdown,
-)
-from .core import ArchitectureKind, Medium, OverlapMode, Shares
+from .aggregate import composition, scale_distribution, share_cdf, weighted_breakdown
+from .core import ArchitectureKind, Medium, OverlapMode, Shares, WorkloadRecord
 from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
 from .engine import Columns, evaluate, throughput, validation_gap
 # Unused here, but perfbench's tracer patches ``dlcost.cli.breakdown``.
@@ -148,7 +142,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_inputs(args) -> tuple[JobPopulation, list, str, str]:
+def _load_inputs(args) -> tuple[tuple[WorkloadRecord, ...], list, str, str]:
     """Population, per-line errors, source label, and the SHA-256 of the
     input's bytes."""
     if getattr(args, "corpus", False):
@@ -345,7 +339,7 @@ def cmd_aggregate(args, pop, hw, eff, overlap):
 
 def _parse_grid(text: str, flag: str) -> list[float]:
     try:
-        return [float(item) for item in text.split(",") if item.strip()]
+        return [float(item) for item in text.split(",")]
     except ValueError:
         raise _UsageError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
@@ -383,8 +377,6 @@ def _parse_mix(text: str) -> dict[ArchitectureKind, float]:
     mix = {}
     for item in text.split(","):
         item = item.strip()
-        if not item:
-            continue
         if "=" not in item:
             raise _UsageError(f"--mix entries must look like arch=fraction, got {item!r}")
         label, _, frac = item.partition("=")

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
-from typing import Any, Mapping, NamedTuple, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 
 class ArchitectureKind(Enum):
@@ -252,6 +252,15 @@ def validate_record(rec: WorkloadRecord) -> WorkloadRecord:
     if errors:
         raise ValidationError(rec.job_id, errors)
     return rec
+
+
+def require_jobs(records: Iterable[WorkloadRecord]) -> tuple[WorkloadRecord, ...]:
+    """A population as the tuple of its records (a tuple is returned as it
+    is); raises ValueError when there are none."""
+    jobs = tuple(records)
+    if not jobs:
+        raise ValueError("population is empty")
+    return jobs
 
 
 class Shares(NamedTuple):

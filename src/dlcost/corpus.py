@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .aggregate import JobPopulation
 from .core import (
     ArchitectureKind,
     EfficiencyModel,
@@ -32,7 +31,7 @@ from .core import (
 RESNET50_MEASURED_COMPUTE_BOUND_S = 0.126
 
 
-def builtin_corpus() -> JobPopulation:
+def builtin_corpus() -> tuple[WorkloadRecord, ...]:
     """The six case-study workloads with canonical-unit demand figures.
 
     cNode counts are representative testbed placements (the workload
@@ -85,7 +84,7 @@ def builtin_corpus() -> JobPopulation:
             dense_weight_bytes=207e6, embedding_weight_bytes=54e9,
         ),
     ]
-    return JobPopulation.of([validate_record(rec) for rec in records])
+    return tuple(validate_record(rec) for rec in records)
 
 
 def corpus_record(job_id: str) -> WorkloadRecord:
@@ -178,7 +177,7 @@ def _sample_cnodes(arch: ArchitectureKind, rng: random.Random) -> int:
     return placed_cnodes(arch, max(1, round(_log_uniform(rng, *CNODE_RANGE))))
 
 
-def synth_population(spec: SynthSpec) -> JobPopulation:
+def synth_population(spec: SynthSpec) -> tuple[WorkloadRecord, ...]:
     """Generate a validated population deterministically from ``spec``."""
     rng = random.Random(spec.seed)
     archs = [a for a in ArchitectureKind if spec.mix.get(a, 0) > 0]
@@ -206,4 +205,4 @@ def synth_population(spec: SynthSpec) -> JobPopulation:
             embedding_weight_bytes=embedding,
         )
         records.append(validate_record(rec))
-    return JobPopulation.of(records)
+    return tuple(records)

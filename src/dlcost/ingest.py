@@ -20,7 +20,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .aggregate import JobPopulation
 from .core import (
     RECORD_QUANTITIES,
     ArchitectureKind,
@@ -31,6 +30,7 @@ from .core import (
     placed_cnodes,
     record_errors,
 )
+from .corpus import measured_efficiency
 from .units import QuantityError, parse_count, parse_quantity
 
 PathLike = Union[str, Path]
@@ -210,9 +210,9 @@ def _screen_record(obj) -> Optional[WorkloadRecord]:
 
 
 def parse_trace(text: str, strict: bool = False,
-                source: str = "<trace>") -> tuple[JobPopulation, list[TraceError]]:
-    """Parse newline-delimited JSON text into a population plus a per-line
-    error report.
+                source: str = "<trace>") -> tuple[tuple[WorkloadRecord, ...], list[TraceError]]:
+    """Parse newline-delimited JSON text into a population (a tuple of
+    records) plus a per-line error report.
 
     Lines end at a line feed alone, since JSON allows a raw U+2028 and
     the other characters ``str.splitlines`` also breaks at inside a
@@ -247,12 +247,12 @@ def parse_trace(text: str, strict: bool = False,
         if strict:
             raise TraceFormatError(f"{source}:{lineno}: {message}")
         errors.append(TraceError(line=lineno, message=message))
-    return JobPopulation.of(records), errors
+    return tuple(records), errors
 
 
 def decode_trace(data: bytes, source: str = "<trace>") -> str:
-    """The text of a trace file's bytes; a byte that is not UTF-8 raises
-    TraceFormatError naming its line."""
+    """The text of a trace or config file's bytes; a byte that is not
+    UTF-8 raises TraceFormatError naming its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -261,7 +261,8 @@ def decode_trace(data: bytes, source: str = "<trace>") -> str:
                                f"({exc.reason})") from None
 
 
-def load_trace(path: PathLike, strict: bool = False) -> tuple[JobPopulation, list[TraceError]]:
+def load_trace(path: PathLike,
+               strict: bool = False) -> tuple[tuple[WorkloadRecord, ...], list[TraceError]]:
     """Read a trace file; see parse_trace for the per-line error contract."""
     text = decode_trace(Path(path).read_bytes(), source=str(path))
     return parse_trace(text, strict=strict, source=str(path))
@@ -359,18 +360,22 @@ BUILTIN_HARDWARE = {
 HW_DIR_ENV = "DLCOST_HW_DIR"
 
 
+def _read_config(path: Path, parse):
+    """``parse(text, source)`` of the config file at ``path``."""
+    return parse(decode_trace(path.read_bytes(), str(path)), str(path))
+
+
 def load_hardware_profile(spec: str) -> HardwareProfile:
     """Resolve ``spec`` as a file path, a preset under $DLCOST_HW_DIR, or a
     built-in preset name, in that order."""
     path = Path(spec)
     if path.is_file():
-        return parse_hardware_config(path.read_bytes().decode("utf-8"), source=str(path))
+        return _read_config(path, parse_hardware_config)
     hw_dir = os.environ.get(HW_DIR_ENV)
     if hw_dir:
         for candidate in (Path(hw_dir) / spec, Path(hw_dir) / f"{spec}.hw"):
             if candidate.is_file():
-                return parse_hardware_config(candidate.read_bytes().decode("utf-8"),
-                                             source=str(candidate))
+                return _read_config(candidate, parse_hardware_config)
     if spec in BUILTIN_HARDWARE:
         return BUILTIN_HARDWARE[spec]()
     raise FileNotFoundError(
@@ -389,8 +394,6 @@ def load_efficiency_model(spec: str = "default") -> EfficiencyModel:
     if spec == "default":
         return EfficiencyModel()
     if spec.startswith("measured:"):
-        from .corpus import measured_efficiency  # deferred: corpus imports ingest
-
         name = spec.removeprefix("measured:")
         table = measured_efficiency()
         if name not in table:
@@ -399,6 +402,6 @@ def load_efficiency_model(spec: str = "default") -> EfficiencyModel:
         return table[name]
     path = Path(spec)
     if path.is_file():
-        return parse_efficiency_config(path.read_bytes().decode("utf-8"), source=str(path))
+        return _read_config(path, parse_efficiency_config)
     raise FileNotFoundError(f"unknown efficiency spec {spec!r} (expected 'default', "
                             f"'measured:<corpus job>', or a config file path)")

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .aggregate import JobPopulation
 from .core import (
     ArchitectureKind,
     EfficiencyModel,
@@ -26,6 +25,7 @@ from .core import (
     TimeBreakdown,
     WorkloadRecord,
     placed_cnodes,
+    require_jobs,
 )
 from .engine import breakdown, speedup
 
@@ -144,10 +144,10 @@ def summarize(results: list[ProjectionResult]) -> ProjectionSummary:
 
 
 def population_speedup_profile(
-        pop: JobPopulation, target: ArchitectureKind, hw: HardwareProfile,
+        pop: Iterable[WorkloadRecord], target: ArchitectureKind, hw: HardwareProfile,
         eff: EfficiencyModel, overlap: OverlapMode = OverlapMode.NO_OVERLAP,
 ) -> tuple[list[ProjectionResult], ProjectionSummary]:
     """Project every job onto ``target`` and summarize the outcome."""
-    pop.require_nonempty()
+    pop = require_jobs(pop)
     results = [project(rec, target, hw, eff, overlap) for rec in pop]
     return results, summarize(results)

@@ -16,14 +16,16 @@ import math
 import warnings
 from dataclasses import Field, dataclass, fields, replace
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .aggregate import JobPopulation, cnode_level_mean, job_level_mean
+from .aggregate import cnode_level_mean, job_level_mean
 from .core import (
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
     OverlapMode,
+    WorkloadRecord,
+    require_jobs,
 )
 from .engine import Columns, evaluate, speedup
 # Unused here, but perfbench's tracer patches ``dlcost.sweep.breakdown``.
@@ -97,11 +99,10 @@ class SweepCell(NamedTuple):
     speedup: float  # t_total(base hw) / t_total(base hw with the settings)
 
 
-def _sweep(pop: JobPopulation, axes: Sequence[SweepAxis], settings: Sequence[Setting],
-           base_hw: HardwareProfile, eff: EfficiencyModel,
+def _sweep(pop: tuple[WorkloadRecord, ...], axes: Sequence[SweepAxis],
+           settings: Sequence[Setting], base_hw: HardwareProfile, eff: EfficiencyModel,
            overlap: OverlapMode) -> list[SweepCell]:
     """Per-job speedup of each setting over ``base_hw``, setting-major."""
-    pop.require_nonempty()
     if not axes:
         raise ValueError("no sweep axes given")
     cols = Columns.of(pop)
@@ -116,22 +117,24 @@ def _sweep(pop: JobPopulation, axes: Sequence[SweepAxis], settings: Sequence[Set
     return cells
 
 
-def hardware_sweep(pop: JobPopulation, axes: Sequence[SweepAxis], base_hw: HardwareProfile,
-                   eff: EfficiencyModel,
+def hardware_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],
+                   base_hw: HardwareProfile, eff: EfficiencyModel,
                    overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> list[SweepCell]:
     """One-resource-at-a-time speedup table over axes x candidates x jobs."""
+    pop = require_jobs(pop)
     settings = [((axis.resource, c),) for axis in axes for c in axis.candidates]
     return _sweep(pop, axes, settings, base_hw, eff, overlap)
 
 
-def cartesian_sweep(pop: JobPopulation, axes: Sequence[SweepAxis], base_hw: HardwareProfile,
-                    eff: EfficiencyModel,
+def cartesian_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],
+                    base_hw: HardwareProfile, eff: EfficiencyModel,
                     overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> list[SweepCell]:
     """Full cross-product sweep over every axis combination.
 
     Emits a warning when the report would exceed ``CARTESIAN_WARNING_CELLS``
     cells; prefer ``hardware_sweep`` for routine studies.
     """
+    pop = require_jobs(pop)
     n_cells = len(pop) * math.prod(len(axis.candidates) for axis in axes)
     if n_cells > CARTESIAN_WARNING_CELLS:
         warnings.warn(f"cartesian sweep emits {n_cells} cells", stacklevel=2)
@@ -149,7 +152,7 @@ class SensitivityCell:
     cnode_level_weight_share: float
 
 
-def efficiency_sensitivity(pop: JobPopulation, hw: HardwareProfile,
+def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
                            compute_eff_grid: Sequence[float],
                            comm_eff_grid: Sequence[float],
                            overlap: OverlapMode = OverlapMode.NO_OVERLAP,
@@ -160,7 +163,7 @@ def efficiency_sensitivity(pop: JobPopulation, hw: HardwareProfile,
     likewise all three transfer media, matching how the efficiencies are
     perturbed around the 0.7 default.
     """
-    pop.require_nonempty()
+    pop = require_jobs(pop)
     for grid, name in ((compute_eff_grid, "compute"), (comm_eff_grid, "communication")):
         if not grid:
             raise ValueError(f"empty {name} efficiency grid")
@@ -202,10 +205,10 @@ class OverlapComparison:
     fraction_at_weight_path_ratio: float
 
 
-def overlap_comparison(pop: JobPopulation, hw: HardwareProfile, eff: EfficiencyModel,
-                       target: ArchitectureKind) -> OverlapComparison:
+def overlap_comparison(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
+                       eff: EfficiencyModel, target: ArchitectureKind) -> OverlapComparison:
     """Paired no-overlap / ideal-overlap summaries for one projection target."""
-    pop.require_nonempty()
+    pop = require_jobs(pop)
     # Shares divide by the component sum, so they are the same under both
     # overlap modes.
     cols = Columns.of(pop)

@@ -11,7 +11,6 @@ import time
 from contextlib import contextmanager
 
 from dlcost.aggregate import (
-    JobPopulation,
     composition,
     share_cdf,
     cnode_level_mean,
@@ -137,7 +136,7 @@ def test_08_monotonicity_suite():
                 assert all(n <= b for n, b in zip(_components(new), _components(base)))
         axes = [SweepAxis(resource=r, candidates=(getattr(PAI, r.field.name),))
                 for r in SweepResource]
-        for cell in hardware_sweep(JobPopulation.of(SYNTH_1000.records), axes, PAI, EFF):
+        for cell in hardware_sweep(SYNTH_1000, axes, PAI, EFF):
             assert cell.speedup == 1.0
 
 
@@ -147,9 +146,9 @@ def _oracle_composition(pop):
     out = {}
     for arch in A:
         jobs = [r for r in pop if r.arch is arch]
-        out[arch] = (len(jobs), len(jobs) / len(pop.records),
+        out[arch] = (len(jobs), len(jobs) / len(pop),
                      sum(r.num_cnodes for r in jobs),
-                     sum(r.num_cnodes for r in jobs) / pop.total_cnodes)
+                     sum(r.num_cnodes for r in jobs) / sum(r.num_cnodes for r in pop))
     return out
 
 
@@ -174,7 +173,7 @@ def _oracle_cdf(values, weights):
 
 
 def _oracle_projection_summary(pop, target):
-    n = len(pop.records)
+    n = len(pop)
     infeasible = step_up = thr_up = 0
     speedups = {}
     for rec in pop:
@@ -236,9 +235,9 @@ def test_09_aggregation_matches_brute_force():
                                  sorted(s for s, _ in o_speedups.values())):
                 assert abs(got - want) <= 1e-9 * max(1.0, want)
 
-            shuffled = list(pop.records)
+            shuffled = list(pop)
             rng.shuffle(shuffled)
-            permuted = JobPopulation.of(shuffled)
+            permuted = tuple(shuffled)
             averages2 = weighted_breakdown(permuted, PAI, EFF)
             for component in ("data", "compute_bound", "memory_bound", "weight"):
                 assert abs(getattr(averages.job_level, component)
@@ -261,7 +260,7 @@ def test_10_worked_weighted_mean_case():
 def test_11_throughput_identity():
     with criterion(11, "throughput speedup = step speedup x cNode ratio (1e-12)"):
         targets = list(A)
-        for rec in SYNTH_1000.records:
+        for rec in SYNTH_1000:
             for target in targets:
                 res = project(rec, target, PAI, EFF)
                 if not res.feasible:

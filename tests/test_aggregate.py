@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 
 from dlcost.aggregate import (
     EmpiricalCDF,
-    JobPopulation,
     cnode_level_mean,
     composition,
     job_level_mean,
@@ -31,7 +30,7 @@ A = ArchitectureKind
 
 
 def populations(min_size=1, max_size=40):
-    return st.lists(workload_records(), min_size=min_size, max_size=max_size).map(JobPopulation.of)
+    return st.lists(workload_records(), min_size=min_size, max_size=max_size).map(tuple)
 
 
 # --- naive oracles ----------------------------------------------------------
@@ -41,7 +40,7 @@ def naive_composition(pop):
     for arch in A:
         jobs = sum(1 for r in pop if r.arch is arch)
         cnodes = sum(r.num_cnodes for r in pop if r.arch is arch)
-        out[arch] = (jobs, jobs / len(pop.records), cnodes, cnodes / pop.total_cnodes)
+        out[arch] = (jobs, jobs / len(pop), cnodes, cnodes / sum(r.num_cnodes for r in pop))
     return out
 
 
@@ -71,11 +70,11 @@ def naive_cdf(values, weights):
 
 class TestComposition:
     def test_worked_example(self):
-        pop = JobPopulation.of([
+        pop = [
             make_record(job_id="a", arch=A.ONE_WORKER_ONE_GPU),
             make_record(job_id="b", arch=A.ONE_WORKER_ONE_GPU),
             make_record(job_id="c", arch=A.PS_WORKER, num_cnodes=8),
-        ])
+        ]
         comp = composition(pop)
         assert comp[A.ONE_WORKER_ONE_GPU].job_fraction == pytest.approx(2 / 3)
         assert comp[A.PS_WORKER].job_fraction == pytest.approx(1 / 3)
@@ -83,16 +82,16 @@ class TestComposition:
         assert comp[A.PS_WORKER].cnode_fraction == pytest.approx(0.8)
 
     def test_single_job_population(self):
-        pop = JobPopulation.of([make_record()])
+        pop = [make_record()]
         comp = composition(pop)
         assert comp[A.PS_WORKER].job_fraction == 1.0
         assert comp[A.PS_WORKER].cnode_fraction == 1.0
 
     def test_equal_cnodes_make_levels_agree(self):
-        pop = JobPopulation.of([
+        pop = [
             make_record(job_id=f"j{i}", arch=arch, num_cnodes=4)
             for i, arch in enumerate([A.PS_WORKER, A.PS_WORKER, A.ALLREDUCE_CLUSTER])
-        ])
+        ]
         for c in composition(pop).values():
             assert c.job_fraction == pytest.approx(c.cnode_fraction)
 
@@ -106,10 +105,6 @@ class TestComposition:
             assert c.job_count == jobs and c.cnode_count == cnodes
             assert abs(c.job_fraction - jf) <= 1e-9
             assert abs(c.cnode_fraction - cf) <= 1e-9
-
-    def test_empty_population_rejected(self):
-        with pytest.raises(ValueError):
-            composition(JobPopulation.of([]))
 
 
 # --- population shares ------------------------------------------------------
@@ -135,26 +130,26 @@ class TestWeightedBreakdown:
         assert job_level_mean([0.10, 0.50]) == 0.30
 
     def test_uniform_shares_collapse(self):
-        pop = JobPopulation.of([
+        pop = [
             make_record(job_id="a", num_cnodes=1),
             make_record(job_id="b", num_cnodes=7),
-        ])
+        ]
         avg = weighted_breakdown(pop, PAI, EFF)
         assert avg.job_level == avg.cnode_level  # identical demands -> identical shares
 
     def test_single_job(self):
-        pop = JobPopulation.of([make_record()])
+        pop = [make_record()]
         avg = weighted_breakdown(pop, PAI, EFF)
-        expected = breakdown(pop.records[0], PAI, EFF).shares
+        expected = breakdown(pop[0], PAI, EFF).shares
         assert avg.job_level == expected
         assert avg.cnode_level == expected
 
     def test_single_gpu_jobs_contribute_zero_weight_share(self):
-        pop = JobPopulation.of([
+        pop = [
             make_record(job_id="solo", arch=A.ONE_WORKER_ONE_GPU),
             make_record(job_id="ps", num_cnodes=1),
-        ])
-        lone = breakdown(pop.records[1], PAI, EFF).shares.weight
+        ]
+        lone = breakdown(pop[1], PAI, EFF).shares.weight
         avg = weighted_breakdown(pop, PAI, EFF)
         assert avg.job_level.weight == pytest.approx(lone / 2, rel=1e-12)
 
@@ -168,10 +163,10 @@ class TestWeightedBreakdown:
 
     @given(populations(min_size=2), st.randoms(use_true_random=False))
     def test_permutation_invariant(self, pop, rnd):
-        shuffled = list(pop.records)
+        shuffled = list(pop)
         rnd.shuffle(shuffled)
         a = weighted_breakdown(pop, PAI, EFF)
-        b = weighted_breakdown(JobPopulation.of(shuffled), PAI, EFF)
+        b = weighted_breakdown(shuffled, PAI, EFF)
         for component in ("data", "compute_bound", "memory_bound", "weight"):
             assert abs(getattr(a.job_level, component)
                        - getattr(b.job_level, component)) <= 1e-12
@@ -185,7 +180,7 @@ class TestShareCdf:
     def test_single_job_steps_once(self):
         rec = make_record(flops=0.0, mem_access_bytes=0.0, input_bytes=1e6,
                           weight_traffic_bytes=1e6)
-        pop = JobPopulation.of([rec])
+        pop = [rec]
         cdf = share_cdf(pop, "weight", PAI, EFF)
         bd = breakdown(rec, PAI, EFF)
         assert cdf.points == ((bd.shares.weight, 1.0),)
@@ -224,7 +219,7 @@ class TestShareCdf:
         assert xs == sorted(xs)
 
     def test_unknown_component_rejected(self):
-        pop = JobPopulation.of([make_record()])
+        pop = [make_record()]
         with pytest.raises(ValueError):
             share_cdf(pop, "io", PAI, EFF)
         with pytest.raises(ValueError):
@@ -233,28 +228,28 @@ class TestShareCdf:
 
 class TestScaleDistribution:
     def test_single_gpu_population_steps_at_one(self):
-        pop = JobPopulation.of([
+        pop = [
             make_record(job_id=f"j{i}", arch=A.ONE_WORKER_ONE_GPU) for i in range(3)
-        ])
+        ]
         dist = scale_distribution(pop)[A.ONE_WORKER_ONE_GPU]
         assert dist.cnodes.points == ((1.0, 1.0),)
 
     def test_median_cnodes_lower_step(self):
-        pop = JobPopulation.of([
+        pop = [
             make_record(job_id="a", num_cnodes=4),
             make_record(job_id="b", num_cnodes=16),
-        ])
+        ]
         dist = scale_distribution(pop)[A.PS_WORKER]
         assert dist.cnodes.quantile(0.5) == 4.0
 
     def test_model_size_steps_at_both_values(self):
-        pop = JobPopulation.of([
+        pop = [
             make_record(job_id="a", dense_weight_bytes=1e9, embedding_weight_bytes=0.0),
             make_record(job_id="b", dense_weight_bytes=1e11, embedding_weight_bytes=0.0),
-        ])
+        ]
         dist = scale_distribution(pop)[A.PS_WORKER]
         assert dist.model_bytes.points == ((1e9, 0.5), (1e11, 1.0))
 
     def test_only_present_architectures_reported(self):
-        pop = JobPopulation.of([make_record()])
+        pop = [make_record()]
         assert set(scale_distribution(pop)) == {A.PS_WORKER}

@@ -230,8 +230,10 @@ class TestSensitivityCommand:
         ("--comp-grid", "1.5", "compute efficiency 1.5 outside (0, 1]"),
         ("--comp-grid", "nan", "compute efficiency nan outside (0, 1]"),
         ("--comm-grid", "0", "communication efficiency 0.0 outside (0, 1]"),
-        ("--comm-grid", ",", "empty communication efficiency grid"),
-        ("--comp-grid", "0.5,,0.5", "compute efficiency 0.5 given more than once"),
+        ("--comm-grid", ",", "--comm-grid must be comma-separated numbers, got ','"),
+        ("--comp-grid", "0.5,,0.5", "--comp-grid must be comma-separated numbers, got '0.5,,0.5'"),
+        ("--comp-grid", "0.5,,0.7", "--comp-grid must be comma-separated numbers, got '0.5,,0.7'"),
+        ("--comm-grid", "0.5,", "--comm-grid must be comma-separated numbers, got '0.5,'"),
         ("--comm-grid", "0.7,0.70", "communication efficiency 0.7 given more than once"),
     ])
     def test_out_of_range_grid_is_a_usage_error(self, capsys, flag, grid, message):
@@ -276,8 +278,9 @@ class TestSynthAndCorpusCommands:
         ("ps_worker=inf", "mix fraction for ps_worker must be finite and non-negative, got inf"),
         ("ps_worker=1,ps_worker=1", "--mix gives ps_worker more than once"),
         ("ps_worker=0.5,pearl=0.5,ps_worker=0", "--mix gives ps_worker more than once"),
-        ("", "architecture mix is empty"),
-        (",", "architecture mix is empty"),
+        ("", "--mix entries must look like arch=fraction, got ''"),
+        (",", "--mix entries must look like arch=fraction, got ''"),
+        ("ps_worker=1,,", "--mix entries must look like arch=fraction, got ''"),
     ])
     def test_synth_mix_fraction_errors_are_usage_errors(self, tmp_path, capsys, mix, message):
         out = tmp_path / "out"

@@ -79,12 +79,12 @@ class TestMeasuredEfficiency:
 class TestSynthPopulation:
     def test_same_seed_is_identical(self):
         spec = SynthSpec(size=50, seed=7)
-        assert synth_population(spec).records == synth_population(spec).records
+        assert synth_population(spec) == synth_population(spec)
 
     def test_different_seeds_differ(self):
         a = synth_population(SynthSpec(size=50, seed=7))
         b = synth_population(SynthSpec(size=50, seed=8))
-        assert a.records != b.records
+        assert a != b
 
     def test_pure_1w1g_mix_propagates_invariants(self):
         spec = SynthSpec(size=30, seed=1, mix={A.ONE_WORKER_ONE_GPU: 1.0})

@@ -303,7 +303,7 @@ class TestColumnarKernel:
     def test_synthetic_population_equals_the_scalar_breakdown(self, overlap):
         # Realistic magnitudes and every contention level of a local
         # architecture, at efficiencies that differ per resource.
-        records = synth_population(SynthSpec(size=400, seed=11)).records
+        records = synth_population(SynthSpec(size=400, seed=11))
         eff = EfficiencyModel(compute_eff=0.9, mem_eff=0.55, pcie_eff=0.35,
                               ethernet_eff=0.8, nvlink_eff=0.45)
         assert_kernel_matches_breakdown(records, TESTBED, eff, overlap)

@@ -158,8 +158,8 @@ def assert_parsed_as_reference(text):
     errors; strict mode raises the first of them."""
     records, errors = reference_parse(text)
     pop, got_errors = parse_trace(text)
-    assert list(pop.records) == records
-    assert exact(pop.records) == exact(records)
+    assert list(pop) == records
+    assert exact(pop) == exact(records)
     assert [(err.line, err.message) for err in got_errors] == errors
     if errors:
         line, message = errors[0]
@@ -167,7 +167,7 @@ def assert_parsed_as_reference(text):
             parse_trace(text, strict=True)
         assert str(exc.value) == f"<trace>:{line}: {message}"
     else:
-        assert exact(parse_trace(text, strict=True)[0].records) == exact(records)
+        assert exact(parse_trace(text, strict=True)[0]) == exact(records)
 
 
 RESNET_LINE = ('{"job_id":"r50","arch":"allreduce_local","num_cnodes":8,"batch_size":64,'
@@ -180,7 +180,7 @@ class TestTraceParsing:
     def test_canonical_line(self):
         pop, errors = parse_trace(RESNET_LINE)
         assert errors == []
-        [rec] = pop.records
+        [rec] = pop
         assert rec.arch is A.ALLREDUCE_LOCAL
         assert rec.flops == 1.56e12
         assert rec.num_cnodes == 8
@@ -194,7 +194,7 @@ class TestTraceParsing:
         })
         pop, errors = parse_trace(line)
         assert errors == []
-        [rec] = pop.records
+        [rec] = pop
         assert rec.flops == 1.56e12
         assert rec.mem_access_bytes == 31.9e9
         assert rec.weight_traffic_bytes == 357e6
@@ -337,7 +337,7 @@ class TestRoundTrip:
         write_trace(records, path)
         pop, errors = load_trace(path)
         assert errors == []
-        assert list(pop.records) == records
+        assert list(pop) == records
 
     @given(st.lists(traced_records(), max_size=8, unique_by=lambda rec: rec.job_id))
     def test_records_round_trip_bit_exactly(self, records):
@@ -346,7 +346,7 @@ class TestRoundTrip:
         pop, errors = parse_trace(dump_trace(records))
         assert errors == []
         # repr tells apart every float bit pattern, including 0.0 and -0.0
-        assert repr(pop.records) == repr(tuple(records))
+        assert repr(pop) == repr(tuple(records))
 
     def test_dump_preserves_order(self):
         records = [make_record(job_id=f"j{i}") for i in range(5)]
@@ -465,6 +465,14 @@ class TestHardwareProfiles:
             load_hardware_profile(str(cfg))
         assert str(exc.value) == f"{cfg}:5: pcie_bandwidth already set on line 3"
 
+    def test_config_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        cfg = tmp_path / "bad.hw"
+        cfg.write_bytes(b"gpu = 11TFLOPs\nmemory = 1TB/s\npcie = 10GB/s\nethernet = 25Gbps\n"
+                        b"# caf\xe9 lab\nnvlink = 50GB/s\n")
+        with pytest.raises(TraceFormatError) as exc:
+            load_hardware_profile(str(cfg))
+        assert str(exc.value) == f"{cfg}:5: invalid UTF-8 byte 0xe9 (invalid continuation byte)"
+
 
 class TestEfficiencyModels:
     def test_default(self):
@@ -502,3 +510,10 @@ class TestEfficiencyModels:
             with pytest.raises(TraceFormatError) as exc:
                 load_efficiency_model(str(cfg))
             assert str(exc.value) == f"{cfg}:{message}"
+
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        cfg = tmp_path / "bad.eff"
+        cfg.write_bytes(b"compute_eff = 0.9\xff\n")
+        with pytest.raises(TraceFormatError) as exc:
+            load_efficiency_model(str(cfg))
+        assert str(exc.value) == f"{cfg}:1: invalid UTF-8 byte 0xff (invalid start byte)"

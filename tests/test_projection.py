@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from dlcost.aggregate import JobPopulation
 from dlcost.core import ArchitectureKind, OverlapMode
 from dlcost.corpus import SynthSpec, synth_population
 from dlcost.engine import breakdown
@@ -168,7 +167,7 @@ class TestProject:
 
 class TestPopulationProfile:
     def test_single_weight_bound_job_all_sped_up(self):
-        pop = JobPopulation.of([pure_weight_record(num_cnodes=4)])
+        pop = [pure_weight_record(num_cnodes=4)]
         _, summary = population_speedup_profile(pop, A.ALLREDUCE_LOCAL, PAI, EFF)
         assert summary.fraction_throughput_sped_up == 1.0
         assert summary.fraction_infeasible == 0.0
@@ -177,7 +176,7 @@ class TestPopulationProfile:
         eligible = pure_weight_record(job_id="small", num_cnodes=4)
         too_big = make_record(job_id="big", arch=A.PS_WORKER,
                               embedding_weight_bytes=239.45e9)
-        pop = JobPopulation.of([eligible, too_big])
+        pop = [eligible, too_big]
         _, summary = population_speedup_profile(pop, A.ALLREDUCE_LOCAL, PAI, EFF)
         assert summary.fraction_infeasible == 0.5
 
@@ -188,16 +187,12 @@ class TestPopulationProfile:
         loser = make_record(job_id="l", arch=A.PS_WORKER, num_cnodes=8,
                             flops=0.0, mem_access_bytes=0.0,
                             input_bytes=1e9, weight_traffic_bytes=1e3)
-        pop = JobPopulation.of([winner, loser])
+        pop = [winner, loser]
         results, summary = population_speedup_profile(pop, A.ALLREDUCE_LOCAL, PAI, EFF)
-        by_id = {pop.records[i].job_id: r for i, r in enumerate(results)}
+        by_id = {pop[i].job_id: r for i, r in enumerate(results)}
         assert by_id["w"].throughput_speedup > 1.0
         assert by_id["l"].throughput_speedup < 1.0
         assert summary.fraction_throughput_sped_up == 0.5
-
-    def test_empty_population_rejected(self):
-        with pytest.raises(ValueError):
-            population_speedup_profile(JobPopulation.of([]), A.ALLREDUCE_LOCAL, PAI, EFF)
 
     def test_results_retain_no_breakdowns(self):
         # A result that held both TimeBreakdowns retained about 1,500 bytes

@@ -7,7 +7,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from dlcost import sweep
-from dlcost.aggregate import JobPopulation
 from dlcost.core import ArchitectureKind, OverlapMode
 from dlcost.engine import breakdown, speedup
 from dlcost.projection import population_speedup_profile
@@ -38,7 +37,7 @@ R = SweepResource
 
 
 def pop_of(*records):
-    return JobPopulation.of(records)
+    return records
 
 
 def pure_weight_record(**kw):
@@ -124,11 +123,11 @@ class TestHardwareSweep:
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
-            hardware_sweep(JobPopulation.of([]), standard_axes(), PAI, EFF)
+            hardware_sweep((), standard_axes(), PAI, EFF)
         with pytest.raises(ValueError):
             hardware_sweep(pop_of(make_record()), [], PAI, EFF)
         with pytest.raises(ValueError):
-            cartesian_sweep(JobPopulation.of([]), standard_axes(), PAI, EFF)
+            cartesian_sweep((), standard_axes(), PAI, EFF)
         with pytest.raises(ValueError):
             cartesian_sweep(pop_of(make_record()), [], PAI, EFF)
 
@@ -141,7 +140,7 @@ class TestHardwareSweep:
            hw=hardware_profiles(), eff=efficiency_models(),
            overlap=st.sampled_from(list(OverlapMode)))
     def test_is_the_one_axis_cartesian_sweep_per_axis(self, records, axes, hw, eff, overlap):
-        pop = JobPopulation.of(records)
+        pop = tuple(records)
         cells = hardware_sweep(pop, axes, hw, eff, overlap)
         per_axis = [cell for axis in axes for cell in cartesian_sweep(pop, [axis], hw, eff, overlap)]
         assert [cell[:2] for cell in cells] == [cell[:2] for cell in per_axis]
