@@ -19,16 +19,12 @@ bytes.  Exit codes: 0 success, 2 malformed input data, 64 usage error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
-from collections import namedtuple
-from operator import attrgetter, itemgetter
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from .aggregate import composition, scale_distribution, share_cdf, weighted_breakdown
-from .core import ArchitectureKind, Medium, OverlapMode, Shares, WorkloadRecord
+from .core import ArchitectureKind, OverlapMode, Shares, WorkloadRecord
 from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
 from .engine import Columns, evaluate, throughput, validation_gap
 # Unused here, but perfbench's tracer patches ``dlcost.cli.breakdown``.
@@ -41,7 +37,7 @@ from .ingest import (
     load_hardware_profile,
     parse_trace,
 )
-from .projection import population_speedup_profile
+from .projection import ProjectionResult, population_speedup_profile
 from .report import FORMATS, build_report, emit, input_digest, round9
 from .sweep import (
     SweepAxis,
@@ -165,62 +161,28 @@ def _write_output(data: bytes, out: Optional[str]) -> None:
         sys.stdout.buffer.write(data)
 
 
-def _attrs(*names: str, of: str = "") -> tuple[tuple[str, Callable], ...]:
-    """Columns that each read the attribute of the same name, of the item
-    or, given ``of``, of the item's attribute ``of``."""
-    prefix = f"{of}." if of else ""
-    return tuple((name, attrgetter(prefix + name)) for name in names)
-
-
-#: One ``share_<component>`` column per component of the item's ``shares``.
-_SHARE_COLUMNS = tuple((f"share_{c}", attrgetter(f"shares.{c}")) for c in Shares.COMPONENTS)
-
-
-def _table(spec, items) -> tuple[tuple[str, ...], list[tuple]]:
-    """The column names of ``spec`` and one row per item: the value of
-    each column's getter, in column order."""
-    getters = [get for _, get in spec]
-    rows = [tuple([get(item) for get in getters]) for item in items]
-    return tuple(name for name, _ in spec), rows
-
-
-# Each report is one spec of (column, getter) pairs over the items that
-# its handler returns; attribute paths read plain values and functions
-# derive the others.
-
-#: A job's record, its ``Evaluation`` values per medium and total, and its ``Shares``.
-_EvaluatedJob = namedtuple("_EvaluatedJob", (
-    "rec", "t_data", "t_compute_bound", "t_memory_bound",
-    *(f"t_weight_{m.value}" for m in Medium), "t_weight", "t_total", "component_sum", "shares"))
-
-_BREAKDOWN = (
-    *_attrs("job_id", of="rec"),
-    ("arch", attrgetter("rec.arch.value")),
-    *_attrs("num_cnodes", "batch_size", of="rec"),
-    *_attrs("t_data", "t_compute_bound", "t_memory_bound"),
-    ("t_compute", lambda job: job.t_compute_bound + job.t_memory_bound),
-    *_attrs(*(f"t_weight_{m.value}" for m in Medium), "t_weight", "t_total"),
-    *_SHARE_COLUMNS,
-    ("shares_defined", lambda job: job.component_sum > 0),
-    ("throughput", lambda job: throughput(job.rec, job.t_total) if job.t_total > 0 else None),
-)
-
-
+# Each report handler returns its kind, its columns (name -> one value
+# per row, in report order) and its extra metadata.
 def cmd_breakdown(args, pop, hw, eff, overlap):
     ev = evaluate(Columns.of(pop), hw, eff, overlap)
-    shares = map(Shares._make, zip(*map(ev.share, Shares.COMPONENTS)))
-    jobs = zip(pop, ev.t_data, ev.t_compute_bound, ev.t_memory_bound, *ev.t_weight_on.values(),
-               ev.t_weight, ev.t_total, ev.component_sum, shares)
-    return "breakdown", _BREAKDOWN, map(_EvaluatedJob._make, jobs), None
+    columns = {
+        "job_id": [rec.job_id for rec in pop],
+        "arch": [rec.arch.value for rec in pop],
+        "num_cnodes": [rec.num_cnodes for rec in pop],
+        "batch_size": [rec.batch_size for rec in pop],
+        "t_data": ev.t_data,
+        "t_compute_bound": ev.t_compute_bound,
+        "t_memory_bound": ev.t_memory_bound,
+        "t_compute": [cb + mb for cb, mb in zip(ev.t_compute_bound, ev.t_memory_bound)],
+        **{f"t_weight_{m.value}": times for m, times in ev.t_weight_on.items()},
+        "t_weight": ev.t_weight,
+        "t_total": ev.t_total,
+        **{f"share_{c}": ev.share(c) for c in Shares.COMPONENTS},
+        "shares_defined": [s > 0 for s in ev.component_sum],
+        "throughput": [throughput(rec, t) if t > 0 else None for rec, t in zip(pop, ev.t_total)],
+    }
+    return "breakdown", columns, None
 
-
-_PROJECT = (
-    *_attrs("job_id", of="rec"),
-    ("source_arch", attrgetter("res.source_arch.value")),
-    ("target_arch", attrgetter("res.target_arch.value")),
-    *_attrs("source_cnodes", "target_cnodes", "feasible", "reason", "source_t_total",
-            "target_t_total", "step_speedup", "throughput_speedup", of="res"),
-)
 
 #: The ProjectionSummary fractions that project and overlap reports carry.
 _SUMMARY_FRACTIONS = ("fraction_infeasible", "fraction_step_sped_up",
@@ -230,13 +192,21 @@ _SUMMARY_FRACTIONS = ("fraction_infeasible", "fraction_step_sped_up",
 def cmd_project(args, pop, hw, eff, overlap):
     target = ArchitectureKind.from_label(args.target)
     results, summary = population_speedup_profile(pop, target, hw, eff, overlap)
-    jobs = (SimpleNamespace(rec=rec, res=res) for rec, res in zip(pop, results))
+    res = dict(zip(ProjectionResult._fields, zip(*results)))
+    columns = {
+        "job_id": [rec.job_id for rec in pop],
+        "source_arch": [a.value for a in res["source_arch"]],
+        "target_arch": [a.value for a in res["target_arch"]],
+        **{name: res[name] for name in ("source_cnodes", "target_cnodes", "feasible", "reason",
+                                        "source_t_total", "target_t_total", "step_speedup",
+                                        "throughput_speedup")},
+    }
     extra = {
         "target": target.value,
         "summary": {"n_jobs": summary.n_jobs,
                     **{name: round9(getattr(summary, name)) for name in _SUMMARY_FRACTIONS}},
     }
-    return "projection", _PROJECT, jobs, extra
+    return "projection", columns, extra
 
 
 def _parse_candidates(text: str, resource: SweepResource) -> tuple[float, ...]:
@@ -251,26 +221,6 @@ def _parse_candidates(text: str, resource: SweepResource) -> tuple[float, ...]:
             except QuantityError as exc:
                 raise _UsageError(f"--candidates: {exc}") from None
     return tuple(values)
-
-
-def _sweep_columns(hw) -> tuple[tuple[str, Callable], ...]:
-    """The one-axis sweep report; ``normalized`` is the candidate over the
-    value of its field in ``hw``, the base profile."""
-    base = {r: getattr(hw, r.field.name) for r in SweepResource}
-    return (
-        *_attrs("job_id"),
-        ("resource", lambda cell: cell.settings[0][0].value),
-        ("candidate", lambda cell: cell.settings[0][1]),
-        ("normalized", lambda cell: cell.settings[0][1] / base[cell.settings[0][0]]),
-        *_attrs("speedup"),
-    )
-
-
-_CARTESIAN = (
-    *_attrs("job_id"),
-    ("settings", lambda cell: ";".join(f"{r.value}={v:.9g}" for r, v in cell.settings)),
-    *_attrs("speedup"),
-)
 
 
 def cmd_sweep(args, pop, hw, eff, overlap):
@@ -297,44 +247,49 @@ def cmd_sweep(args, pop, hw, eff, overlap):
             raise _UsageError(str(exc)) from None
     extra = {"axes": {a.resource.value: [round9(c) for c in a.candidates] for a in axes}}
     if args.cartesian:
-        return ("sweep-cartesian", _CARTESIAN,
-                cartesian_sweep(pop, axes, hw, eff, overlap), extra)
-    return "sweep", _sweep_columns(hw), hardware_sweep(pop, axes, hw, eff, overlap), extra
-
-
-_SHARES = (("level", attrgetter("level")), *_SHARE_COLUMNS)
-
-_COMPOSITION = (
-    ("arch", attrgetter("arch.value")),
-    *_attrs("job_count", "job_fraction", "cnode_count", "cnode_fraction"),
-)
-
-_SHARE_CDF = (("share", itemgetter(0)), ("cumulative_fraction", itemgetter(1)))
-
-_SCALE_CDF = (
-    ("arch", attrgetter("arch.value")),
-    *_attrs("metric", "value", "cumulative_fraction"),
-)
+        job_ids, settings, speedups = zip(*cartesian_sweep(pop, axes, hw, eff, overlap))
+        settings = [";".join(f"{r.value}={v:.9g}" for r, v in setting) for setting in settings]
+        return ("sweep-cartesian",
+                {"job_id": job_ids, "settings": settings, "speedup": speedups}, extra)
+    job_ids, settings, speedups = zip(*hardware_sweep(pop, axes, hw, eff, overlap))
+    # Each one-axis setting is a single (resource, candidate) pair;
+    # ``normalized`` is the candidate over its field's value in ``hw``.
+    base = {r: getattr(hw, r.field.name) for r in SweepResource}
+    columns = {
+        "job_id": job_ids,
+        "resource": [setting[0][0].value for setting in settings],
+        "candidate": [setting[0][1] for setting in settings],
+        "normalized": [setting[0][1] / base[setting[0][0]] for setting in settings],
+        "speedup": speedups,
+    }
+    return "sweep", columns, extra
 
 
 def cmd_aggregate(args, pop, hw, eff, overlap):
     if args.stat == "shares":
         averages = weighted_breakdown(pop, hw, eff, overlap)
-        levels = (SimpleNamespace(level="job", shares=averages.job_level),
-                  SimpleNamespace(level="cnode", shares=averages.cnode_level))
-        return "aggregate", _SHARES, levels, {"stat": "shares"}
+        per_level = zip(averages.job_level, averages.cnode_level)
+        columns = {"level": ("job", "cnode"),
+                   **{f"share_{c}": pair for c, pair in zip(Shares.COMPONENTS, per_level)}}
+        return "aggregate", columns, {"stat": "shares"}
     if args.stat == "composition":
-        return "aggregate", _COMPOSITION, composition(pop).values(), {"stat": "composition"}
+        archs = composition(pop).values()
+        columns = {"arch": [a.arch.value for a in archs],
+                   **{name: [getattr(a, name) for a in archs]
+                      for name in ("job_count", "job_fraction", "cnode_count", "cnode_fraction")}}
+        return "aggregate", columns, {"stat": "composition"}
     if args.stat == "share-cdf":
         cdf = share_cdf(pop, args.component, hw, eff, overlap, level=args.level)
-        return "aggregate", _SHARE_CDF, cdf.points, {
+        columns = dict(zip(("share", "cumulative_fraction"), zip(*cdf.points)))
+        return "aggregate", columns, {
             "stat": "share-cdf", "component": args.component, "level": args.level}
     # scale-cdf
-    points = (SimpleNamespace(arch=dist.arch, metric=metric, value=x, cumulative_fraction=f)
+    points = [(dist.arch.value, metric, x, f)
               for dist in scale_distribution(pop).values()
               for metric, cdf in (("num_cnodes", dist.cnodes), ("model_bytes", dist.model_bytes))
-              for x, f in cdf.points)
-    return "aggregate", _SCALE_CDF, points, {"stat": "scale-cdf"}
+              for x, f in cdf.points]
+    columns = dict(zip(("arch", "metric", "value", "cumulative_fraction"), zip(*points)))
+    return "aggregate", columns, {"stat": "scale-cdf"}
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -342,16 +297,6 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         return [float(item) for item in text.split(",")]
     except ValueError:
         raise _UsageError(f"{flag} must be comma-separated numbers, got {text!r}") from None
-
-
-_EFFICIENCY = _attrs("compute_eff", "comm_eff", "job_level_weight_share",
-                     "cnode_level_weight_share")
-
-_OVERLAP = (
-    ("overlap", attrgetter("overlap.value")),
-    *_attrs("job_level_weight_share", "cnode_level_weight_share"),
-    *_attrs(*_SUMMARY_FRACTIONS, of="summary"),
-)
 
 
 def cmd_sensitivity(args, pop, hw, eff, overlap):
@@ -362,7 +307,10 @@ def cmd_sensitivity(args, pop, hw, eff, overlap):
             cells = efficiency_sensitivity(pop, hw, comp_grid, comm_grid, overlap)
         except ValueError as exc:  # on a non-empty population, only a grid out of range
             raise _UsageError(str(exc)) from None
-        return "sensitivity", _EFFICIENCY, cells, {"analysis": "efficiency"}
+        columns = {name: [getattr(cell, name) for cell in cells]
+                   for name in ("compute_eff", "comm_eff", "job_level_weight_share",
+                                "cnode_level_weight_share")}
+        return "sensitivity", columns, {"analysis": "efficiency"}
     target = ArchitectureKind.from_label(args.target)
     cmp = overlap_comparison(pop, hw, eff, target)
     extra = {
@@ -370,20 +318,31 @@ def cmd_sensitivity(args, pop, hw, eff, overlap):
         "target": target.value,
         "fraction_at_weight_path_ratio": round9(cmp.fraction_at_weight_path_ratio),
     }
-    return "sensitivity", _OVERLAP, (cmp.no_overlap, cmp.ideal_overlap), extra
+    modes = (cmp.no_overlap, cmp.ideal_overlap)
+    columns = {
+        "overlap": [m.overlap.value for m in modes],
+        "job_level_weight_share": [m.job_level_weight_share for m in modes],
+        "cnode_level_weight_share": [m.cnode_level_weight_share for m in modes],
+        **{name: [getattr(m.summary, name) for m in modes] for name in _SUMMARY_FRACTIONS},
+    }
+    return "sensitivity", columns, extra
 
 
 def _parse_mix(text: str) -> dict[ArchitectureKind, float]:
     mix = {}
     for item in text.split(","):
         item = item.strip()
-        if "=" not in item:
+        label, sep, frac = item.partition("=")
+        try:
+            fraction = float(frac) if sep else None
+        except ValueError:
+            fraction = None
+        if fraction is None:
             raise _UsageError(f"--mix entries must look like arch=fraction, got {item!r}")
-        label, _, frac = item.partition("=")
         arch = ArchitectureKind.from_label(label.strip())
         if arch in mix:
             raise _UsageError(f"--mix gives {arch.value} more than once")
-        mix[arch] = float(frac)
+        mix[arch] = fraction
     return mix
 
 
@@ -403,32 +362,22 @@ def cmd_corpus(args) -> int:
     return EX_OK
 
 
-class _Checked(NamedTuple):
-    """The outcome of one trace line: a rejected line or a predicted record."""
-
-    line: Optional[int] = None
-    job_id: Optional[str] = None
-    status: str = "ok"
-    message: str = ""
-    predicted_step_seconds: Optional[float] = None
-    measured_step_seconds: Optional[float] = None
-
-
-_VALIDATE = (
-    *_attrs(*_Checked._fields),
-    ("gap", lambda c: (validation_gap(c.predicted_step_seconds, c.measured_step_seconds)
-                       if c.measured_step_seconds else None)),
-)
-
-
 def cmd_validate(pop, errors, hw, eff, overlap):
+    """One row per rejected line, then one per record with its predicted step."""
     predicted = evaluate(Columns.of(pop), hw, eff, overlap).t_total
-    checked = itertools.chain(
-        (_Checked(line=err.line, status="error", message=err.message) for err in errors),
-        (_Checked(job_id=rec.job_id, predicted_step_seconds=t,
-                  measured_step_seconds=rec.measured_step_seconds)
-         for rec, t in zip(pop, predicted)))
-    return "validate", _VALIDATE, checked, {"n_errors": len(errors)}
+    measured = [rec.measured_step_seconds for rec in pop]
+    n_errors, n_records = len(errors), len(pop)
+    columns = {
+        "line": [err.line for err in errors] + [None] * n_records,
+        "job_id": [None] * n_errors + [rec.job_id for rec in pop],
+        "status": ["error"] * n_errors + ["ok"] * n_records,
+        "message": [err.message for err in errors] + [""] * n_records,
+        "predicted_step_seconds": [None] * n_errors + predicted,
+        "measured_step_seconds": [None] * n_errors + measured,
+        "gap": [None] * n_errors + [validation_gap(p, m) if m else None
+                                    for p, m in zip(predicted, measured)],
+    }
+    return "validate", columns, {"n_errors": n_errors}
 
 
 _HANDLERS = {
@@ -470,16 +419,16 @@ def run(argv: Optional[list[str]] = None) -> int:
         # validate reports malformed lines; every other report needs a
         # well-formed, non-empty trace.
         if args.command == "validate":
-            kind, spec, items, extra = cmd_validate(pop, errors, hw, eff, overlap)
+            kind, columns, extra = cmd_validate(pop, errors, hw, eff, overlap)
         elif errors:
             return EX_DATA
         elif len(pop) == 0:
             print(f"dlcost: {source}: no records", file=sys.stderr)
             return EX_DATA
         else:
-            kind, spec, items, extra = _HANDLERS[args.command](args, pop, hw, eff, overlap)
-        columns, rows = _table(spec, items)
-        report = build_report(kind, columns, rows, hw, eff, overlap, source, digest, extra)
+            kind, columns, extra = _HANDLERS[args.command](args, pop, hw, eff, overlap)
+        report = build_report(kind, columns, hw, eff, overlap, source, digest, extra)
+        del pop, columns  # only the report stays referenced while it is emitted
         _write_output(emit(report, args.format), args.out)
         return EX_DATA if errors else EX_OK
     except _UsageError as exc:

@@ -89,10 +89,14 @@ class Report:
     metadata: Mapping[str, Any]
 
 
-def build_report(kind: str, columns: Sequence[str], rows: Sequence[tuple[Any, ...]],
+def build_report(kind: str, columns: Mapping[str, Sequence[Any]],
                  hw: HardwareProfile, eff: EfficiencyModel, overlap: OverlapMode,
                  source: str, digest: str,
                  extra_metadata: Mapping[str, Any] | None = None) -> Report:
+    """A report of the named columns, each holding one value per row, in order."""
+    lengths = {name: len(values) for name, values in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"report columns differ in length: {lengths}")
     metadata: dict[str, Any] = {
         "kind": kind,
         "tool_version": __version__,
@@ -103,7 +107,7 @@ def build_report(kind: str, columns: Sequence[str], rows: Sequence[tuple[Any, ..
     }
     if extra_metadata:
         metadata.update(extra_metadata)
-    return Report(columns=tuple(columns), rows=tuple(rows), metadata=metadata)
+    return Report(columns=tuple(columns), rows=tuple(zip(*columns.values())), metadata=metadata)
 
 
 def _flatten_metadata(meta: Mapping[str, Any], prefix: str = "") -> list[tuple[str, Any]]:

@@ -10,7 +10,10 @@ from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from dlcost.cli import EX_DATA, EX_NOINPUT, EX_OK, EX_USAGE, run
-from dlcost.report import Report, emit
+from dlcost.core import OverlapMode
+from dlcost.report import Report, build_report, emit
+
+from helpers import EFF, PAI
 
 
 def run_to_file(tmp_path, *argv, name="out"):
@@ -281,6 +284,7 @@ class TestSynthAndCorpusCommands:
         ("", "--mix entries must look like arch=fraction, got ''"),
         (",", "--mix entries must look like arch=fraction, got ''"),
         ("ps_worker=1,,", "--mix entries must look like arch=fraction, got ''"),
+        ("ps_worker=abc", "--mix entries must look like arch=fraction, got 'ps_worker=abc'"),
     ])
     def test_synth_mix_fraction_errors_are_usage_errors(self, tmp_path, capsys, mix, message):
         out = tmp_path / "out"
@@ -368,6 +372,21 @@ class TestValidateCommand:
         assert capsys.readouterr().err == (
             f"{trace}:1: job_id '\\ud800' holds a lone surrogate, which UTF-8 cannot encode\n")
 
+    def test_empty_trace_gives_the_header_and_no_rows(self, tmp_path):
+        trace = tmp_path / "empty.jsonl"
+        trace.write_text("")
+        columns = ["line", "job_id", "status", "message", "predicted_step_seconds",
+                   "measured_step_seconds", "gap"]
+        code, data = run_to_file(tmp_path, "validate", "--trace", str(trace))
+        assert code == EX_OK
+        lines = data.decode().splitlines()
+        assert [line for line in lines if not line.startswith("# ")] == [",".join(columns)]
+        assert csv_metadata(data)["n_errors"] == "0"
+        code, data = run_to_file(tmp_path, "validate", "--trace", str(trace), "--format", "json")
+        assert code == EX_OK
+        payload = json.loads(data)
+        assert payload["columns"] == columns and payload["rows"] == []
+
     def test_malformed_lines_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         trace.write_text('{"job_id": "x"}\n')
@@ -427,6 +446,14 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == EX_OK
         assert "COMMAND" in capsys.readouterr().out
+
+
+class TestBuildReport:
+    def test_columns_of_different_lengths_are_rejected(self):
+        # zip would otherwise drop the rows past the shortest column.
+        with pytest.raises(ValueError, match="report columns differ in length"):
+            build_report("k", {"a": [1, 2], "b": [1]}, PAI, EFF, OverlapMode.NO_OVERLAP,
+                         "src", "0" * 64)
 
 
 class TestEmit:
