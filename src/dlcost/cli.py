@@ -46,6 +46,7 @@ from .sweep import (
     efficiency_sensitivity,
     hardware_sweep,
     overlap_comparison,
+    per_setting,
     standard_axes,
 )
 from .units import QuantityError, parse_quantity
@@ -248,7 +249,8 @@ def cmd_sweep(args, pop, hw, eff, overlap):
     extra = {"axes": {a.resource.value: [round9(c) for c in a.candidates] for a in axes}}
     if args.cartesian:
         job_ids, settings, speedups = zip(*cartesian_sweep(pop, axes, hw, eff, overlap))
-        settings = [";".join(f"{r.value}={v:.9g}" for r, v in setting) for setting in settings]
+        settings = per_setting(settings, lambda setting: ";".join(
+            f"{r.value}={v:.9g}" for r, v in setting))
         return ("sweep-cartesian",
                 {"job_id": job_ids, "settings": settings, "speedup": speedups}, extra)
     job_ids, settings, speedups = zip(*hardware_sweep(pop, axes, hw, eff, overlap))
@@ -257,9 +259,9 @@ def cmd_sweep(args, pop, hw, eff, overlap):
     base = {r: getattr(hw, r.field.name) for r in SweepResource}
     columns = {
         "job_id": job_ids,
-        "resource": [setting[0][0].value for setting in settings],
-        "candidate": [setting[0][1] for setting in settings],
-        "normalized": [setting[0][1] / base[setting[0][0]] for setting in settings],
+        "resource": per_setting(settings, lambda setting: setting[0][0].value),
+        "candidate": per_setting(settings, lambda setting: setting[0][1]),
+        "normalized": per_setting(settings, lambda setting: setting[0][1] / base[setting[0][0]]),
         "speedup": speedups,
     }
     return "sweep", columns, extra

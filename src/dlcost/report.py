@@ -12,12 +12,12 @@ are emitted as missing values: ``null`` in JSON, an empty CSV cell.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import re
 from dataclasses import dataclass, fields
-from typing import Any, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator, Mapping, Sequence
 
 from . import __version__
 from .core import EfficiencyModel, HardwareProfile, OverlapMode
@@ -63,14 +63,17 @@ def _comment_value(value: Any) -> str:
     return json.dumps(text) if _COMMENT_UNSAFE.search(text) else text
 
 
-def _json_cell(value: Any):
+#: Encodes a cell as it is written inside a row of ``json.dumps(indent=2)``'s
+#: layout (a list or dict cell keeps the row's item separator).
+_JSON_CELL = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
+
+
+def _json_text(value: Any) -> str:
+    """One cell's JSON text: a float to 9 significant digits, or ``null``
+    when it is not finite."""
     if isinstance(value, float):
-        return round9(value) if math.isfinite(value) else None
-    return value
-
-
-#: Encodes a row dict with its items laid out as ``json.dumps(indent=2)`` does.
-_JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
+        return repr(round9(value)) if math.isfinite(value) else "null"
+    return "null" if value is None else _JSON_CELL.encode(value)
 
 
 def model_metadata(model: HardwareProfile | EfficiencyModel) -> dict[str, float]:
@@ -121,30 +124,96 @@ def _flatten_metadata(meta: Mapping[str, Any], prefix: str = "") -> list[tuple[s
     return items
 
 
+#: Rows formatted at a time.  Formatting a column at a time, in chunks,
+#: bounds the formatted cells held at once to this many rows.
+EMIT_CHUNK_ROWS = 2048
+
+
+def _chunks(rows: Sequence[tuple]) -> Iterator[tuple[int, list[tuple]]]:
+    """Each chunk's row count and its columns."""
+    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
+        chunk = rows[start:start + EMIT_CHUNK_ROWS]
+        yield len(chunk), list(zip(*chunk))
+
+
+def _csv_column(values: tuple) -> Sequence[str]:
+    """The CSV fields of one column: one rule for the column when its cells
+    share a type, otherwise ``_csv_field`` per cell."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return [f"{v:.9g}" for v in values]
+    if kinds == {str} and not _CSV_QUOTED.search("".join(values)):
+        return values
+    if kinds == {int}:
+        return list(map(str, values))
+    if kinds == {bool}:
+        return ["true" if v else "false" for v in values]
+    if kinds == {type(None)}:
+        return [""] * len(values)
+    return list(map(_csv_field, values))
+
+
+def _csv_text(n_rows: int, fields: Sequence[Sequence[str]]) -> str:
+    """The CSV lines of ``n_rows`` rows, given each column's fields."""
+    if len(fields) == 1:
+        # A lone empty field is quoted so that its row is not a blank line.
+        lines = [field or '""' for field in fields[0]]
+    else:
+        lines = map(",".join, zip(*fields)) if fields else [""] * n_rows
+    return "\n".join(lines) + "\n"
+
+
+def _json_column(values: tuple) -> Sequence[str]:
+    """The JSON text of one column's cells, chosen as ``_csv_column`` does."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return [repr(float(f"{v:.9g}")) for v in values]
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {bool}:
+        return ["true" if v else "false" for v in values]
+    if kinds == {type(None)}:
+        return ["null"] * len(values)
+    return list(map(_json_text, values))
+
+
 def emit(report: Report, format: str = "csv") -> bytes:
     """Serialize a report. CSV prefixes metadata as '# key: value' comments."""
+    # Text is encoded as it is written, a chunk at a time, so the whole
+    # report is never held as text beside its bytes; the parts are joined
+    # once at the end.  (A buffer grown as it is written, such as BytesIO,
+    # is reallocated as it grows, and whether a reallocation copies, and so
+    # briefly holds the report twice, depends on the heap's layout: the
+    # peak memory would swing from one run to the next.)
+    parts: list[bytes] = []
+
+    def write(text: str) -> None:
+        parts.append(text.encode("utf-8"))
+
     if format == "csv":
-        buf = io.StringIO()
         for key, value in _flatten_metadata(report.metadata):
-            buf.write(f"# {key}: {_comment_value(value)}\n")
-        for row in (report.columns, *report.rows):
-            line = ",".join([_csv_field(value) for value in row])
-            # A lone empty field is quoted so that its row is not a blank line.
-            buf.write(f"{line}\n" if line or len(row) != 1 else '""\n')
-        return buf.getvalue().encode("utf-8")
-    if format == "json":
-        # The rows, the bulk of the bytes, go through the C encoder, which
-        # ``indent`` would bypass, and are spliced into the indented frame.
+            write(f"# {key}: {_comment_value(value)}\n")
+        write(_csv_text(1, [[_csv_field(c)] for c in report.columns]))
+        for n_rows, columns in _chunks(report.rows):
+            write(_csv_text(n_rows, [_csv_column(c) for c in columns]))
+    elif format == "json":
+        # The rows, the bulk of the bytes, are spliced into the frame that
+        # ``indent=2`` gives, each row through one template of its keys.
         head = json.dumps({"metadata": report.metadata, "columns": list(report.columns)},
                           indent=2, allow_nan=False)
-        columns = report.columns
-        if columns:
-            encode = _JSON_ROW.encode
-            rows = ["{\n      " + encode({col: _json_cell(value)
-                                              for col, value in zip(columns, row)})[1:-1]
-                    + "\n    }" for row in report.rows]
-        else:
-            rows = ["{}"] * len(report.rows)
-        body = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-        return f'{head[:-2]},\n  "rows": {body}\n}}\n'.encode("utf-8")
-    raise ValueError(f"unknown report format {format!r} (expected one of {FORMATS})")
+        write(f'{head[:-2]},\n  "rows": ')
+        items = ",\n      ".join(encode_basestring_ascii(c).replace("{", "{{").replace("}", "}}")
+                                  + ": {}" for c in report.columns)
+        row = f"{{{{\n      {items}\n    }}}}".format
+        sep = "[\n    "
+        for n_rows, columns in _chunks(report.rows):
+            rows = map(row, *map(_json_column, columns)) if columns else ["{}"] * n_rows
+            write(sep)
+            write(",\n    ".join(rows))
+            sep = ",\n    "
+        write("\n  ]\n}\n" if report.rows else "[]\n}\n")
+    else:
+        raise ValueError(f"unknown report format {format!r} (expected one of {FORMATS})")
+    return b"".join(parts)

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import Field, dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .aggregate import cnode_level_mean, job_level_mean
 from .core import (
@@ -115,6 +115,15 @@ def _sweep(pop: tuple[WorkloadRecord, ...], axes: Sequence[SweepAxis],
         cells.extend(SweepCell(job_id, setting, speedup(base, new))
                      for job_id, base, new in zip(job_ids, base_totals, new_totals))
     return cells
+
+
+def per_setting(settings: Iterable[Setting], value: Callable[[Setting], object]) -> list:
+    """One cell per sweep cell, ``value(setting)``, computed once per run of
+    cells that share a setting (a sweep is setting-major)."""
+    column = []
+    for setting, cells in itertools.groupby(settings):
+        column += [value(setting)] * len(tuple(cells))
+    return column
 
 
 def hardware_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],

@@ -5,6 +5,10 @@ each other so that float addition of distinct positive components is
 strictly greater than their max (needed for exact overlap-bound checks).
 """
 
+import json
+import math
+import re
+
 import hypothesis.strategies as st
 
 from dlcost.core import ArchitectureKind, EfficiencyModel, HardwareProfile, WorkloadRecord
@@ -98,3 +102,48 @@ def record_lists_with_idle_job(draw, max_size=30):
 def float_bits(values) -> list[str]:
     """Exact bit patterns of floats, so that 0.0 and -0.0 compare unequal."""
     return [float.hex(float(v)) for v in values]
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.9g}" if math.isfinite(value) else ""
+    return str(value)
+
+
+def _csv_field(value) -> str:
+    if isinstance(value, str) and re.search(r'[,"\r\n]', value):
+        return '"' + value.replace('"', '""') + '"'
+    return _csv_cell(value)
+
+
+def _json_cell(value):
+    if isinstance(value, float):
+        return float(f"{value:.9g}") if math.isfinite(value) else None
+    return value
+
+
+_JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
+
+
+def reference_emit(columns, rows, format) -> bytes:
+    """A report with no metadata, formatted a cell at a time: the reference
+    that ``report.emit`` is held to, byte for byte."""
+    if format == "csv":
+        lines = []
+        for row in (columns, *rows):
+            line = ",".join([_csv_field(value) for value in row])
+            lines.append(f"{line}\n" if line or len(row) != 1 else '""\n')
+        return "".join(lines).encode("utf-8")
+    head = json.dumps({"metadata": {}, "columns": list(columns)}, indent=2)
+    if columns:
+        encoded = ["{\n      " + _JSON_ROW.encode({col: _json_cell(value)
+                                                    for col, value in zip(columns, row)})[1:-1]
+                   + "\n    }" for row in rows]
+    else:
+        encoded = ["{}"] * len(rows)
+    body = "[\n    " + ",\n    ".join(encoded) + "\n  ]" if encoded else "[]"
+    return f'{head[:-2]},\n  "rows": {body}\n}}\n'.encode("utf-8")

@@ -9,6 +9,7 @@ shape fails here rather than zeroing a benchmark metric.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,24 +30,30 @@ spans = load_spans()
 
 
 def traced(tmp_path, *command):
-    """The tracer's counts, the CSV report's bytes and its data rows."""
-    out = tmp_path / "out.csv"
+    """The tracer's counts, the report's bytes and its number of data rows."""
+    out = tmp_path / "out"
     tracer = spans.Tracer()
     with spans.patched(tracer):
         assert run([*command, "--corpus", "--out", str(out)]) == EX_OK
     data = out.read_bytes()
-    rows = [line for line in data.decode().splitlines() if not line.startswith("# ")][1:]
-    return tracer.counts, data, rows
+    if "json" in command:
+        n_rows = len(json.loads(data)["rows"])
+    else:
+        n_rows = len([line for line in data.decode().splitlines() if not line.startswith("# ")]) - 1
+    return tracer.counts, data, n_rows
 
 
-@pytest.mark.parametrize("command", [["breakdown"], ["sweep"], ["validate"]])
+@pytest.mark.parametrize("command", [
+    *([name] for name in ("breakdown", "sweep", "validate")),
+    *([name, "--format", "json"] for name in ("breakdown", "sweep", "validate")),
+])
 def test_report_counters_match_the_output(tmp_path, command):
-    counts, data, rows = traced(tmp_path, *command)
-    assert counts["report.rows"] == len(rows) > 0
+    counts, data, n_rows = traced(tmp_path, *command)
+    assert counts["report.rows"] == n_rows > 0
     assert counts["report.bytes"] == len(data)
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["sweep", "--cartesian"]])
 def test_sweep_cells_counter_matches_the_rows(tmp_path, command):
-    counts, _, rows = traced(tmp_path, *command)
-    assert counts["sweep.cells"] == len(rows) > 0
+    counts, _, n_rows = traced(tmp_path, *command)
+    assert counts["sweep.cells"] == n_rows > 0

@@ -4,16 +4,18 @@ import io
 import json
 import math
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+import dlcost.report
 from dlcost.cli import EX_DATA, EX_NOINPUT, EX_OK, EX_USAGE, run
 from dlcost.core import OverlapMode
-from dlcost.report import Report, build_report, emit
+from dlcost.report import EMIT_CHUNK_ROWS, FORMATS, Report, build_report, emit
 
-from helpers import EFF, PAI
+from helpers import EFF, PAI, reference_emit
 
 
 def run_to_file(tmp_path, *argv, name="out"):
@@ -456,6 +458,39 @@ class TestBuildReport:
                          "src", "0" * 64)
 
 
+#: One type of cell each; a column draws its cells from one or two of them.
+CELL_KINDS = {
+    "none": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0])),
+    "str": st.one_of(st.text(), st.sampled_from(["", "-", "#", "{}", "{0}", "\u00e9"])),
+}
+
+
+@st.composite
+def chunked_reports(draw):
+    """An emission chunk size and a report up to past two chunks long.  Each
+    column's cells come from a few drawn values of one or two types; a text
+    column may hold a string that needs quoting in a later chunk only."""
+    chunk = draw(st.sampled_from([1, 2, 3, 5, EMIT_CHUNK_ROWS]))
+    n_rows = max(0, chunk * draw(st.integers(0, 2)) + draw(st.integers(-1, 1)))
+    names = draw(st.lists(st.text(), max_size=4, unique=True))
+    rnd = draw(st.randoms(use_true_random=False))
+    columns = []
+    for _ in names:
+        kinds = draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=2,
+                              unique=True))
+        pool = draw(st.lists(st.one_of(*(CELL_KINDS[k] for k in kinds)), min_size=1, max_size=4))
+        column = [rnd.choice(pool) for _ in range(n_rows)]
+        if "str" in kinds and n_rows > chunk and draw(st.booleans()):
+            quoted = draw(st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r"]))
+            column[rnd.randrange(chunk, n_rows)] = quoted
+        columns.append(column)
+    rows = tuple(zip(*columns)) if names else ((),) * n_rows
+    return chunk, Report(columns=tuple(names), rows=rows, metadata={})
+
+
 class TestEmit:
     def test_empty_rows_give_header_only_csv(self):
         report = Report(columns=("a", "b"), rows=(), metadata={"kind": "breakdown"})
@@ -538,6 +573,19 @@ class TestEmit:
                    "rows": [{c: cell(v) for c, v in zip(columns, row)} for row in rows]}
         expected = (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
         assert emit(report, "json") == expected
+
+    @settings(deadline=None)
+    @given(chunked_reports())
+    @example((EMIT_CHUNK_ROWS, Report(columns=("a",), rows=(("",),) * (EMIT_CHUNK_ROWS + 1),
+                                      metadata={})))
+    @example((2, Report(columns=("f", "b", "n", "s"), rows=(
+        (None, True, 1, "a"), (1.5, 2, 2.5, "b"),
+        (-0.0, False, math.inf, "c,d"), (math.nan, 0, 3, "e")), metadata={})))
+    def test_emit_equals_the_per_cell_reference(self, case):
+        chunk, report = case
+        with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", chunk):
+            for format in FORMATS:
+                assert emit(report, format) == reference_emit(report.columns, report.rows, format)
 
     @given(st.text(alphabet=st.characters(blacklist_categories=())))
     def test_csv_metadata_value_stays_on_one_encodable_line(self, value):
