@@ -114,7 +114,8 @@ def cnode_level_mean(values: Sequence[float], cnode_counts: Sequence[int]) -> fl
     total = sum(cnode_counts)
     if total <= 0:
         raise ValueError("total cNode count must be positive")
-    return math.fsum((c / total) * v for v, c in zip(values, cnode_counts))
+    # A list, not a generator: fsum reads it faster.
+    return math.fsum([(c / total) * v for v, c in zip(values, cnode_counts)])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ Subcommands compose the library into the standard analyses:
 
 Outputs are deterministic: identical inputs and flags produce identical
 bytes.  Exit codes: 0 success, 2 malformed input data, 64 usage error,
-66 missing/unreadable input.
+66 missing/unreadable input, 73 output file cannot be written.
 """
 
 from __future__ import annotations
@@ -55,11 +55,16 @@ EX_OK = 0
 EX_DATA = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
+EX_CANTCREAT = 73
 
 _ARCH_LABELS = [a.value for a in ArchitectureKind]
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -157,7 +162,10 @@ def _load_inputs(args) -> tuple[tuple[WorkloadRecord, ...], list, str, str]:
 
 def _write_output(data: bytes, out: Optional[str]) -> None:
     if out:
-        Path(out).write_bytes(data)
+        try:
+            Path(out).write_bytes(data)
+        except OSError as exc:
+            raise _OutputError(f"{out}: cannot write output: {exc.strerror or exc}") from None
     else:
         sys.stdout.buffer.write(data)
 
@@ -174,7 +182,7 @@ def cmd_breakdown(args, pop, hw, eff, overlap):
         "t_data": ev.t_data,
         "t_compute_bound": ev.t_compute_bound,
         "t_memory_bound": ev.t_memory_bound,
-        "t_compute": [cb + mb for cb, mb in zip(ev.t_compute_bound, ev.t_memory_bound)],
+        "t_compute": ev.t_compute,
         **{f"t_weight_{m.value}": times for m, times in ev.t_weight_on.items()},
         "t_weight": ev.t_weight,
         "t_total": ev.t_total,
@@ -436,6 +444,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"dlcost: {exc}", file=sys.stderr)
         return EX_USAGE
+    except _OutputError as exc:
+        print(f"dlcost: {exc}", file=sys.stderr)
+        return EX_CANTCREAT
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"dlcost: {exc}", file=sys.stderr)
         return EX_NOINPUT

@@ -39,6 +39,10 @@ class ArchitectureKind(Enum):
     ALLREDUCE_CLUSTER = "allreduce_cluster"
     PEARL = "pearl"
 
+    # Members are singletons compared by identity; ``Enum.__hash__`` hashes
+    # the name in Python on every dict and set lookup.
+    __hash__ = object.__hash__
+
     @classmethod
     def from_label(cls, label: str) -> "ArchitectureKind":
         try:
@@ -73,6 +77,8 @@ class Medium(Enum):
     ETHERNET = "ethernet"
     PCIE = "pcie"
     NVLINK = "nvlink"
+
+    __hash__ = object.__hash__  # identity hashing, as for ``ArchitectureKind``
 
 
 class OverlapMode(Enum):

@@ -18,18 +18,20 @@ maximum (ideal overlap).  All functions are pure and deterministic.
 
 The model is evaluated two ways.  ``breakdown`` decomposes one job into
 a ``TimeBreakdown``; it serves projections and the one-job API and is
-the reference the other path is tested against.  ``evaluate`` runs the
-same arithmetic over a population held as ``Columns`` for every other
-analysis, each medium's weight time included.  Both perform the same
-float operations in the same order (``Medium`` order is every weight
-path's order), so their results are bit-identical.
+the reference the other path is tested against.  Every other analysis
+runs on a population held as ``Columns``: ``terms`` divides out each
+rate once, and ``Evaluation`` combines the terms into step times and
+shares.  Both paths perform the same float operations in the same order
+(``Medium`` order is every weight path's order), so their results are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import fields
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     GPUS_PER_SERVER,
@@ -139,67 +141,113 @@ class Columns(NamedTuple):
         )
 
 
+class Term(NamedTuple):
+    """One term's per-job times and the attainable rate they divide by."""
+
+    rate: float
+    times: list[float]
+
+
+class Terms(NamedTuple):
+    """A population's terms at one model point, ``weight_on`` in ``Medium`` order."""
+
+    data: Term
+    compute_bound: Term
+    memory_bound: Term
+    weight_on: dict[Medium, Term]
+
+
+def terms(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel,
+          like: Optional[Terms] = None) -> Terms:
+    """Every job's terms on ``hw``: each attainable rate is computed once
+    (PCIe once per contention level) and divided out in ``breakdown``'s
+    order, so each value equals the scalar result bit for bit.  A term of
+    ``like`` (terms of the same ``cols``) whose rate is unchanged is reused."""
+    def term(old: Optional[Term], rate: float, divide: Callable[[float], list[float]]) -> Term:
+        return old if old is not None and old.rate == rate else Term(rate, divide(rate))
+
+    def divided(volumes: list[float]) -> Callable[[float], list[float]]:
+        return lambda rate: [v / rate for v in volumes]
+
+    def data(pcie: float) -> list[float]:
+        data_rate = {c: pcie / c for c in set(cols.pcie_contention)}
+        return [b / data_rate[c] for b, c in zip(cols.input_bytes, cols.pcie_contention)]
+
+    old = like or Terms(None, None, None, dict.fromkeys(Medium))
+    return Terms(
+        term(old.data, hw.pcie_bandwidth * eff.pcie_eff, data),
+        term(old.compute_bound, hw.gpu_peak_flops * eff.compute_eff, divided(cols.flops)),
+        term(old.memory_bound, hw.gpu_mem_bandwidth * eff.mem_eff,
+             divided(cols.mem_access_bytes)),
+        {m: term(old.weight_on[m], getattr(hw, bandwidth) * getattr(eff, efficiency),
+                 divided(cols.weight_on[m]))
+         for m, (bandwidth, efficiency) in _MEDIUM_RATE_FIELDS.items()},
+    )
+
+
+def share_of(times: list[float], t_data: list[float], t_compute: list[float],
+             t_weight: list[float]) -> list[float]:
+    """Per-job ``times`` over ``component_sum``, formed in the same pass
+    (0.0 for all-zero jobs)."""
+    return [t / s if (s := d + c + w) > 0 else 0.0
+            for t, d, c, w in zip(times, t_data, t_compute, t_weight)]
+
+
 _SHARE_TIMES = dict(zip(Shares.COMPONENTS,
                         ("t_data", "t_compute_bound", "t_memory_bound", "t_weight")))
 
 
-class Evaluation(NamedTuple):
-    """Per-job step times of a population at one model point, in job order.
+class Evaluation:
+    """The combine step: per-job step times at one model point, in job order.
 
-    Each list holds, per job, the value of the ``TimeBreakdown`` field of
-    the same name; ``t_weight_on`` holds each medium's part of ``t_weight``,
-    in ``Medium`` order, and ``component_sum`` the denominator of the shares.
+    Each column holds the ``TimeBreakdown`` field of the same name, plus
+    ``t_weight_on`` (each medium's part of ``t_weight``), ``t_compute`` and
+    ``component_sum`` (the shares' denominator).  A combined column is
+    built when first read, so a caller pays only for what it reads.
     """
 
-    t_data: list[float]
-    t_compute_bound: list[float]
-    t_memory_bound: list[float]
-    t_weight_on: dict[Medium, list[float]]
-    t_weight: list[float]
-    t_total: list[float]
-    component_sum: list[float]
+    def __init__(self, t: Terms, overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> None:
+        self.overlap = overlap
+        self.t_data = t.data.times
+        self.t_compute_bound = t.compute_bound.times
+        self.t_memory_bound = t.memory_bound.times
+        self.t_weight_on = {m: term.times for m, term in t.weight_on.items()}
+
+    @cached_property
+    def t_compute(self) -> list[float]:
+        return [cb + mb for cb, mb in zip(self.t_compute_bound, self.t_memory_bound)]
+
+    @cached_property
+    def t_weight(self) -> list[float]:
+        # Bit-identical to ``breakdown``'s sum from 0.0 in path order: every
+        # path lists its media in ``Medium`` order, an off-path term is
+        # exactly 0.0, and adding 0.0 to a sum that starts at 0.0 (never
+        # -0.0) changes nothing.
+        return [0.0 + e + p + n for e, p, n in zip(*self.t_weight_on.values())]
+
+    @cached_property
+    def component_sum(self) -> list[float]:
+        return [d + c + w for d, c, w in zip(self.t_data, self.t_compute, self.t_weight)]
+
+    @cached_property
+    def t_total(self) -> list[float]:
+        if self.overlap is OverlapMode.IDEAL_OVERLAP:
+            return [max(d, c, w) for d, c, w in zip(self.t_data, self.t_compute, self.t_weight)]
+        return self.component_sum
 
     def share(self, component: str) -> list[float]:
         """Per-job share of one ``Shares`` component (0.0 for all-zero jobs)."""
         if component not in _SHARE_TIMES:
             raise ValueError(f"unknown share component {component!r} "
                              f"(known: {Shares.COMPONENTS})")
-        times = getattr(self, _SHARE_TIMES[component])
-        return [t / s if s > 0 else 0.0 for t, s in zip(times, self.component_sum)]
+        return share_of(getattr(self, _SHARE_TIMES[component]),
+                        self.t_data, self.t_compute, self.t_weight)
 
 
 def evaluate(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel,
              overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> Evaluation:
-    """``breakdown`` of every job in ``cols`` on ``hw``, as columns.
-
-    Each attainable rate is computed once per call (PCIe once per
-    contention level) and every per-job expression keeps the operation
-    order of ``breakdown``, so each value equals the scalar result bit
-    for bit.
-    """
-    pcie = hw.pcie_bandwidth * eff.pcie_eff
-    data_rate = {c: pcie / c for c in set(cols.pcie_contention)}
-    t_data = [b / data_rate[c] for b, c in zip(cols.input_bytes, cols.pcie_contention)]
-    cb_rate = hw.gpu_peak_flops * eff.compute_eff
-    t_cb = [f / cb_rate for f in cols.flops]
-    mb_rate = hw.gpu_mem_bandwidth * eff.mem_eff
-    t_mb = [m / mb_rate for m in cols.mem_access_bytes]
-
-    medium_rate = {m: getattr(hw, bandwidth) * getattr(eff, efficiency)
-                   for m, (bandwidth, efficiency) in _MEDIUM_RATE_FIELDS.items()}
-    t_on = {m: [v / rate for v in cols.weight_on[m]] for m, rate in medium_rate.items()}
-    # Bit-identical to ``breakdown``'s sum from 0.0 in path order: every path
-    # lists its media in ``Medium`` order, an off-path term is exactly 0.0, and
-    # adding 0.0 to a sum that starts at 0.0 (never -0.0) changes nothing.
-    t_weight = [0.0 + e + p + n for e, p, n in zip(*t_on.values())]
-
-    sums = [d + (cb + mb) + w for d, cb, mb, w in zip(t_data, t_cb, t_mb, t_weight)]
-    if overlap is OverlapMode.IDEAL_OVERLAP:
-        t_total = [max(d, cb + mb, w) for d, cb, mb, w in zip(t_data, t_cb, t_mb, t_weight)]
-    else:
-        t_total = sums
-    return Evaluation(t_data=t_data, t_compute_bound=t_cb, t_memory_bound=t_mb, t_weight_on=t_on,
-                      t_weight=t_weight, t_total=t_total, component_sum=sums)
+    """``breakdown`` of every job in ``cols`` on ``hw``, as columns."""
+    return Evaluation(terms(cols, hw, eff), overlap)
 
 
 def speedup(base_total: float, new_total: float) -> float:

@@ -27,7 +27,7 @@ from .core import (
     WorkloadRecord,
     require_jobs,
 )
-from .engine import Columns, evaluate, speedup
+from .engine import Columns, Evaluation, evaluate, share_of, speedup, terms
 # Unused here, but perfbench's tracer patches ``dlcost.sweep.breakdown``.
 from .engine import breakdown  # noqa: F401
 from .projection import ProjectionResult, ProjectionSummary, population_speedup_profile
@@ -106,12 +106,14 @@ def _sweep(pop: tuple[WorkloadRecord, ...], axes: Sequence[SweepAxis],
     if not axes:
         raise ValueError("no sweep axes given")
     cols = Columns.of(pop)
-    base_totals = evaluate(cols, base_hw, eff, overlap).t_total
+    base_terms = terms(cols, base_hw, eff)
+    base_totals = Evaluation(base_terms, overlap).t_total
     job_ids = [rec.job_id for rec in pop]
     cells = []
     for setting in settings:
         hw = replace(base_hw, **{resource.field.name: value for resource, value in setting})
-        new_totals = evaluate(cols, hw, eff, overlap).t_total
+        # Only the terms whose rate the setting moves are divided again.
+        new_totals = Evaluation(terms(cols, hw, eff, like=base_terms), overlap).t_total
         cells.extend(SweepCell(job_id, setting, speedup(base, new))
                      for job_id, base, new in zip(job_ids, base_totals, new_totals))
     return cells
@@ -182,12 +184,22 @@ def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
             if grid.count(g) > 1:
                 raise ValueError(f"{name} efficiency {g!r} given more than once")
     cols = Columns.of(pop)
+    # The compute efficiency moves only the compute terms and the
+    # communication efficiency only the data and weight terms, so each
+    # is divided and summed once per grid value, not once per point; the
+    # shares do not depend on the overlap mode.
+    eff, t, per_comm = EfficiencyModel(), None, []
+    for comm in comm_eff_grid:
+        eff = replace(eff, pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm)
+        t = terms(cols, hw, eff, like=t)
+        ev = Evaluation(t)
+        per_comm.append((comm, ev.t_data, ev.t_weight))
     cells = []
     for comp in compute_eff_grid:
-        for comm in comm_eff_grid:
-            eff = EfficiencyModel(compute_eff=comp, mem_eff=comp,
-                                  pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm)
-            weight_shares = evaluate(cols, hw, eff, overlap).share("weight")
+        t = terms(cols, hw, replace(eff, compute_eff=comp, mem_eff=comp), like=t)
+        t_compute = Evaluation(t).t_compute
+        for comm, t_data, t_weight in per_comm:
+            weight_shares = share_of(t_weight, t_data, t_compute, t_weight)
             cells.append(SensitivityCell(
                 compute_eff=comp,
                 comm_eff=comm,

@@ -11,8 +11,11 @@ import re
 
 import hypothesis.strategies as st
 
+from dlcost.aggregate import cnode_level_mean, job_level_mean
 from dlcost.core import ArchitectureKind, EfficiencyModel, HardwareProfile, WorkloadRecord
+from dlcost.engine import Columns, evaluate
 from dlcost.ingest import case_study_testbed, pai_baseline
+from dlcost.sweep import SensitivityCell
 
 PAI = pai_baseline()
 TESTBED = case_study_testbed()
@@ -102,6 +105,25 @@ def record_lists_with_idle_job(draw, max_size=30):
 def float_bits(values) -> list[str]:
     """Exact bit patterns of floats, so that 0.0 and -0.0 compare unequal."""
     return [float.hex(float(v)) for v in values]
+
+
+def reference_efficiency_sensitivity(pop, hw, compute_eff_grid, comm_eff_grid, overlap):
+    """The efficiency grid with a whole ``evaluate`` per grid point: the
+    reference that ``sweep.efficiency_sensitivity`` is held to, bit for bit."""
+    cols = Columns.of(pop)
+    cells = []
+    for comp in compute_eff_grid:
+        for comm in comm_eff_grid:
+            eff = EfficiencyModel(compute_eff=comp, mem_eff=comp,
+                                  pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm)
+            weight_shares = evaluate(cols, hw, eff, overlap).share("weight")
+            cells.append(SensitivityCell(
+                compute_eff=comp,
+                comm_eff=comm,
+                job_level_weight_share=job_level_mean(weight_shares),
+                cnode_level_weight_share=cnode_level_mean(weight_shares, cols.num_cnodes),
+            ))
+    return cells
 
 
 def _csv_cell(value) -> str:

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 import dlcost.report
-from dlcost.cli import EX_DATA, EX_NOINPUT, EX_OK, EX_USAGE, run
+from dlcost.cli import EX_CANTCREAT, EX_DATA, EX_NOINPUT, EX_OK, EX_USAGE, run
 from dlcost.core import OverlapMode
 from dlcost.report import EMIT_CHUNK_ROWS, FORMATS, Report, build_report, emit
 
@@ -415,6 +415,30 @@ class TestExitCodes:
 
     def test_unknown_hw_preset(self):
         assert run(["breakdown", "--corpus", "--hw", "dgx-9000"]) == EX_NOINPUT
+
+    def test_report_out_is_a_directory(self, tmp_path, capsys):
+        assert run(["breakdown", "--corpus", "--out", str(tmp_path)]) == EX_CANTCREAT
+        assert capsys.readouterr().err == (
+            f"dlcost: {tmp_path}: cannot write output: Is a directory\n")
+
+    def test_report_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "out.csv"
+        assert run(["breakdown", "--corpus", "--out", str(out)]) == EX_CANTCREAT
+        assert capsys.readouterr().err == (
+            f"dlcost: {out}: cannot write output: No such file or directory\n")
+
+    def test_synth_out_is_a_directory(self, tmp_path, capsys):
+        assert run(["synth", "--size", "2", "--seed", "1", "--out", str(tmp_path)]) == EX_CANTCREAT
+        assert capsys.readouterr().err == (
+            f"dlcost: {tmp_path}: cannot write output: Is a directory\n")
+
+    def test_corpus_out_is_a_directory(self, tmp_path, capsys):
+        assert run(["corpus", "--out", str(tmp_path)]) == EX_CANTCREAT
+        assert capsys.readouterr().err == (
+            f"dlcost: {tmp_path}: cannot write output: Is a directory\n")
+
+    def test_trace_that_is_a_directory_stays_an_input_error(self, tmp_path):
+        assert run(["breakdown", "--trace", str(tmp_path)]) == EX_NOINPUT
 
     def test_hw_field_set_twice_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "lab.hw"

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from dlcost.core import (
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
+    Medium,
     ValidationError,
     record_errors,
     validate_record,
@@ -22,6 +25,16 @@ def test_architecture_labels_are_exactly_six():
         "one_worker_one_gpu", "one_worker_n_gpu", "ps_worker",
         "allreduce_local", "allreduce_cluster", "pearl",
     }
+
+
+@pytest.mark.parametrize("member", [*ArchitectureKind, *Medium])
+def test_members_hash_by_identity_and_stay_singletons(member):
+    assert hash(member) == object.__hash__(member)
+    assert pickle.loads(pickle.dumps(member)) is member
+    assert copy.deepcopy(member) is member
+    others = [m for m in type(member) if m is not member]
+    assert {m: m.value for m in type(member)}[member] == member.value
+    assert member in frozenset([member]) and member not in frozenset(others)
 
 
 def test_unknown_architecture_rejected():

@@ -12,6 +12,7 @@ from dlcost.engine import (
     breakdown,
     evaluate,
     pcie_contention,
+    terms,
     throughput,
     validation_gap,
 )
@@ -307,3 +308,50 @@ class TestColumnarKernel:
         eff = EfficiencyModel(compute_eff=0.9, mem_eff=0.55, pcie_eff=0.35,
                               ethernet_eff=0.8, nvlink_eff=0.45)
         assert_kernel_matches_breakdown(records, TESTBED, eff, overlap)
+
+
+def each_term(t):
+    return {"data": t.data, "compute_bound": t.compute_bound, "memory_bound": t.memory_bound,
+            **{m.value: term for m, term in t.weight_on.items()}}
+
+
+def term_bits(t):
+    return {name: (float.hex(term.rate), float_bits(term.times))
+            for name, term in each_term(t).items()}
+
+
+def mixed(draw, base, other):
+    """``base`` with a drawn subset of its fields taken from ``other``."""
+    names = [f.name for f in dataclasses.fields(base)]
+    taken = draw(st.sets(st.sampled_from(names)))
+    return dataclasses.replace(base, **{name: getattr(other, name) for name in taken})
+
+
+class TestTerms:
+    @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
+           eff=efficiency_models(), other_hw=hardware_profiles(),
+           other_eff=efficiency_models(), data=st.data())
+    def test_terms_reused_from_like_equal_fresh_terms(self, records, hw, eff, other_hw,
+                                                      other_eff, data):
+        cols = Columns.of(records)
+        hw2, eff2 = mixed(data.draw, hw, other_hw), mixed(data.draw, eff, other_eff)
+        assert term_bits(terms(cols, hw2, eff2, like=terms(cols, hw, eff))) == term_bits(
+            terms(cols, hw2, eff2))
+
+    def test_a_rate_that_moves_rebuilds_only_its_terms(self):
+        cols = Columns.of(synth_population(SynthSpec(size=50, seed=3)))
+        base = terms(cols, PAI, EFF)
+        assert all(term is each_term(base)[name]
+                   for name, term in each_term(terms(cols, PAI, EFF, like=base)).items())
+        moved = {
+            "pcie_bandwidth": {"data", "pcie"},
+            "ethernet_bandwidth": {"ethernet"},
+            "nvlink_bandwidth": {"nvlink"},
+            "gpu_peak_flops": {"compute_bound"},
+            "gpu_mem_bandwidth": {"memory_bound"},
+        }
+        for field, names in moved.items():
+            hw = dataclasses.replace(PAI, **{field: getattr(PAI, field) * 2})
+            rebuilt = {name for name, term in each_term(terms(cols, hw, EFF, like=base)).items()
+                       if term is not each_term(base)[name]}
+            assert rebuilt == names, field

@@ -29,6 +29,7 @@ from helpers import (
     hardware_profiles,
     make_record,
     record_lists_with_idle_job,
+    reference_efficiency_sensitivity,
     workload_records,
 )
 
@@ -147,6 +148,27 @@ class TestHardwareSweep:
         assert float_bits(c.speedup for c in cells) == float_bits(c.speedup for c in per_axis)
 
 
+    @given(records=record_lists_with_idle_job(max_size=6),
+           axes=st.permutations(list(R)).flatmap(lambda resources: st.tuples(*(
+               st.builds(SweepAxis, resource=st.just(r),
+                         candidates=st.lists(st.floats(min_value=1e6, max_value=1e15),
+                                             min_size=1, max_size=2, unique=True).map(tuple))
+               for r in resources))),
+           hw=hardware_profiles(), eff=efficiency_models(),
+           overlap=st.sampled_from(list(OverlapMode)))
+    def test_every_cell_equals_the_scalar_model(self, records, axes, hw, eff, overlap):
+        # Every resource is swept, PCIe (the data and a weight term) included.
+        pop = tuple(records)
+        for sweep_fn in (hardware_sweep, cartesian_sweep):
+            cells = sweep_fn(pop, axes, hw, eff, overlap)
+            for cell, rec in zip(cells, itertools.cycle(pop)):
+                moved = dataclasses.replace(hw, **{r.field.name: v for r, v in cell.settings})
+                assert cell.job_id == rec.job_id
+                assert float_bits([cell.speedup]) == float_bits([speedup(
+                    breakdown(rec, hw, eff, overlap).t_total,
+                    breakdown(rec, moved, eff, overlap).t_total)])
+
+
 class TestCartesianSweep:
     def test_covers_the_cross_product(self):
         pop = pop_of(make_record())
@@ -207,6 +229,25 @@ class TestEfficiencySensitivity:
             efficiency_sensitivity(pop, PAI, [0.7], [1.1])
         with pytest.raises(ValueError, match="communication efficiency 0.7 given more than once"):
             efficiency_sensitivity(pop, PAI, [0.7], [0.7, 0.7])
+
+
+fractions = st.floats(min_value=0.01, max_value=1.0)
+
+
+@given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
+       compute_eff_grid=st.lists(fractions, min_size=1, max_size=4, unique=True),
+       comm_eff_grid=st.lists(fractions, min_size=1, max_size=4, unique=True),
+       overlap=st.sampled_from(list(OverlapMode)))
+def test_efficiency_sensitivity_equals_a_whole_evaluation_per_grid_point(
+        records, hw, compute_eff_grid, comm_eff_grid, overlap):
+    cells = efficiency_sensitivity(records, hw, compute_eff_grid, comm_eff_grid, overlap)
+    reference = reference_efficiency_sensitivity(records, hw, compute_eff_grid, comm_eff_grid,
+                                                 overlap)
+    assert [(c.compute_eff, c.comm_eff) for c in cells] == [
+        (c.compute_eff, c.comm_eff) for c in reference]
+    for name in ("job_level_weight_share", "cnode_level_weight_share"):
+        assert float_bits(getattr(c, name) for c in cells) == float_bits(
+            getattr(c, name) for c in reference)
 
 
 def ideal_step_speedups(pop):
