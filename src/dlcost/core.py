@@ -157,7 +157,7 @@ class EfficiencyModel:
             check_range(f, getattr(self, f.name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkloadRecord:
     """One job's per-cNode per-step resource demands plus metadata.
 

@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
     RECORD_QUANTITIES,
@@ -52,6 +52,9 @@ _ARCH_BY_LABEL = {arch.value: arch for arch in ArchitectureKind}
 _FLOAT_MAX = sys.float_info.max
 _INF = math.inf
 _RAW_DECODE = json.JSONDecoder().raw_decode
+#: ``parse_trace`` splits its text into lines this many characters (plus
+#: the rest of a line) at a time, so it never holds a list of every line.
+_BLOCK_CHARS = 1 << 16
 
 
 def _coerce_int(value, name: str) -> int:
@@ -110,7 +113,7 @@ def record_from_dict(obj: dict) -> WorkloadRecord:
     if notes is not None:
         if not isinstance(notes, dict):
             raise TraceFormatError(f"notes must be an object, got {notes!r}")
-        kwargs["notes"] = dict(notes)
+        kwargs["notes"] = _share_keys(notes)
     rec = WorkloadRecord(**kwargs)
     errors = record_errors(rec)
     if errors:
@@ -129,6 +132,14 @@ def record_to_dict(rec: WorkloadRecord) -> dict:
     if rec.notes is not None:
         obj["notes"] = dict(rec.notes)
     return obj
+
+
+def _share_keys(notes: dict) -> dict:
+    """A copy of ``notes`` whose str keys are the one shared copy of each
+    key (``sys.intern``), so records that repeat a key hold it once; a key
+    is freed once no record holds it."""
+    return {sys.intern(key) if type(key) is str else key: value
+            for key, value in notes.items()}
 
 
 def _decode_line(line: str):
@@ -205,8 +216,19 @@ def _screen_record(obj) -> Optional[WorkloadRecord]:
         for value in notes.values():
             if not (type(value) is int or (type(value) is float and -_INF < value < _INF)):
                 return None
+        notes = _share_keys(notes)
     return WorkloadRecord(job_id, arch, num_cnodes, batch_size, flops, mem_access, input_bytes,
                           weight_traffic, dense, embedding, measured, notes)
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The items of ``text.split("\n")``, split a block at a time: each
+    block ends at the first line feed ``_BLOCK_CHARS`` past its start."""
+    start = 0
+    while (end := text.find("\n", start + _BLOCK_CHARS)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    yield from text[start:].split("\n")
 
 
 def parse_trace(text: str, strict: bool = False,
@@ -219,11 +241,12 @@ def parse_trace(text: str, strict: bool = False,
     string.  Blank lines are skipped.  A record whose ``job_id`` an
     earlier line already used is malformed.  In strict mode the first
     malformed line raises TraceFormatError instead of being reported.
+    Besides the text and the result, only one block of lines is held.
     """
     records = []
     errors = []
     first_lines: dict[str, int] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         stripped = line.strip()
         if not stripped:
             continue

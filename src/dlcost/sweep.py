@@ -187,26 +187,27 @@ def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
     # The compute efficiency moves only the compute terms and the
     # communication efficiency only the data and weight terms, so each
     # is divided and summed once per grid value, not once per point; the
-    # shares do not depend on the overlap mode.
-    eff, t, per_comm = EfficiencyModel(), None, []
-    for comm in comm_eff_grid:
-        eff = replace(eff, pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm)
-        t = terms(cols, hw, eff, like=t)
-        ev = Evaluation(t)
-        per_comm.append((comm, ev.t_data, ev.t_weight))
-    cells = []
+    # shares do not depend on the overlap mode.  One t_compute is held per
+    # compute value and one (t_data, t_weight) pair at a time.
+    eff, t, per_comp = EfficiencyModel(), None, []
     for comp in compute_eff_grid:
-        t = terms(cols, hw, replace(eff, compute_eff=comp, mem_eff=comp), like=t)
-        t_compute = Evaluation(t).t_compute
-        for comm, t_data, t_weight in per_comm:
-            weight_shares = share_of(t_weight, t_data, t_compute, t_weight)
-            cells.append(SensitivityCell(
-                compute_eff=comp,
-                comm_eff=comm,
-                job_level_weight_share=job_level_mean(weight_shares),
-                cnode_level_weight_share=cnode_level_mean(weight_shares, cols.num_cnodes),
-            ))
-    return cells
+        eff = replace(eff, compute_eff=comp, mem_eff=comp)
+        t = terms(cols, hw, eff, like=t)
+        per_comp.append(Evaluation(t).t_compute)
+    means = [[] for _ in compute_eff_grid]
+    for comm in comm_eff_grid:
+        t = terms(cols, hw, replace(eff, pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm),
+                  like=t)
+        ev = Evaluation(t)
+        for t_compute, row in zip(per_comp, means):
+            weight_shares = share_of(ev.t_weight, ev.t_data, t_compute, ev.t_weight)
+            row.append((job_level_mean(weight_shares),
+                        cnode_level_mean(weight_shares, cols.num_cnodes)))
+        del ev, weight_shares  # freed before the next pair is formed
+    # Cells in compute-major order, as the grid is given.
+    return [SensitivityCell(comp, comm, *point)
+            for comp, row in zip(compute_eff_grid, means)
+            for comm, point in zip(comm_eff_grid, row)]
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,19 @@ def test_hardware_profile_rejects_nonpositive():
                         ethernet_bandwidth=3.125e9, nvlink_bandwidth=-5e10)
 
 
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_slotted_record_copies_equal_and_stays_frozen(protocol):
+    rec = make_record(measured_step_seconds=0.5, notes={"queue_seconds": 3.0, "jobs": 2})
+    assert not hasattr(rec, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(rec, protocol)), copy.deepcopy(rec),
+                   dataclasses.replace(rec)):
+        assert copied == rec and copied is not rec
+        assert list(copied.notes.items()) == list(rec.notes.items())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.num_cnodes = 8
+    assert rec.num_cnodes == 4
+
+
 def test_valid_1w1g_record_passes():
     rec = make_record(arch=ArchitectureKind.ONE_WORKER_ONE_GPU)
     assert validate_record(rec) is rec

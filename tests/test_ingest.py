@@ -1,13 +1,16 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from dlcost import ingest
 from dlcost.core import (
     RECORD_QUANTITIES,
     ArchitectureKind,
@@ -15,6 +18,7 @@ from dlcost.core import (
     HardwareProfile,
     WorkloadRecord,
 )
+from dlcost.corpus import SynthSpec, synth_population
 from dlcost.ingest import (
     TraceFormatError,
     case_study_testbed,
@@ -150,7 +154,9 @@ def reference_parse(text):
 
 def exact(records):
     """Each field's type and repr, which tell 1 from 1.0 and 0.0 from -0.0."""
-    return [[(type(value), repr(value)) for value in vars(rec).values()] for rec in records]
+    return [[(type(value), repr(value))
+             for value in (getattr(rec, f.name) for f in dataclasses.fields(rec))]
+            for rec in records]
 
 
 def assert_parsed_as_reference(text):
@@ -174,6 +180,18 @@ RESNET_LINE = ('{"job_id":"r50","arch":"allreduce_local","num_cnodes":8,"batch_s
                '"flops":1.56e12,"mem_access_bytes":3.19e10,"input_bytes":3.8e7,'
                '"weight_traffic_bytes":3.57e8,"dense_weight_bytes":2.04e8,'
                '"embedding_weight_bytes":0}')
+
+
+def filled_block(head, tail, job_ids):
+    """``head``, fresh records and ``tail`` as lines of exactly
+    ``ingest._BLOCK_CHARS`` characters: the last record is padded with
+    trailing blanks, so the next line starts the next block."""
+    lines = [head]
+    while ingest._BLOCK_CHARS - len("\n".join([*lines, tail])) > 2 * (len(RESNET_LINE) + 1):
+        lines.append(RESNET_LINE.replace('"r50"', f'"{next(job_ids)}"'))
+    lines += [RESNET_LINE.replace('"r50"', f'"{next(job_ids)}"'), tail]
+    lines[-2] += " " * (ingest._BLOCK_CHARS - len("\n".join(lines)))
+    return "\n".join(lines)
 
 
 class TestTraceParsing:
@@ -323,6 +341,78 @@ class TestTraceParsing:
                 for value in variants:
                     lines.append(json.dumps(base | {"job_id": f"j{len(lines)}", key: value}))
         assert_parsed_as_reference("\n".join(lines))
+
+    @given(TRACE_LINES, st.sampled_from([1, 7, 64]))
+    def test_parse_trace_matches_record_from_dict_across_blocks(self, lines, block_chars):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_CHARS", block_chars)
+            assert_parsed_as_reference("\n".join(lines))
+
+    @pytest.mark.parametrize("block_chars", [1, 7, 64])
+    def test_field_variants_parse_as_the_reference_across_blocks(self, block_chars,
+                                                                 monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", block_chars)
+        self.test_parse_trace_matches_record_from_dict_on_every_field_variant()
+
+    def test_lines_on_block_boundaries_parse_as_the_reference(self):
+        # Each boundary falls between two of these lines; the trace ends
+        # with no final newline.
+        job_ids = (f"f{n}" for n in itertools.count())
+        crlf = RESNET_LINE.replace('"r50"', '"crlf"') + "\r"
+        blocks = [filled_block(RESNET_LINE, "", job_ids),
+                  filled_block("  \t ", crlf, job_ids),
+                  filled_block("{broken", RESNET_LINE, job_ids),
+                  RESNET_LINE.replace('"r50"', '"last"')]
+        text = "\n".join(blocks)
+        assert len(text) > 3 * ingest._BLOCK_CHARS
+        assert [len(block) for block in blocks[:3]] == [ingest._BLOCK_CHARS] * 3
+        assert_parsed_as_reference(text)
+        pop, [malformed, duplicate] = parse_trace(text)
+        assert "crlf" in {rec.job_id for rec in pop} and pop[-1].job_id == "last"
+        assert malformed.message.startswith("invalid JSON: ")
+        assert duplicate.message == "duplicate job_id 'r50' (first on line 1)"
+
+
+class TestIngestMemory:
+    @staticmethod
+    def traced_parse(text):
+        """``parse_trace(text)``, the bytes its result retains, and the bytes
+        beyond those that it held at its peak (the text is not counted)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = parse_trace(text)
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, retained - before, peak - retained
+
+    def test_parse_holds_one_block_of_lines(self):
+        # Measured: 158 kB (180 kB on Python 3.10), of which the job-id
+        # index and the record list take 119 kB (141 kB) and one block's
+        # text and lines the rest.  A list of every line would add about
+        # the text's size, 611 kB here: 827 kB in all.
+        text = dump_trace(synth_population(SynthSpec(size=2000, seed=7)))
+        (pop, errors), _, held = self.traced_parse(text)
+        assert len(pop) == 2000 and errors == []
+        assert len(text) > 9 * ingest._BLOCK_CHARS
+        assert held < 3 * ingest._BLOCK_CHARS
+
+    def test_records_are_slotted_and_share_their_note_keys(self):
+        # Bytes retained per record: 352 (355 on Python 3.10) for a slotted
+        # record, and 400 (507) with a __dict__.  Two notes add 232 (278)
+        # with shared keys, and 373 (419) with each record's own copies.
+        pop = synth_population(SynthSpec(size=2000, seed=7))
+        noted = [dataclasses.replace(rec, notes={"reported_network_traffic_bytes": 1e6 + n,
+                                                 "queue_seconds": 0.5 + n})
+                 for n, rec in enumerate(pop)]
+        (plain, _), plain_bytes, _ = self.traced_parse(dump_trace(pop))
+        (with_notes, _), noted_bytes, _ = self.traced_parse(dump_trace(noted))
+        assert plain == pop and with_notes == tuple(noted)
+        assert plain_bytes / len(pop) < 376
+        assert (noted_bytes - plain_bytes) / len(pop) < 325
 
 
 class TestRoundTrip:
