@@ -18,7 +18,6 @@ from .core import (
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
-    OverlapMode,
     Shares,
     WorkloadRecord,
     require_jobs,
@@ -126,12 +125,12 @@ class BreakdownAverages:
     cnode_level: Shares
 
 
-def weighted_breakdown(pop: Iterable[WorkloadRecord], hw: HardwareProfile, eff: EfficiencyModel,
-                       overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> BreakdownAverages:
+def weighted_breakdown(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
+                       eff: EfficiencyModel) -> BreakdownAverages:
     """Average shares per component, job-level and cNode-weighted."""
     pop = require_jobs(pop)
     cols = Columns.of(pop)
-    ev = evaluate(cols, hw, eff, overlap)
+    ev = evaluate(cols, hw, eff)
     job = {}
     cnode = {}
     for name in Shares.COMPONENTS:
@@ -142,14 +141,13 @@ def weighted_breakdown(pop: Iterable[WorkloadRecord], hw: HardwareProfile, eff: 
 
 
 def share_cdf(pop: Iterable[WorkloadRecord], component: str, hw: HardwareProfile,
-              eff: EfficiencyModel, overlap: OverlapMode = OverlapMode.NO_OVERLAP,
-              level: str = "job") -> EmpiricalCDF:
+              eff: EfficiencyModel, level: str = "job") -> EmpiricalCDF:
     """Empirical CDF of one share component across the population."""
     if level not in ("job", "cnode"):
         raise ValueError(f"level must be 'job' or 'cnode', got {level!r}")
     pop = require_jobs(pop)
     cols = Columns.of(pop)
-    values = evaluate(cols, hw, eff, overlap).share(component)
+    values = evaluate(cols, hw, eff).share(component)
     weights = [float(c) for c in cols.num_cnodes] if level == "cnode" else None
     return EmpiricalCDF.from_samples(values, weights)
 

@@ -173,7 +173,8 @@ def _write_output(data: bytes, out: Optional[str]) -> None:
 # Each report handler returns its kind, its columns (name -> one value
 # per row, in report order) and its extra metadata.
 def cmd_breakdown(args, pop, hw, eff, overlap):
-    ev = evaluate(Columns.of(pop), hw, eff, overlap)
+    ev = evaluate(Columns.of(pop), hw, eff)
+    t_total = ev.t_total(overlap)
     columns = {
         "job_id": [rec.job_id for rec in pop],
         "arch": [rec.arch.value for rec in pop],
@@ -185,10 +186,10 @@ def cmd_breakdown(args, pop, hw, eff, overlap):
         "t_compute": ev.t_compute,
         **{f"t_weight_{m.value}": times for m, times in ev.t_weight_on.items()},
         "t_weight": ev.t_weight,
-        "t_total": ev.t_total,
+        "t_total": t_total,
         **{f"share_{c}": ev.share(c) for c in Shares.COMPONENTS},
         "shares_defined": [s > 0 for s in ev.component_sum],
-        "throughput": [throughput(rec, t) if t > 0 else None for rec, t in zip(pop, ev.t_total)],
+        "throughput": [throughput(rec, t) if t > 0 else None for rec, t in zip(pop, t_total)],
     }
     return "breakdown", columns, None
 
@@ -277,7 +278,7 @@ def cmd_sweep(args, pop, hw, eff, overlap):
 
 def cmd_aggregate(args, pop, hw, eff, overlap):
     if args.stat == "shares":
-        averages = weighted_breakdown(pop, hw, eff, overlap)
+        averages = weighted_breakdown(pop, hw, eff)
         per_level = zip(averages.job_level, averages.cnode_level)
         columns = {"level": ("job", "cnode"),
                    **{f"share_{c}": pair for c, pair in zip(Shares.COMPONENTS, per_level)}}
@@ -289,7 +290,7 @@ def cmd_aggregate(args, pop, hw, eff, overlap):
                       for name in ("job_count", "job_fraction", "cnode_count", "cnode_fraction")}}
         return "aggregate", columns, {"stat": "composition"}
     if args.stat == "share-cdf":
-        cdf = share_cdf(pop, args.component, hw, eff, overlap, level=args.level)
+        cdf = share_cdf(pop, args.component, hw, eff, level=args.level)
         columns = dict(zip(("share", "cumulative_fraction"), zip(*cdf.points)))
         return "aggregate", columns, {
             "stat": "share-cdf", "component": args.component, "level": args.level}
@@ -314,7 +315,7 @@ def cmd_sensitivity(args, pop, hw, eff, overlap):
         comp_grid = _parse_grid(args.comp_grid, "--comp-grid")
         comm_grid = _parse_grid(args.comm_grid, "--comm-grid")
         try:
-            cells = efficiency_sensitivity(pop, hw, comp_grid, comm_grid, overlap)
+            cells = efficiency_sensitivity(pop, hw, comp_grid, comm_grid)
         except ValueError as exc:  # on a non-empty population, only a grid out of range
             raise _UsageError(str(exc)) from None
         columns = {name: [getattr(cell, name) for cell in cells]
@@ -331,8 +332,8 @@ def cmd_sensitivity(args, pop, hw, eff, overlap):
     modes = (cmp.no_overlap, cmp.ideal_overlap)
     columns = {
         "overlap": [m.overlap.value for m in modes],
-        "job_level_weight_share": [m.job_level_weight_share for m in modes],
-        "cnode_level_weight_share": [m.cnode_level_weight_share for m in modes],
+        "job_level_weight_share": [cmp.job_level_weight_share] * len(modes),
+        "cnode_level_weight_share": [cmp.cnode_level_weight_share] * len(modes),
         **{name: [getattr(m.summary, name) for m in modes] for name in _SUMMARY_FRACTIONS},
     }
     return "sensitivity", columns, extra
@@ -374,7 +375,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_validate(pop, errors, hw, eff, overlap):
     """One row per rejected line, then one per record with its predicted step."""
-    predicted = evaluate(Columns.of(pop), hw, eff, overlap).t_total
+    predicted = evaluate(Columns.of(pop), hw, eff).t_total(overlap)
     measured = [rec.measured_step_seconds for rec in pop]
     n_errors, n_records = len(errors), len(pop)
     columns = {

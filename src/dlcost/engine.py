@@ -206,8 +206,7 @@ class Evaluation:
     built when first read, so a caller pays only for what it reads.
     """
 
-    def __init__(self, t: Terms, overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> None:
-        self.overlap = overlap
+    def __init__(self, t: Terms) -> None:
         self.t_data = t.data.times
         self.t_compute_bound = t.compute_bound.times
         self.t_memory_bound = t.memory_bound.times
@@ -229,9 +228,10 @@ class Evaluation:
     def component_sum(self) -> list[float]:
         return [d + c + w for d, c, w in zip(self.t_data, self.t_compute, self.t_weight)]
 
-    @cached_property
-    def t_total(self) -> list[float]:
-        if self.overlap is OverlapMode.IDEAL_OVERLAP:
+    def t_total(self, overlap: OverlapMode) -> list[float]:
+        """Per-job step times: ``component_sum``, or each job's largest part
+        under ideal overlap."""
+        if overlap is OverlapMode.IDEAL_OVERLAP:
             return [max(d, c, w) for d, c, w in zip(self.t_data, self.t_compute, self.t_weight)]
         return self.component_sum
 
@@ -244,10 +244,9 @@ class Evaluation:
                         self.t_data, self.t_compute, self.t_weight)
 
 
-def evaluate(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel,
-             overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> Evaluation:
+def evaluate(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel) -> Evaluation:
     """``breakdown`` of every job in ``cols`` on ``hw``, as columns."""
-    return Evaluation(terms(cols, hw, eff), overlap)
+    return Evaluation(terms(cols, hw, eff))
 
 
 def speedup(base_total: float, new_total: float) -> float:

@@ -63,17 +63,12 @@ def _comment_value(value: Any) -> str:
     return json.dumps(text) if _COMMENT_UNSAFE.search(text) else text
 
 
-#: Encodes a cell as it is written inside a row of ``json.dumps(indent=2)``'s
-#: layout (a list or dict cell keeps the row's item separator).
-_JSON_CELL = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
-
-
 def _json_text(value: Any) -> str:
     """One cell's JSON text: a float to 9 significant digits, or ``null``
     when it is not finite."""
     if isinstance(value, float):
         return repr(round9(value)) if math.isfinite(value) else "null"
-    return "null" if value is None else _JSON_CELL.encode(value)
+    return json.dumps(value)
 
 
 def model_metadata(model: HardwareProfile | EfficiencyModel) -> dict[str, float]:

@@ -107,13 +107,13 @@ def _sweep(pop: tuple[WorkloadRecord, ...], axes: Sequence[SweepAxis],
         raise ValueError("no sweep axes given")
     cols = Columns.of(pop)
     base_terms = terms(cols, base_hw, eff)
-    base_totals = Evaluation(base_terms, overlap).t_total
+    base_totals = Evaluation(base_terms).t_total(overlap)
     job_ids = [rec.job_id for rec in pop]
     cells = []
     for setting in settings:
         hw = replace(base_hw, **{resource.field.name: value for resource, value in setting})
         # Only the terms whose rate the setting moves are divided again.
-        new_totals = Evaluation(terms(cols, hw, eff, like=base_terms), overlap).t_total
+        new_totals = Evaluation(terms(cols, hw, eff, like=base_terms)).t_total(overlap)
         cells.extend(SweepCell(job_id, setting, speedup(base, new))
                      for job_id, base, new in zip(job_ids, base_totals, new_totals))
     return cells
@@ -165,9 +165,7 @@ class SensitivityCell:
 
 def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
                            compute_eff_grid: Sequence[float],
-                           comm_eff_grid: Sequence[float],
-                           overlap: OverlapMode = OverlapMode.NO_OVERLAP,
-                           ) -> list[SensitivityCell]:
+                           comm_eff_grid: Sequence[float]) -> list[SensitivityCell]:
     """Weight-share surface over (compute efficiency, communication efficiency).
 
     Each grid point ties GPU compute and memory efficiency together and
@@ -186,9 +184,9 @@ def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
     cols = Columns.of(pop)
     # The compute efficiency moves only the compute terms and the
     # communication efficiency only the data and weight terms, so each
-    # is divided and summed once per grid value, not once per point; the
-    # shares do not depend on the overlap mode.  One t_compute is held per
-    # compute value and one (t_data, t_weight) pair at a time.
+    # is divided and summed once per grid value, not once per point.  One
+    # t_compute is held per compute value and one (t_data, t_weight) pair
+    # at a time.
     eff, t, per_comp = EfficiencyModel(), None, []
     for comp in compute_eff_grid:
         eff = replace(eff, compute_eff=comp, mem_eff=comp)
@@ -213,13 +211,13 @@ def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
 @dataclass(frozen=True)
 class OverlapModeStats:
     overlap: OverlapMode
-    job_level_weight_share: float
-    cnode_level_weight_share: float
     summary: ProjectionSummary
 
 
 @dataclass(frozen=True)
 class OverlapComparison:
+    job_level_weight_share: float
+    cnode_level_weight_share: float
     no_overlap: OverlapModeStats
     ideal_overlap: OverlapModeStats
     #: Fraction of all jobs weight-bound before and after projection
@@ -231,21 +229,19 @@ def overlap_comparison(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
                        eff: EfficiencyModel, target: ArchitectureKind) -> OverlapComparison:
     """Paired no-overlap / ideal-overlap summaries for one projection target."""
     pop = require_jobs(pop)
-    # Shares divide by the component sum, so they are the same under both
-    # overlap modes.
     cols = Columns.of(pop)
     weight_shares = evaluate(cols, hw, eff).share("weight")
-    job_share = job_level_mean(weight_shares)
-    cnode_share = cnode_level_mean(weight_shares, cols.num_cnodes)
 
     def stats(overlap: OverlapMode) -> tuple[OverlapModeStats, list[ProjectionResult]]:
         results, summary = population_speedup_profile(pop, target, hw, eff, overlap)
-        return OverlapModeStats(overlap, job_share, cnode_share, summary), results
+        return OverlapModeStats(overlap, summary), results
 
     none_stats, _ = stats(OverlapMode.NO_OVERLAP)
     ideal_stats, ideal_results = stats(OverlapMode.IDEAL_OVERLAP)
     at_ratio = sum(1 for r in ideal_results if r.weight_bound)
     return OverlapComparison(
+        job_level_weight_share=job_level_mean(weight_shares),
+        cnode_level_weight_share=cnode_level_mean(weight_shares, cols.num_cnodes),
         no_overlap=none_stats,
         ideal_overlap=ideal_stats,
         fraction_at_weight_path_ratio=at_ratio / len(pop),

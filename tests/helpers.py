@@ -107,7 +107,7 @@ def float_bits(values) -> list[str]:
     return [float.hex(float(v)) for v in values]
 
 
-def reference_efficiency_sensitivity(pop, hw, compute_eff_grid, comm_eff_grid, overlap):
+def reference_efficiency_sensitivity(pop, hw, compute_eff_grid, comm_eff_grid):
     """The efficiency grid with a whole ``evaluate`` per grid point: the
     reference that ``sweep.efficiency_sensitivity`` is held to, bit for bit."""
     cols = Columns.of(pop)
@@ -116,7 +116,7 @@ def reference_efficiency_sensitivity(pop, hw, compute_eff_grid, comm_eff_grid, o
         for comm in comm_eff_grid:
             eff = EfficiencyModel(compute_eff=comp, mem_eff=comp,
                                   pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm)
-            weight_shares = evaluate(cols, hw, eff, overlap).share("weight")
+            weight_shares = evaluate(cols, hw, eff).share("weight")
             cells.append(SensitivityCell(
                 compute_eff=comp,
                 comm_eff=comm,

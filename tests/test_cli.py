@@ -197,6 +197,13 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             f"dlcost: axis ethernet: candidate {shown} must be positive\n")
 
+    def test_malformed_candidate_is_a_usage_error(self, capsys):
+        assert run(["sweep", "--corpus", "--axes", "ethernet",
+                    "--candidates", "10XB"]) == EX_USAGE
+        assert capsys.readouterr().err == (
+            "dlcost: --candidates: malformed bandwidth '10XB' "
+            "(expected e.g. '25Gbps' or '10GB/s')\n")
+
     @pytest.mark.parametrize("candidates, shown", [("10Gbps,1.25e9", "1250000000.0"),
                                                    ("5e9,25Gbps,5e9", "5000000000.0")])
     def test_repeated_candidate_is_a_usage_error(self, capsys, candidates, shown):
@@ -253,6 +260,39 @@ class TestSensitivityCommand:
         assert [r["overlap"] for r in rows] == ["none", "ideal"]
         meta = csv_metadata(data)
         assert "fraction_at_weight_path_ratio" in meta
+
+
+@pytest.fixture(scope="module")
+def synth_trace(tmp_path_factory):
+    trace = tmp_path_factory.mktemp("synth") / "jobs.jsonl"
+    assert run(["synth", "--size", "1000", "--seed", "7", "--out", str(trace)]) == EX_OK
+    return trace
+
+
+class TestOverlapFreeReports:
+    """Shares divide by the component sum, so the overlap mode reaches these
+    reports only through the metadata entry that records it."""
+
+    @pytest.mark.parametrize("analysis", [
+        ["aggregate", "--stat", "shares"],
+        ["aggregate", "--stat", "share-cdf", "--level", "cnode"],
+        ["sensitivity", "--analysis", "efficiency"],
+    ], ids=["shares", "share-cdf", "efficiency"])
+    @pytest.mark.parametrize("source", ["corpus", "synth"])
+    @pytest.mark.parametrize("format", FORMATS)
+    def test_reports_differ_only_in_the_overlap_entry(self, tmp_path, synth_trace, analysis,
+                                                      source, format):
+        population = ["--corpus"] if source == "corpus" else ["--trace", str(synth_trace)]
+        lines = {}
+        for overlap in ("none", "ideal"):
+            code, data = run_to_file(tmp_path, *analysis, *population, "--format", format,
+                                     "--overlap", overlap)
+            assert code == EX_OK
+            lines[overlap] = data.decode().splitlines()
+        assert len(lines["none"]) == len(lines["ideal"])
+        differ = [(a, b) for a, b in zip(lines["none"], lines["ideal"]) if a != b]
+        entry = {"csv": "# overlap: {}", "json": '    "overlap": "{}",'}[format]
+        assert differ == [(entry.format("none"), entry.format("ideal"))]
 
 
 class TestSynthAndCorpusCommands:
@@ -447,6 +487,18 @@ class TestExitCodes:
         assert run(["breakdown", "--corpus", "--hw", str(cfg)]) == EX_DATA
         assert capsys.readouterr().err == (
             f"dlcost: {cfg}:4: pcie_bandwidth already set on line 3\n")
+
+    def test_eff_value_that_is_not_a_number_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.eff"
+        cfg.write_text("compute_eff = abc\n")
+        assert run(["breakdown", "--corpus", "--eff", str(cfg)]) == EX_DATA
+        assert capsys.readouterr().err == f"dlcost: {cfg}:1: compute_eff: not a number: 'abc'\n"
+
+    def test_unknown_eff_spec_is_an_input_error(self, capsys):
+        assert run(["breakdown", "--corpus", "--eff", "nope"]) == EX_NOINPUT
+        assert capsys.readouterr().err == (
+            "dlcost: unknown efficiency spec 'nope' "
+            "(expected 'default', 'measured:<corpus job>', or a config file path)\n")
 
     def test_malformed_trace_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "bad.jsonl"

@@ -264,10 +264,11 @@ class TestValidationGap:
 
 
 def assert_kernel_matches_breakdown(records, hw, eff, overlap):
-    ev = evaluate(Columns.of(records), hw, eff, overlap)
+    ev = evaluate(Columns.of(records), hw, eff)
     oracle = [breakdown(rec, hw, eff, overlap) for rec in records]
-    for name in ("t_data", "t_compute_bound", "t_memory_bound", "t_weight", "t_total"):
+    for name in ("t_data", "t_compute_bound", "t_memory_bound", "t_weight"):
         assert float_bits(getattr(ev, name)) == float_bits(getattr(bd, name) for bd in oracle)
+    assert float_bits(ev.t_total(overlap)) == float_bits(bd.t_total for bd in oracle)
     assert float_bits(ev.component_sum) == float_bits(
         bd.t_data + (bd.t_compute_bound + bd.t_memory_bound) + bd.t_weight
         for bd in oracle)

@@ -324,7 +324,8 @@ class TestTraceParsing:
             with pytest.raises(TraceFormatError, match=f"^<trace>:{errors[0].line}: "):
                 parse_trace(text, strict=True)
 
-    @settings(max_examples=300)
+    # At least 300 examples, and the active profile's count where that is higher.
+    @settings(max_examples=max(300, settings.default.max_examples))
     @given(TRACE_LINES)
     def test_parse_trace_matches_record_from_dict_on_every_line(self, lines):
         assert_parsed_as_reference("\n".join(lines))

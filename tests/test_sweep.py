@@ -236,13 +236,11 @@ fractions = st.floats(min_value=0.01, max_value=1.0)
 
 @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
        compute_eff_grid=st.lists(fractions, min_size=1, max_size=4, unique=True),
-       comm_eff_grid=st.lists(fractions, min_size=1, max_size=4, unique=True),
-       overlap=st.sampled_from(list(OverlapMode)))
+       comm_eff_grid=st.lists(fractions, min_size=1, max_size=4, unique=True))
 def test_efficiency_sensitivity_equals_a_whole_evaluation_per_grid_point(
-        records, hw, compute_eff_grid, comm_eff_grid, overlap):
-    cells = efficiency_sensitivity(records, hw, compute_eff_grid, comm_eff_grid, overlap)
-    reference = reference_efficiency_sensitivity(records, hw, compute_eff_grid, comm_eff_grid,
-                                                 overlap)
+        records, hw, compute_eff_grid, comm_eff_grid):
+    cells = efficiency_sensitivity(records, hw, compute_eff_grid, comm_eff_grid)
+    reference = reference_efficiency_sensitivity(records, hw, compute_eff_grid, comm_eff_grid)
     assert [(c.compute_eff, c.comm_eff) for c in cells] == [
         (c.compute_eff, c.comm_eff) for c in reference]
     for name in ("job_level_weight_share", "cnode_level_weight_share"):
