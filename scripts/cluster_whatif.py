@@ -58,15 +58,13 @@ def print_projection(pop, target, hw, eff):
 
 
 def print_sweep(pop, hw, eff):
-    cells = hardware_sweep(pop, standard_axes(), hw, eff)
+    table = hardware_sweep(pop, standard_axes(), hw, eff)
     by_axis = {}
-    for cell in cells:
-        [(resource, candidate)] = cell.settings
+    for [(resource, candidate)], speedups in zip(table.settings, table.speedups):
         normalized = candidate / getattr(hw, resource.field.name)
-        by_axis.setdefault(resource.value, {}).setdefault(normalized, []).append(cell.speedup)
-    for axis, candidates in by_axis.items():
-        line = "  ".join(f"x{norm:g}: {sum(s) / len(s):5.2f}"
-                         for norm, s in sorted(candidates.items()))
+        by_axis.setdefault(resource.value, {})[normalized] = sum(speedups) / len(speedups)
+    for axis, means in by_axis.items():
+        line = "  ".join(f"x{norm:g}: {mean:5.2f}" for norm, mean in sorted(means.items()))
         print(f"{axis:20s} mean speedup  {line}")
 
 

@@ -38,7 +38,7 @@ from .ingest import (
     parse_trace,
 )
 from .projection import ProjectionResult, population_speedup_profile
-from .report import FORMATS, build_report, emit, input_digest, round9
+from .report import FORMATS, Fixed, build_report, emit, input_digest, round9
 from .sweep import (
     SweepAxis,
     SweepResource,
@@ -46,7 +46,6 @@ from .sweep import (
     efficiency_sensitivity,
     hardware_sweep,
     overlap_comparison,
-    per_setting,
     standard_axes,
 )
 from .units import QuantityError, parse_quantity
@@ -170,8 +169,9 @@ def _write_output(data: bytes, out: Optional[str]) -> None:
         sys.stdout.buffer.write(data)
 
 
-# Each report handler returns its kind, its columns (name -> one value
-# per row, in report order) and its extra metadata.
+# Each report handler returns its kind, its row blocks (each a mapping
+# of column name -> one value per row or a ``Fixed`` cell shared by the
+# block's rows, in report order) and its extra metadata.
 def cmd_breakdown(args, pop, hw, eff, overlap):
     ev = evaluate(Columns.of(pop), hw, eff)
     t_total = ev.t_total(overlap)
@@ -191,7 +191,7 @@ def cmd_breakdown(args, pop, hw, eff, overlap):
         "shares_defined": [s > 0 for s in ev.component_sum],
         "throughput": [throughput(rec, t) if t > 0 else None for rec, t in zip(pop, t_total)],
     }
-    return "breakdown", columns, None
+    return "breakdown", [columns], None
 
 
 #: The ProjectionSummary fractions that project and overlap reports carry.
@@ -216,7 +216,7 @@ def cmd_project(args, pop, hw, eff, overlap):
         "summary": {"n_jobs": summary.n_jobs,
                     **{name: round9(getattr(summary, name)) for name in _SUMMARY_FRACTIONS}},
     }
-    return "projection", columns, extra
+    return "projection", [columns], extra
 
 
 def _parse_candidates(text: str, resource: SweepResource) -> tuple[float, ...]:
@@ -257,23 +257,21 @@ def cmd_sweep(args, pop, hw, eff, overlap):
             raise _UsageError(str(exc)) from None
     extra = {"axes": {a.resource.value: [round9(c) for c in a.candidates] for a in axes}}
     if args.cartesian:
-        job_ids, settings, speedups = zip(*cartesian_sweep(pop, axes, hw, eff, overlap))
-        settings = per_setting(settings, lambda setting: ";".join(
-            f"{r.value}={v:.9g}" for r, v in setting))
-        return ("sweep-cartesian",
-                {"job_id": job_ids, "settings": settings, "speedup": speedups}, extra)
-    job_ids, settings, speedups = zip(*hardware_sweep(pop, axes, hw, eff, overlap))
+        table = cartesian_sweep(pop, axes, hw, eff, overlap)
+        return "sweep-cartesian", [
+            {"job_id": table.job_ids,
+             "settings": Fixed(";".join(f"{r.value}={v:.9g}" for r, v in setting)),
+             "speedup": speedups}
+            for setting, speedups in zip(table.settings, table.speedups)], extra
+    table = hardware_sweep(pop, axes, hw, eff, overlap)
     # Each one-axis setting is a single (resource, candidate) pair;
     # ``normalized`` is the candidate over its field's value in ``hw``.
-    base = {r: getattr(hw, r.field.name) for r in SweepResource}
-    columns = {
-        "job_id": job_ids,
-        "resource": per_setting(settings, lambda setting: setting[0][0].value),
-        "candidate": per_setting(settings, lambda setting: setting[0][1]),
-        "normalized": per_setting(settings, lambda setting: setting[0][1] / base[setting[0][0]]),
-        "speedup": speedups,
-    }
-    return "sweep", columns, extra
+    return "sweep", [
+        {"job_id": table.job_ids, "resource": Fixed(resource.value),
+         "candidate": Fixed(candidate),
+         "normalized": Fixed(candidate / getattr(hw, resource.field.name)),
+         "speedup": speedups}
+        for [(resource, candidate)], speedups in zip(table.settings, table.speedups)], extra
 
 
 def cmd_aggregate(args, pop, hw, eff, overlap):
@@ -282,17 +280,17 @@ def cmd_aggregate(args, pop, hw, eff, overlap):
         per_level = zip(averages.job_level, averages.cnode_level)
         columns = {"level": ("job", "cnode"),
                    **{f"share_{c}": pair for c, pair in zip(Shares.COMPONENTS, per_level)}}
-        return "aggregate", columns, {"stat": "shares"}
+        return "aggregate", [columns], {"stat": "shares"}
     if args.stat == "composition":
         archs = composition(pop).values()
         columns = {"arch": [a.arch.value for a in archs],
                    **{name: [getattr(a, name) for a in archs]
                       for name in ("job_count", "job_fraction", "cnode_count", "cnode_fraction")}}
-        return "aggregate", columns, {"stat": "composition"}
+        return "aggregate", [columns], {"stat": "composition"}
     if args.stat == "share-cdf":
         cdf = share_cdf(pop, args.component, hw, eff, level=args.level)
         columns = dict(zip(("share", "cumulative_fraction"), zip(*cdf.points)))
-        return "aggregate", columns, {
+        return "aggregate", [columns], {
             "stat": "share-cdf", "component": args.component, "level": args.level}
     # scale-cdf
     points = [(dist.arch.value, metric, x, f)
@@ -300,7 +298,7 @@ def cmd_aggregate(args, pop, hw, eff, overlap):
               for metric, cdf in (("num_cnodes", dist.cnodes), ("model_bytes", dist.model_bytes))
               for x, f in cdf.points]
     columns = dict(zip(("arch", "metric", "value", "cumulative_fraction"), zip(*points)))
-    return "aggregate", columns, {"stat": "scale-cdf"}
+    return "aggregate", [columns], {"stat": "scale-cdf"}
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -321,7 +319,7 @@ def cmd_sensitivity(args, pop, hw, eff, overlap):
         columns = {name: [getattr(cell, name) for cell in cells]
                    for name in ("compute_eff", "comm_eff", "job_level_weight_share",
                                 "cnode_level_weight_share")}
-        return "sensitivity", columns, {"analysis": "efficiency"}
+        return "sensitivity", [columns], {"analysis": "efficiency"}
     target = ArchitectureKind.from_label(args.target)
     cmp = overlap_comparison(pop, hw, eff, target)
     extra = {
@@ -336,7 +334,7 @@ def cmd_sensitivity(args, pop, hw, eff, overlap):
         "cnode_level_weight_share": [cmp.cnode_level_weight_share] * len(modes),
         **{name: [getattr(m.summary, name) for m in modes] for name in _SUMMARY_FRACTIONS},
     }
-    return "sensitivity", columns, extra
+    return "sensitivity", [columns], extra
 
 
 def _parse_mix(text: str) -> dict[ArchitectureKind, float]:
@@ -377,18 +375,15 @@ def cmd_validate(pop, errors, hw, eff, overlap):
     """One row per rejected line, then one per record with its predicted step."""
     predicted = evaluate(Columns.of(pop), hw, eff).t_total(overlap)
     measured = [rec.measured_step_seconds for rec in pop]
-    n_errors, n_records = len(errors), len(pop)
-    columns = {
-        "line": [err.line for err in errors] + [None] * n_records,
-        "job_id": [None] * n_errors + [rec.job_id for rec in pop],
-        "status": ["error"] * n_errors + ["ok"] * n_records,
-        "message": [err.message for err in errors] + [""] * n_records,
-        "predicted_step_seconds": [None] * n_errors + predicted,
-        "measured_step_seconds": [None] * n_errors + measured,
-        "gap": [None] * n_errors + [validation_gap(p, m) if m else None
-                                    for p, m in zip(predicted, measured)],
-    }
-    return "validate", columns, {"n_errors": n_errors}
+    none = Fixed(None)
+    rejected = {"line": [err.line for err in errors], "job_id": none, "status": Fixed("error"),
+                "message": [err.message for err in errors],
+                "predicted_step_seconds": none, "measured_step_seconds": none, "gap": none}
+    records = {"line": none, "job_id": [rec.job_id for rec in pop], "status": Fixed("ok"),
+               "message": Fixed(""), "predicted_step_seconds": predicted,
+               "measured_step_seconds": measured,
+               "gap": [validation_gap(p, m) if m else None for p, m in zip(predicted, measured)]}
+    return "validate", [rejected, records], {"n_errors": len(errors)}
 
 
 _HANDLERS = {
@@ -430,16 +425,16 @@ def run(argv: Optional[list[str]] = None) -> int:
         # validate reports malformed lines; every other report needs a
         # well-formed, non-empty trace.
         if args.command == "validate":
-            kind, columns, extra = cmd_validate(pop, errors, hw, eff, overlap)
+            kind, blocks, extra = cmd_validate(pop, errors, hw, eff, overlap)
         elif errors:
             return EX_DATA
         elif len(pop) == 0:
             print(f"dlcost: {source}: no records", file=sys.stderr)
             return EX_DATA
         else:
-            kind, columns, extra = _HANDLERS[args.command](args, pop, hw, eff, overlap)
-        report = build_report(kind, columns, hw, eff, overlap, source, digest, extra)
-        del pop, columns  # only the report stays referenced while it is emitted
+            kind, blocks, extra = _HANDLERS[args.command](args, pop, hw, eff, overlap)
+        report = build_report(kind, blocks, hw, eff, overlap, source, digest, extra)
+        del pop, blocks  # only the report stays referenced while it is emitted
         _write_output(emit(report, args.format), args.out)
         return EX_DATA if errors else EX_OK
     except _UsageError as exc:

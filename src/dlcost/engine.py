@@ -29,6 +29,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import fields
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -203,14 +204,24 @@ class Evaluation:
     Each column holds the ``TimeBreakdown`` field of the same name, plus
     ``t_weight_on`` (each medium's part of ``t_weight``), ``t_compute`` and
     ``component_sum`` (the shares' denominator).  A combined column is
-    built when first read, so a caller pays only for what it reads.
+    built when first read, so a caller pays only for what it reads.  Given
+    ``like`` (an evaluation of the same columns at another point),
+    ``t_compute`` and ``t_weight`` are taken from it when their term lists
+    are ``like``'s own.
     """
 
-    def __init__(self, t: Terms) -> None:
+    def __init__(self, t: Terms, like: Optional["Evaluation"] = None) -> None:
         self.t_data = t.data.times
         self.t_compute_bound = t.compute_bound.times
         self.t_memory_bound = t.memory_bound.times
         self.t_weight_on = {m: term.times for m, term in t.weight_on.items()}
+        if like is None:
+            return
+        if (self.t_compute_bound is like.t_compute_bound
+                and self.t_memory_bound is like.t_memory_bound):
+            self.t_compute = like.t_compute
+        if all(map(operator.is_, self.t_weight_on.values(), like.t_weight_on.values())):
+            self.t_weight = like.t_weight
 
     @cached_property
     def t_compute(self) -> list[float]:

@@ -2,7 +2,10 @@
 
 A report is a fixed column order, rows of scalar cells, and metadata
 sufficient to re-run the producing analysis (hardware profile,
-efficiency model, overlap mode, tool version, input digest).  Emission
+efficiency model, overlap mode, tool version, input digest).  The rows
+come in blocks: in each block, a column holds either one cell per row
+or one fixed cell that every row of the block shares (a sweep's
+setting, say), which is stored and formatted once per block.  Emission
 is byte-deterministic: floats are serialized with 9 significant digits
 in both CSV and JSON, so the two formats parse to identical values.
 Non-finite floats (an infinite speedup) have no standard JSON form and
@@ -17,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .core import EfficiencyModel, HardwareProfile, OverlapMode
@@ -80,21 +83,63 @@ def input_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class Fixed(NamedTuple):
+    """One cell that every row of a block shares, given in place of a column's values."""
+
+    value: Any
+
+
+class Block(NamedTuple):
+    """Each row's varying cells, in column order, and the fixed cells by column index."""
+
+    rows: Sequence[tuple[Any, ...]]
+    fixed: Mapping[int, Any]
+
+
 @dataclass(frozen=True)
 class Report:
     columns: tuple[str, ...]
-    rows: tuple[tuple[Any, ...], ...]
+    blocks: tuple[Block, ...]
     metadata: Mapping[str, Any]
 
+    @property
+    def rows(self) -> "_Rows":
+        return _Rows(self)
 
-def build_report(kind: str, columns: Mapping[str, Sequence[Any]],
+
+class _Rows:
+    """A sized, iterable view of a report's full rows, block by block."""
+
+    def __init__(self, report: Report) -> None:
+        self.report = report
+
+    def __len__(self) -> int:
+        return sum(len(rows) for rows, _ in self.report.blocks)
+
+    def __iter__(self) -> Iterator[tuple[Any, ...]]:
+        width = range(len(self.report.columns))
+        for rows, fixed in self.report.blocks:
+            for cells in map(iter, rows):
+                yield tuple(fixed[i] if i in fixed else next(cells) for i in width)
+
+
+def build_report(kind: str, blocks: Sequence[Mapping[str, Any]],
                  hw: HardwareProfile, eff: EfficiencyModel, overlap: OverlapMode,
                  source: str, digest: str,
                  extra_metadata: Mapping[str, Any] | None = None) -> Report:
-    """A report of the named columns, each holding one value per row, in order."""
-    lengths = {name: len(values) for name, values in columns.items()}
-    if len(set(lengths.values())) > 1:
-        raise ValueError(f"report columns differ in length: {lengths}")
+    """A report of row blocks, in order.  Each block maps every column name,
+    in report order, to one value per row or to a ``Fixed`` cell."""
+    columns = tuple(blocks[0])
+    built = []
+    for block in blocks:
+        if tuple(block) != columns:
+            raise ValueError(f"report blocks differ in columns: {tuple(block)} and {columns}")
+        varying = {name: v for name, v in block.items() if not isinstance(v, Fixed)}
+        lengths = {name: len(values) for name, values in varying.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"report columns differ in length: {lengths}")
+        fixed = {i: v.value for i, v in enumerate(block.values()) if isinstance(v, Fixed)}
+        built.append(Block(tuple(zip(*varying.values())), fixed))
     metadata: dict[str, Any] = {
         "kind": kind,
         "tool_version": __version__,
@@ -105,7 +150,7 @@ def build_report(kind: str, columns: Mapping[str, Sequence[Any]],
     }
     if extra_metadata:
         metadata.update(extra_metadata)
-    return Report(columns=tuple(columns), rows=tuple(zip(*columns.values())), metadata=metadata)
+    return Report(columns=columns, blocks=tuple(built), metadata=metadata)
 
 
 def _flatten_metadata(meta: Mapping[str, Any], prefix: str = "") -> list[tuple[str, Any]]:
@@ -124,11 +169,21 @@ def _flatten_metadata(meta: Mapping[str, Any], prefix: str = "") -> list[tuple[s
 EMIT_CHUNK_ROWS = 2048
 
 
-def _chunks(rows: Sequence[tuple]) -> Iterator[tuple[int, list[tuple]]]:
-    """Each chunk's row count and its columns."""
-    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
-        chunk = rows[start:start + EMIT_CHUNK_ROWS]
-        yield len(chunk), list(zip(*chunk))
+def _chunks(report: Report, column_rule: Callable[[tuple], Sequence[str]],
+            cell_rule: Callable[[Any], str],
+            text: Callable[[int, list[Sequence[str]]], str]) -> Iterator[bytes]:
+    """Each chunk's ``text(n_rows, columns)`` of its columns' formatted cells,
+    encoded: a block's fixed cells go through ``cell_rule`` once per block,
+    and every other column through ``column_rule`` once per chunk.  No
+    formatted cell outlives its chunk's text."""
+    width = range(len(report.columns))
+    for rows, fixed in report.blocks:
+        texts = {i: cell_rule(value) for i, value in fixed.items()}
+        for start in range(0, len(rows), EMIT_CHUNK_ROWS):
+            chunk = rows[start:start + EMIT_CHUNK_ROWS]
+            varying = map(column_rule, zip(*chunk))
+            yield text(len(chunk), [[texts[i]] * len(chunk) if i in texts else next(varying)
+                                    for i in width]).encode("utf-8")
 
 
 def _csv_column(values: tuple) -> Sequence[str]:
@@ -191,8 +246,7 @@ def emit(report: Report, format: str = "csv") -> bytes:
         for key, value in _flatten_metadata(report.metadata):
             write(f"# {key}: {_comment_value(value)}\n")
         write(_csv_text(1, [[_csv_field(c)] for c in report.columns]))
-        for n_rows, columns in _chunks(report.rows):
-            write(_csv_text(n_rows, [_csv_column(c) for c in columns]))
+        parts += _chunks(report, _csv_column, _csv_field, _csv_text)
     elif format == "json":
         # The rows, the bulk of the bytes, are spliced into the frame that
         # ``indent=2`` gives, each row through one template of its keys.
@@ -202,11 +256,14 @@ def emit(report: Report, format: str = "csv") -> bytes:
         items = ",\n      ".join(encode_basestring_ascii(c).replace("{", "{{").replace("}", "}}")
                                   + ": {}" for c in report.columns)
         row = f"{{{{\n      {items}\n    }}}}".format
+
+        def rows(n_rows: int, columns: list[Sequence[str]]) -> str:
+            return ",\n    ".join(map(row, *columns) if columns else ["{}"] * n_rows)
+
         sep = "[\n    "
-        for n_rows, columns in _chunks(report.rows):
-            rows = map(row, *map(_json_column, columns)) if columns else ["{}"] * n_rows
+        for data in _chunks(report, _json_column, _json_text, rows):
             write(sep)
-            write(",\n    ".join(rows))
+            parts.append(data)
             sep = ",\n    "
         write("\n  ]\n}\n" if report.rows else "[]\n}\n")
     else:

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import Field, dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .aggregate import cnode_level_mean, job_level_mean
 from .core import (
@@ -93,44 +93,43 @@ def standard_axes(resources: Optional[Sequence[SweepResource]] = None) -> tuple[
 Setting = tuple[tuple[SweepResource, float], ...]
 
 
-class SweepCell(NamedTuple):
-    job_id: str
-    settings: Setting
-    speedup: float  # t_total(base hw) / t_total(base hw with the settings)
+@dataclass(frozen=True)
+class SweepTable:
+    """Per-job speedups, one list per setting: ``speedups[i][j]`` is job
+    ``job_ids[j]``'s t_total(base hw) / t_total(base hw with ``settings[i]``)."""
+
+    job_ids: list[str]
+    settings: tuple[Setting, ...]
+    speedups: list[list[float]]
+
+    def __len__(self) -> int:
+        """The number of cells: one per job per setting."""
+        return len(self.job_ids) * len(self.settings)
 
 
 def _sweep(pop: tuple[WorkloadRecord, ...], axes: Sequence[SweepAxis],
            settings: Sequence[Setting], base_hw: HardwareProfile, eff: EfficiencyModel,
-           overlap: OverlapMode) -> list[SweepCell]:
-    """Per-job speedup of each setting over ``base_hw``, setting-major."""
+           overlap: OverlapMode) -> SweepTable:
+    """Per-job speedup of each setting over ``base_hw``."""
     if not axes:
         raise ValueError("no sweep axes given")
     cols = Columns.of(pop)
     base_terms = terms(cols, base_hw, eff)
-    base_totals = Evaluation(base_terms).t_total(overlap)
-    job_ids = [rec.job_id for rec in pop]
-    cells = []
+    base = Evaluation(base_terms)
+    base_totals = base.t_total(overlap)
+    speedups = []
     for setting in settings:
         hw = replace(base_hw, **{resource.field.name: value for resource, value in setting})
-        # Only the terms whose rate the setting moves are divided again.
-        new_totals = Evaluation(terms(cols, hw, eff, like=base_terms)).t_total(overlap)
-        cells.extend(SweepCell(job_id, setting, speedup(base, new))
-                     for job_id, base, new in zip(job_ids, base_totals, new_totals))
-    return cells
-
-
-def per_setting(settings: Iterable[Setting], value: Callable[[Setting], object]) -> list:
-    """One cell per sweep cell, ``value(setting)``, computed once per run of
-    cells that share a setting (a sweep is setting-major)."""
-    column = []
-    for setting, cells in itertools.groupby(settings):
-        column += [value(setting)] * len(tuple(cells))
-    return column
+        # Only the terms whose rate the setting moves are divided again, and
+        # only the combined columns they enter are summed again.
+        new = Evaluation(terms(cols, hw, eff, like=base_terms), like=base)
+        speedups.append(list(map(speedup, base_totals, new.t_total(overlap))))
+    return SweepTable([rec.job_id for rec in pop], tuple(settings), speedups)
 
 
 def hardware_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],
                    base_hw: HardwareProfile, eff: EfficiencyModel,
-                   overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> list[SweepCell]:
+                   overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> SweepTable:
     """One-resource-at-a-time speedup table over axes x candidates x jobs."""
     pop = require_jobs(pop)
     settings = [((axis.resource, c),) for axis in axes for c in axis.candidates]
@@ -139,7 +138,7 @@ def hardware_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],
 
 def cartesian_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],
                     base_hw: HardwareProfile, eff: EfficiencyModel,
-                    overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> list[SweepCell]:
+                    overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> SweepTable:
     """Full cross-product sweep over every axis combination.
 
     Emits a warning when the report would exceed ``CARTESIAN_WARNING_CELLS``

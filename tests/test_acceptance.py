@@ -136,8 +136,8 @@ def test_08_monotonicity_suite():
                 assert all(n <= b for n, b in zip(_components(new), _components(base)))
         axes = [SweepAxis(resource=r, candidates=(getattr(PAI, r.field.name),))
                 for r in SweepResource]
-        for cell in hardware_sweep(SYNTH_1000, axes, PAI, EFF):
-            assert cell.speedup == 1.0
+        table = hardware_sweep(SYNTH_1000, axes, PAI, EFF)
+        assert table.speedups == [[1.0] * len(SYNTH_1000)] * len(axes)
 
 
 # --- brute-force oracles for criterion 9 -------------------------------------

@@ -12,10 +12,11 @@ import hypothesis.strategies as st
 
 import dlcost.report
 from dlcost.cli import EX_CANTCREAT, EX_DATA, EX_NOINPUT, EX_OK, EX_USAGE, run
-from dlcost.core import OverlapMode
-from dlcost.report import EMIT_CHUNK_ROWS, FORMATS, Report, build_report, emit
+from dlcost.core import ArchitectureKind, OverlapMode
+from dlcost.ingest import write_trace
+from dlcost.report import EMIT_CHUNK_ROWS, FORMATS, Block, Fixed, Report, build_report, emit
 
-from helpers import EFF, PAI, reference_emit
+from helpers import EFF, PAI, make_record, reference_emit
 
 
 def run_to_file(tmp_path, *argv, name="out"):
@@ -173,6 +174,24 @@ class TestSweepCommand:
         rows = parse_csv(data)
         assert len(rows) == 6 * 3 * 2
         assert "settings" in rows[0]
+
+    @pytest.mark.parametrize("cartesian", [[], ["--cartesian"]])
+    def test_an_infinite_speedup_is_a_missing_value(self, tmp_path, cartesian):
+        # The tiny job's step underflows to zero time on the fastest GPU:
+        # infinitely faster, written as an empty CSV cell and JSON null.
+        trace = tmp_path / "tiny.jsonl"
+        write_trace([make_record(job_id="idle", flops=0.0, mem_access_bytes=0.0,
+                                 input_bytes=0.0, weight_traffic_bytes=0.0),
+                     make_record(job_id="tiny", arch=ArchitectureKind.ONE_WORKER_ONE_GPU,
+                                 flops=1e-300, mem_access_bytes=0.0, input_bytes=0.0)], trace)
+        argv = ["sweep", "--trace", str(trace), "--axes", "gpu_flops",
+                "--candidates", f"{PAI.gpu_peak_flops!r},1e300", *cartesian]
+        code, data = run_to_file(tmp_path, *argv)
+        assert code == EX_OK
+        assert [r["speedup"] for r in parse_csv(data)] == ["1", "1", "1", ""]
+        code, data = run_to_file(tmp_path, *argv, "--format", "json")
+        assert code == EX_OK
+        assert [r["speedup"] for r in json.loads(data)["rows"]] == [1.0, 1.0, 1.0, None]
 
     def test_unknown_axis(self):
         assert run(["sweep", "--corpus", "--axes", "infiniband"]) == EX_USAGE
@@ -526,12 +545,33 @@ class TestExitCodes:
         assert "COMMAND" in capsys.readouterr().out
 
 
+def one_block(columns, rows, metadata):
+    """A report of one block in which every cell varies."""
+    return Report(columns=columns, blocks=(Block(rows, {}),), metadata=metadata)
+
+
 class TestBuildReport:
     def test_columns_of_different_lengths_are_rejected(self):
         # zip would otherwise drop the rows past the shortest column.
         with pytest.raises(ValueError, match="report columns differ in length"):
-            build_report("k", {"a": [1, 2], "b": [1]}, PAI, EFF, OverlapMode.NO_OVERLAP,
+            build_report("k", [{"a": [1, 2], "b": [1]}], PAI, EFF, OverlapMode.NO_OVERLAP,
                          "src", "0" * 64)
+
+    def test_blocks_of_different_columns_are_rejected(self):
+        with pytest.raises(ValueError, match="report blocks differ in columns"):
+            build_report("k", [{"a": [1], "b": [2]}, {"b": [2], "a": [1]}], PAI, EFF,
+                         OverlapMode.NO_OVERLAP, "src", "0" * 64)
+
+    def test_rows_are_the_blocks_with_their_fixed_cells_filled_in(self):
+        report = build_report("k", [
+            {"a": Fixed(None), "b": [1, 2], "c": Fixed("x,y")},
+            {"a": [3.5], "b": Fixed(math.inf), "c": ["z"]},
+            {"a": Fixed(0), "b": [], "c": []},
+        ], PAI, EFF, OverlapMode.NO_OVERLAP, "src", "0" * 64)
+        assert report.columns == ("a", "b", "c")
+        assert report.blocks[0] == Block(((1,), (2,)), {0: None, 2: "x,y"})
+        assert len(report.rows) == 3
+        assert list(report.rows) == [(None, 1, "x,y"), (None, 2, "x,y"), (3.5, math.inf, "z")]
 
 
 #: One type of cell each; a column draws its cells from one or two of them.
@@ -543,44 +583,56 @@ CELL_KINDS = {
     "str": st.one_of(st.text(), st.sampled_from(["", "-", "#", "{}", "{0}", "\u00e9"])),
 }
 
+#: Fixed cells that each take a path of their own: quoted CSV text, a
+#: non-finite float (an empty CSV cell, JSON null) and a missing value.
+ODD_FIXED_CELLS = ["a,b", 'say "hi"', "two\nlines", math.inf, -math.inf, math.nan, None]
+
 
 @st.composite
 def chunked_reports(draw):
-    """An emission chunk size and a report up to past two chunks long.  Each
-    column's cells come from a few drawn values of one or two types; a text
-    column may hold a string that needs quoting in a later chunk only."""
+    """An emission chunk size and a report of one to three blocks, each up to
+    past two chunks long.  In each block a column is either fixed, one drawn
+    cell for all of the block's rows, or draws each row's cell from a few
+    values of one or two types; a text column may hold a string that needs
+    quoting in a later chunk only."""
     chunk = draw(st.sampled_from([1, 2, 3, 5, EMIT_CHUNK_ROWS]))
-    n_rows = max(0, chunk * draw(st.integers(0, 2)) + draw(st.integers(-1, 1)))
     names = draw(st.lists(st.text(), max_size=4, unique=True))
     rnd = draw(st.randoms(use_true_random=False))
-    columns = []
-    for _ in names:
-        kinds = draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=2,
-                              unique=True))
-        pool = draw(st.lists(st.one_of(*(CELL_KINDS[k] for k in kinds)), min_size=1, max_size=4))
-        column = [rnd.choice(pool) for _ in range(n_rows)]
-        if "str" in kinds and n_rows > chunk and draw(st.booleans()):
-            quoted = draw(st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r"]))
-            column[rnd.randrange(chunk, n_rows)] = quoted
-        columns.append(column)
-    rows = tuple(zip(*columns)) if names else ((),) * n_rows
-    return chunk, Report(columns=tuple(names), rows=rows, metadata={})
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_rows = max(0, chunk * draw(st.integers(0, 2)) + draw(st.integers(-1, 1)))
+        columns, fixed = [], {}
+        for i, _ in enumerate(names):
+            kinds = draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=2,
+                                  unique=True))
+            cells = st.one_of(*(CELL_KINDS[k] for k in kinds))
+            if draw(st.booleans()):
+                fixed[i] = draw(st.one_of(cells, st.sampled_from(ODD_FIXED_CELLS)))
+                continue
+            pool = draw(st.lists(cells, min_size=1, max_size=4))
+            column = [rnd.choice(pool) for _ in range(n_rows)]
+            if "str" in kinds and n_rows > chunk and draw(st.booleans()):
+                quoted = draw(st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r"]))
+                column[rnd.randrange(chunk, n_rows)] = quoted
+            columns.append(column)
+        blocks.append(Block(tuple(zip(*columns)) if columns else ((),) * n_rows, fixed))
+    return chunk, Report(columns=tuple(names), blocks=tuple(blocks), metadata={})
 
 
 class TestEmit:
     def test_empty_rows_give_header_only_csv(self):
-        report = Report(columns=("a", "b"), rows=(), metadata={"kind": "breakdown"})
+        report = one_block(("a", "b"), (), {"kind": "breakdown"})
         data = emit(report, "csv").decode()
         lines = [ln for ln in data.splitlines() if not ln.startswith("#")]
         assert lines == ["a,b"]
 
     def test_nine_significant_digits(self):
-        report = Report(columns=("x",), rows=((math.pi,),), metadata={})
+        report = one_block(("x",), ((math.pi,),), {})
         assert "3.14159265" in emit(report, "csv").decode()
         assert json.loads(emit(report, "json"))["rows"][0]["x"] == 3.14159265
 
     def test_unknown_format_rejected(self):
-        report = Report(columns=(), rows=(), metadata={})
+        report = one_block((), (), {})
         with pytest.raises(ValueError):
             emit(report, "yaml")
 
@@ -592,7 +644,7 @@ class TestEmit:
         ) for _ in columns)), max_size=5))))
     def test_csv_and_json_parse_to_identical_values(self, table):
         columns, rows = table
-        report = Report(columns=columns, rows=tuple(rows), metadata={"kind": "k"})
+        report = one_block(columns, tuple(rows), {"kind": "k"})
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -638,7 +690,7 @@ class TestEmit:
             max_leaves=8), max_size=4))
     def test_json_is_json_dumps_with_indent(self, table, metadata):
         columns, rows = table
-        report = Report(columns=columns, rows=tuple(rows), metadata=metadata)
+        report = one_block(columns, tuple(rows), metadata)
 
         def cell(value):  # floats are emitted to 9 digits, or as null
             if isinstance(value, float):
@@ -652,11 +704,14 @@ class TestEmit:
 
     @settings(deadline=None)
     @given(chunked_reports())
-    @example((EMIT_CHUNK_ROWS, Report(columns=("a",), rows=(("",),) * (EMIT_CHUNK_ROWS + 1),
-                                      metadata={})))
-    @example((2, Report(columns=("f", "b", "n", "s"), rows=(
+    @example((EMIT_CHUNK_ROWS, one_block(("a",), (("",),) * (EMIT_CHUNK_ROWS + 1), {})))
+    @example((2, one_block(("f", "b", "n", "s"), (
         (None, True, 1, "a"), (1.5, 2, 2.5, "b"),
-        (-0.0, False, math.inf, "c,d"), (math.nan, 0, 3, "e")), metadata={})))
+        (-0.0, False, math.inf, "c,d"), (math.nan, 0, 3, "e")), {})))
+    @example((2, Report(columns=("f", "s", "n"), blocks=(
+        Block(((1.5,), (2.5,), (3.5,)), {1: 'say "hi"', 2: None}),
+        Block(((), (), ()), {0: math.nan, 1: "", 2: -math.inf}),
+        Block(((None, "a"), ("b,c", 1)), {0: "x"})), metadata={})))
     def test_emit_equals_the_per_cell_reference(self, case):
         chunk, report = case
         with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", chunk):
@@ -665,7 +720,7 @@ class TestEmit:
 
     @given(st.text(alphabet=st.characters(blacklist_categories=())))
     def test_csv_metadata_value_stays_on_one_encodable_line(self, value):
-        report = Report(columns=("a",), rows=(), metadata={"v": value})
+        report = one_block(("a",), (), {"v": value})
         line, header = emit(report, "csv").decode("utf-8").splitlines()
         assert header == "a" and line.startswith("# v: ")
         shown = line[len("# v: "):]

@@ -69,44 +69,46 @@ class TestAxes:
 class TestHardwareSweep:
     def test_baseline_candidate_gives_exactly_one(self):
         pop = pop_of(make_record(job_id="a"), pure_weight_record(job_id="b"))
-        for cell in hardware_sweep(pop, standard_axes(), PAI, EFF):
-            [(resource, candidate)] = cell.settings
+        table = hardware_sweep(pop, standard_axes(), PAI, EFF)
+        for [(resource, candidate)], speedups in zip(table.settings, table.speedups):
             if candidate == getattr(PAI, resource.field.name):
-                assert cell.speedup == 1.0
+                assert speedups == [1.0, 1.0]
 
     def test_each_setting_replaces_exactly_its_field(self):
         pop = pop_of(make_record(job_id="a"), pure_weight_record(job_id="b"))
-        cells = hardware_sweep(pop, standard_axes(), PAI, EFF)
-        assert len(cells) == 2 * sum(map(len, STANDARD_CANDIDATES.values()))
-        for cell, rec in zip(cells, itertools.cycle(pop)):
-            [(resource, candidate)] = cell.settings
+        table = hardware_sweep(pop, standard_axes(), PAI, EFF)
+        assert len(table) == 2 * sum(map(len, STANDARD_CANDIDATES.values()))
+        assert table.job_ids == ["a", "b"]
+        assert table.settings == tuple(((axis.resource, c),) for axis in standard_axes()
+                                       for c in axis.candidates)
+        assert len(table.speedups) == len(table.settings)
+        for [(resource, candidate)], speedups in zip(table.settings, table.speedups):
             hw = dataclasses.replace(PAI, **{resource.field.name: candidate})
-            assert cell.job_id == rec.job_id
-            assert float_bits([cell.speedup]) == float_bits(
-                [speedup(breakdown(rec, PAI, EFF).t_total, breakdown(rec, hw, EFF).t_total)])
+            assert float_bits(speedups) == float_bits(
+                [speedup(breakdown(rec, PAI, EFF).t_total, breakdown(rec, hw, EFF).t_total)
+                 for rec in pop])
 
     def test_weight_bound_ethernet_upgrade(self):
         # oracle: (1/(3.125*0.7) + 1/(10*0.7)) / (1/(12.5*0.7) + 1/(10*0.7)) = 2.3333...
         pop = pop_of(pure_weight_record())
         axis = SweepAxis(resource=R.ETHERNET, candidates=(1.25e10,))
-        [cell] = hardware_sweep(pop, [axis], PAI, EFF)
-        assert cell.speedup == pytest.approx(2.3333333333333335, rel=1e-12)
-        assert cell.settings == ((R.ETHERNET, 1.25e10),)
+        table = hardware_sweep(pop, [axis], PAI, EFF)
+        [[cell]] = table.speedups
+        assert cell == pytest.approx(2.3333333333333335, rel=1e-12)
+        assert table.settings == (((R.ETHERNET, 1.25e10),),)
 
     def test_unused_resource_leaves_speedup_at_one(self):
         compute_only = make_record(flops=1e12, mem_access_bytes=0.0, input_bytes=0.0,
                                    weight_traffic_bytes=0.0)
         pop = pop_of(compute_only)
         axis = SweepAxis(resource=R.ETHERNET, candidates=(1.25e9, 1.25e10))
-        for cell in hardware_sweep(pop, [axis], PAI, EFF):
-            assert cell.speedup == 1.0
+        assert hardware_sweep(pop, [axis], PAI, EFF).speedups == [[1.0], [1.0]]
 
     @given(workload_records(), st.sampled_from(list(R)))
     def test_speedup_monotone_in_candidate(self, rec, resource):
         pop = pop_of(rec)
         axis = SweepAxis(resource=resource, candidates=(1e9, 1e10, 1e11, 1e12))
-        cells = hardware_sweep(pop, [axis], PAI, EFF)
-        speedups = [c.speedup for c in cells]
+        speedups = [s for [s] in hardware_sweep(pop, [axis], PAI, EFF).speedups]
         assert all(a <= b for a, b in zip(speedups, speedups[1:]))
 
     @given(workload_records(allow_zero_demands=False), st.sampled_from(list(R)),
@@ -114,13 +116,13 @@ class TestHardwareSweep:
     def test_speedup_bounded_by_untouched_residual(self, rec, resource, candidate):
         pop = pop_of(rec)
         axis = SweepAxis(resource=resource, candidates=(candidate,))
-        [cell] = hardware_sweep(pop, [axis], PAI, EFF)
+        [[cell]] = hardware_sweep(pop, [axis], PAI, EFF).speedups
         base = breakdown(rec, PAI, EFF)
         # components the axis can never touch stay as a lower bound on time
         infinite = dataclasses.replace(PAI, **{resource.field.name: 1e30})
         residual = breakdown(rec, infinite, EFF).t_total
         if residual > 0:
-            assert cell.speedup <= base.t_total / residual * (1 + 1e-12)
+            assert cell <= base.t_total / residual * (1 + 1e-12)
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
@@ -142,10 +144,12 @@ class TestHardwareSweep:
            overlap=st.sampled_from(list(OverlapMode)))
     def test_is_the_one_axis_cartesian_sweep_per_axis(self, records, axes, hw, eff, overlap):
         pop = tuple(records)
-        cells = hardware_sweep(pop, axes, hw, eff, overlap)
-        per_axis = [cell for axis in axes for cell in cartesian_sweep(pop, [axis], hw, eff, overlap)]
-        assert [cell[:2] for cell in cells] == [cell[:2] for cell in per_axis]
-        assert float_bits(c.speedup for c in cells) == float_bits(c.speedup for c in per_axis)
+        table = hardware_sweep(pop, axes, hw, eff, overlap)
+        per_axis = [cartesian_sweep(pop, [axis], hw, eff, overlap) for axis in axes]
+        assert all(t.job_ids == table.job_ids for t in per_axis)
+        assert table.settings == tuple(s for t in per_axis for s in t.settings)
+        assert (float_bits(itertools.chain.from_iterable(table.speedups))
+                == float_bits(s for t in per_axis for speedups in t.speedups for s in speedups))
 
 
     @given(records=record_lists_with_idle_job(max_size=6),
@@ -160,13 +164,50 @@ class TestHardwareSweep:
         # Every resource is swept, PCIe (the data and a weight term) included.
         pop = tuple(records)
         for sweep_fn in (hardware_sweep, cartesian_sweep):
-            cells = sweep_fn(pop, axes, hw, eff, overlap)
-            for cell, rec in zip(cells, itertools.cycle(pop)):
-                moved = dataclasses.replace(hw, **{r.field.name: v for r, v in cell.settings})
-                assert cell.job_id == rec.job_id
-                assert float_bits([cell.speedup]) == float_bits([speedup(
+            table = sweep_fn(pop, axes, hw, eff, overlap)
+            assert table.job_ids == [rec.job_id for rec in pop]
+            assert len(table.speedups) == len(table.settings)
+            for setting, speedups in zip(table.settings, table.speedups):
+                moved = dataclasses.replace(hw, **{r.field.name: v for r, v in setting})
+                assert float_bits(speedups) == float_bits([speedup(
                     breakdown(rec, hw, eff, overlap).t_total,
-                    breakdown(rec, moved, eff, overlap).t_total)])
+                    breakdown(rec, moved, eff, overlap).t_total) for rec in pop])
+
+
+#: A job so small that the fastest GPU candidate's compute time underflows
+#: to 0.0 (a zero-time step), while its base step time is a tiny positive
+#: float; and an idle job, zero-time under every setting.
+TINY = make_record(job_id="tiny", arch=A.ONE_WORKER_ONE_GPU, flops=1e-300,
+                   mem_access_bytes=0.0, input_bytes=0.0)
+IDLE = make_record(job_id="idle", flops=0.0, mem_access_bytes=0.0, input_bytes=0.0,
+                   weight_traffic_bytes=0.0)
+
+
+class TestSweepTable:
+    @given(records=record_lists_with_idle_job(max_size=6),
+           axes=st.lists(st.builds(
+               SweepAxis, resource=st.sampled_from(list(R)),
+               candidates=st.lists(st.floats(min_value=1e6, max_value=1e15),
+                                   min_size=1, max_size=3, unique=True).map(tuple)),
+               min_size=1, max_size=3, unique_by=lambda axis: axis.resource))
+    def test_len_is_the_cell_count(self, records, axes):
+        pop = tuple(records)
+        for sweep_fn, n_settings in (
+                (hardware_sweep, sum(len(axis.candidates) for axis in axes)),
+                (cartesian_sweep, math.prod(len(axis.candidates) for axis in axes))):
+            table = sweep_fn(pop, axes, PAI, EFF)
+            assert len(table.settings) == len(table.speedups) == n_settings
+            assert all(len(speedups) == len(pop) for speedups in table.speedups)
+            assert len(table) == len(pop) * n_settings
+
+    @pytest.mark.parametrize("overlap", list(OverlapMode))
+    def test_zero_time_steps_follow_the_speedup_rules(self, overlap):
+        axis = SweepAxis(resource=R.GPU_FLOPS, candidates=(1e300,))
+        assert breakdown(TINY, PAI, EFF, overlap).t_total > 0
+        for sweep_fn in (hardware_sweep, cartesian_sweep):
+            table = sweep_fn((IDLE, TINY), [axis], PAI, EFF, overlap)
+            # Zero time before and after: as fast; zero time after only: infinitely faster.
+            assert table.speedups == [[1.0, math.inf]]
 
 
 class TestCartesianSweep:
@@ -176,9 +217,9 @@ class TestCartesianSweep:
             SweepAxis(resource=R.ETHERNET, candidates=(1.25e9, 3.125e9)),
             SweepAxis(resource=R.PCIE, candidates=(1e10, 5e10)),
         ]
-        cells = cartesian_sweep(pop, axes, PAI, EFF)
-        assert len(cells) == 4
-        assert {tuple(c.settings) for c in cells} == {
+        table = cartesian_sweep(pop, axes, PAI, EFF)
+        assert len(table) == 4
+        assert set(table.settings) == {
             ((R.ETHERNET, 1.25e9), (R.PCIE, 1e10)),
             ((R.ETHERNET, 1.25e9), (R.PCIE, 5e10)),
             ((R.ETHERNET, 3.125e9), (R.PCIE, 1e10)),
@@ -309,10 +350,11 @@ class TestDuplicateJobIds:
                             flops=0.0, mem_access_bytes=0.0, input_bytes=0.0)
         pop = pop_of(light, heavy)
         axis = SweepAxis(resource=R.ETHERNET, candidates=(1.25e10,))
-        cells = hardware_sweep(pop, [axis], PAI, EFF)
-        assert len(cells) == 2
+        table = hardware_sweep(pop, [axis], PAI, EFF)
+        assert len(table) == 2
+        assert table.job_ids == ["dup", "dup"]
         base = [breakdown(rec, PAI, EFF).t_total for rec in pop]
         modified_hw = dataclasses.replace(PAI, ethernet_bandwidth=1.25e10)
         expected = [b / breakdown(rec, modified_hw, EFF).t_total
                     for rec, b in zip(pop, base)]
-        assert [c.speedup for c in cells] == pytest.approx(expected, rel=1e-12)
+        assert table.speedups == [pytest.approx(expected, rel=1e-12)]
