@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -82,19 +83,19 @@ def composition(pop: Iterable[WorkloadRecord]) -> dict[ArchitectureKind, ArchCom
     """Per-architecture job and cNode counts and fractions."""
     pop = require_jobs(pop)
     total_jobs = len(pop)
-    total_cnodes = sum(rec.num_cnodes for rec in pop)
-    result = {}
-    for arch in ArchitectureKind:
-        jobs = [rec for rec in pop if rec.arch is arch]
-        cnodes = sum(rec.num_cnodes for rec in jobs)
-        result[arch] = ArchComposition(
-            arch=arch,
-            job_count=len(jobs),
-            job_fraction=len(jobs) / total_jobs,
-            cnode_count=cnodes,
-            cnode_fraction=cnodes / total_cnodes,
-        )
-    return result
+    total_cnodes = sum(pop.num_cnodes)
+    jobs = dict.fromkeys(ArchitectureKind, 0)
+    cnodes = dict.fromkeys(ArchitectureKind, 0)
+    for arch, n in zip(pop.arch, pop.num_cnodes):
+        jobs[arch] += 1
+        cnodes[arch] += n
+    return {arch: ArchComposition(
+                arch=arch,
+                job_count=jobs[arch],
+                job_fraction=jobs[arch] / total_jobs,
+                cnode_count=cnodes[arch],
+                cnode_fraction=cnodes[arch] / total_cnodes,
+            ) for arch in ArchitectureKind}
 
 
 def job_level_mean(values: Sequence[float]) -> float:
@@ -165,14 +166,15 @@ def scale_distribution(
         pop: Iterable[WorkloadRecord]) -> dict[ArchitectureKind, ScaleDistribution]:
     """Per-architecture CDFs of cNode count and model weight size."""
     pop = require_jobs(pop)
+    model_bytes = pop.model_bytes
     result = {}
     for arch in ArchitectureKind:
-        jobs = [rec for rec in pop if rec.arch is arch]
-        if not jobs:
+        jobs = [arch is a for a in pop.arch]
+        if not any(jobs):
             continue
         result[arch] = ScaleDistribution(
             arch=arch,
-            cnodes=EmpiricalCDF.from_samples([float(rec.num_cnodes) for rec in jobs]),
-            model_bytes=EmpiricalCDF.from_samples([rec.model_bytes for rec in jobs]),
+            cnodes=EmpiricalCDF.from_samples([float(n) for n in compress(pop.num_cnodes, jobs)]),
+            model_bytes=EmpiricalCDF.from_samples(list(compress(model_bytes, jobs))),
         )
     return result

@@ -24,9 +24,9 @@ from pathlib import Path
 from typing import Optional
 
 from .aggregate import composition, scale_distribution, share_cdf, weighted_breakdown
-from .core import ArchitectureKind, OverlapMode, Shares, WorkloadRecord
+from .core import ArchitectureKind, OverlapMode, Population, Shares
 from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
-from .engine import Columns, evaluate, throughput, validation_gap
+from .engine import Columns, evaluate, samples_per_second, validation_gap
 # Unused here, but perfbench's tracer patches ``dlcost.cli.breakdown``.
 from .engine import breakdown  # noqa: F401
 from .ingest import (
@@ -143,7 +143,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_inputs(args) -> tuple[tuple[WorkloadRecord, ...], list, str, str]:
+def _load_inputs(args) -> tuple[Population, list, str, str]:
     """Population, per-line errors, source label, and the SHA-256 of the
     input's bytes."""
     if getattr(args, "corpus", False):
@@ -176,10 +176,10 @@ def cmd_breakdown(args, pop, hw, eff, overlap):
     ev = evaluate(Columns.of(pop), hw, eff)
     t_total = ev.t_total(overlap)
     columns = {
-        "job_id": [rec.job_id for rec in pop],
-        "arch": [rec.arch.value for rec in pop],
-        "num_cnodes": [rec.num_cnodes for rec in pop],
-        "batch_size": [rec.batch_size for rec in pop],
+        "job_id": pop.job_id,
+        "arch": [arch.value for arch in pop.arch],
+        "num_cnodes": pop.num_cnodes,
+        "batch_size": pop.batch_size,
         "t_data": ev.t_data,
         "t_compute_bound": ev.t_compute_bound,
         "t_memory_bound": ev.t_memory_bound,
@@ -189,7 +189,8 @@ def cmd_breakdown(args, pop, hw, eff, overlap):
         "t_total": t_total,
         **{f"share_{c}": ev.share(c) for c in Shares.COMPONENTS},
         "shares_defined": [s > 0 for s in ev.component_sum],
-        "throughput": [throughput(rec, t) if t > 0 else None for rec, t in zip(pop, t_total)],
+        "throughput": [samples_per_second(n, b, t) if t > 0 else None
+                       for n, b, t in zip(pop.num_cnodes, pop.batch_size, t_total)],
     }
     return "breakdown", [columns], None
 
@@ -204,7 +205,7 @@ def cmd_project(args, pop, hw, eff, overlap):
     results, summary = population_speedup_profile(pop, target, hw, eff, overlap)
     res = dict(zip(ProjectionResult._fields, zip(*results)))
     columns = {
-        "job_id": [rec.job_id for rec in pop],
+        "job_id": pop.job_id,
         "source_arch": [a.value for a in res["source_arch"]],
         "target_arch": [a.value for a in res["target_arch"]],
         **{name: res[name] for name in ("source_cnodes", "target_cnodes", "feasible", "reason",
@@ -374,12 +375,12 @@ def cmd_corpus(args) -> int:
 def cmd_validate(pop, errors, hw, eff, overlap):
     """One row per rejected line, then one per record with its predicted step."""
     predicted = evaluate(Columns.of(pop), hw, eff).t_total(overlap)
-    measured = [rec.measured_step_seconds for rec in pop]
+    measured = pop.measured_step_seconds
     none = Fixed(None)
     rejected = {"line": [err.line for err in errors], "job_id": none, "status": Fixed("error"),
                 "message": [err.message for err in errors],
                 "predicted_step_seconds": none, "measured_step_seconds": none, "gap": none}
-    records = {"line": none, "job_id": [rec.job_id for rec in pop], "status": Fixed("ok"),
+    records = {"line": none, "job_id": pop.job_id, "status": Fixed("ok"),
                "message": Fixed(""), "predicted_step_seconds": predicted,
                "measured_step_seconds": measured,
                "gap": [validation_gap(p, m) if m else None for p, m in zip(predicted, measured)]}

@@ -11,10 +11,12 @@ computation node (cNode): one GPU holding one model replica.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
-from typing import Any, Iterable, Mapping, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class ArchitectureKind(Enum):
@@ -194,6 +196,52 @@ class WorkloadRecord:
 RECORD_QUANTITIES: tuple[Field, ...] = tuple(
     f for f in fields(WorkloadRecord) if "kind" in f.metadata)
 
+#: Every WorkloadRecord field name, in declaration (positional) order.
+RECORD_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(WorkloadRecord))
+#: The tuple of those fields of a record, or of a population's lists.
+_FIELDS_OF = operator.attrgetter(*RECORD_FIELDS)
+
+
+class Population(Sequence):
+    """A read-only sequence of records held as one list per
+    ``WorkloadRecord`` field, in job order: ``pop.flops[i]`` is job ``i``'s
+    flops.  Analyses read the lists; indexing or iterating builds each
+    record on demand, equal to the record the fields came from.
+    """
+
+    __slots__ = RECORD_FIELDS
+
+    def __init__(self, *columns: list) -> None:
+        """One list per field, in ``RECORD_FIELDS`` order, all of one length."""
+        for name, column in zip(RECORD_FIELDS, columns, strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, records: Iterable[WorkloadRecord]) -> "Population":
+        """``records`` as a population (a population is returned as it is)."""
+        if isinstance(records, Population):
+            return records
+        rows = list(map(_FIELDS_OF, records))
+        return cls(*map(list, zip(*rows))) if rows else cls(*([] for _ in RECORD_FIELDS))
+
+    def __len__(self) -> int:
+        return len(self.job_id)
+
+    def __iter__(self) -> Iterator[WorkloadRecord]:
+        return map(WorkloadRecord, *_FIELDS_OF(self))
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[WorkloadRecord, "Population"]:
+        make = Population if isinstance(index, slice) else WorkloadRecord
+        return make(*(column[index] for column in _FIELDS_OF(self)))
+
+    def __repr__(self) -> str:
+        return f"<Population of {len(self)} records>"
+
+    @property
+    def model_bytes(self) -> list[float]:
+        """Each record's ``model_bytes``."""
+        return list(map(operator.add, self.dense_weight_bytes, self.embedding_weight_bytes))
+
 
 class ValidationError(ValueError):
     """A record violated one or more invariants; ``errors`` names each."""
@@ -260,13 +308,12 @@ def validate_record(rec: WorkloadRecord) -> WorkloadRecord:
     return rec
 
 
-def require_jobs(records: Iterable[WorkloadRecord]) -> tuple[WorkloadRecord, ...]:
-    """A population as the tuple of its records (a tuple is returned as it
-    is); raises ValueError when there are none."""
-    jobs = tuple(records)
-    if not jobs:
+def require_jobs(records: Iterable[WorkloadRecord]) -> Population:
+    """``Population.of(records)``; raises ValueError when there are none."""
+    pop = Population.of(records)
+    if not pop:
         raise ValueError("population is empty")
-    return jobs
+    return pop
 
 
 class Shares(NamedTuple):

@@ -42,6 +42,7 @@ from .core import (
     HardwareProfile,
     Medium,
     OverlapMode,
+    Population,
     Shares,
     TimeBreakdown,
     WorkloadRecord,
@@ -129,16 +130,18 @@ class Columns(NamedTuple):
 
     @classmethod
     def of(cls, records: Iterable[WorkloadRecord]) -> "Columns":
-        records = tuple(records)
-        paths = [WEIGHT_MEDIUM_PATHS[rec.arch] for rec in records]
+        """The model inputs of ``Population.of(records)``, sharing its
+        flops, memory, input and cNode lists."""
+        pop = Population.of(records)
+        paths = list(map(WEIGHT_MEDIUM_PATHS.__getitem__, pop.arch))
         return cls(
-            flops=[rec.flops for rec in records],
-            mem_access_bytes=[rec.mem_access_bytes for rec in records],
-            input_bytes=[rec.input_bytes for rec in records],
-            pcie_contention=[pcie_contention(rec.arch, rec.num_cnodes) for rec in records],
-            weight_on={m: [rec.weight_traffic_bytes if m in path else 0.0
-                           for rec, path in zip(records, paths)] for m in Medium},
-            num_cnodes=[rec.num_cnodes for rec in records],
+            flops=pop.flops,
+            mem_access_bytes=pop.mem_access_bytes,
+            input_bytes=pop.input_bytes,
+            pcie_contention=list(map(pcie_contention, pop.arch, pop.num_cnodes)),
+            weight_on={m: [w if m in path else 0.0
+                           for w, path in zip(pop.weight_traffic_bytes, paths)] for m in Medium},
+            num_cnodes=pop.num_cnodes,
         )
 
 
@@ -269,14 +272,16 @@ def speedup(base_total: float, new_total: float) -> float:
 
 
 def throughput(rec: WorkloadRecord, t_total: float) -> float:
-    """Samples per second across all of the job's cNodes.
+    """Samples per second across all of the job's cNodes."""
+    return samples_per_second(rec.num_cnodes, rec.batch_size, t_total)
 
-    (num_cnodes / t_total) steps per unit time, each consuming
-    ``batch_size`` samples per cNode.
-    """
+
+def samples_per_second(num_cnodes: int, batch_size: int, t_total: float) -> float:
+    """A job's throughput from its fields: (num_cnodes / t_total) steps per
+    unit time, each consuming ``batch_size`` samples per cNode."""
     if t_total <= 0:
         raise ValueError(f"t_total must be positive, got {t_total!r}")
-    return rec.num_cnodes / t_total * rec.batch_size
+    return num_cnodes / t_total * batch_size
 
 
 def validation_gap(predicted: float, measured: float) -> float:

@@ -5,6 +5,12 @@ keys mirroring WorkloadRecord.  Quantities may be plain numbers in
 canonical units or unit strings ("357MB", "1.56T"); writing always emits
 canonical numbers so a written trace reloads bit-exactly.
 
+A trace is read into a ``core.Population``: one list per record field,
+with no ``WorkloadRecord`` built for a line that passes the column
+screen (``_Reader.screen``).  ``record_from_dict`` with
+``core.record_errors`` is the reference for every other line, and the
+source of every rejection message.
+
 Hardware profiles come from built-in presets or flat key = value files
 with unit-string values; the DLCOST_HW_DIR environment variable prepends
 a directory to the preset search path.
@@ -14,17 +20,22 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
+from array import array
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .core import (
+    RECORD_FIELDS,
     RECORD_QUANTITIES,
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
+    Population,
     WorkloadRecord,
     check_range,
     placed_cnodes,
@@ -49,6 +60,7 @@ class TraceError:
 _TRACE_KEYS = frozenset(f.name for f in fields(WorkloadRecord))
 _QUANTITY_KINDS = tuple((f.name, f.metadata["kind"]) for f in RECORD_QUANTITIES)
 _ARCH_BY_LABEL = {arch.value: arch for arch in ArchitectureKind}
+_ONE_GPU = ArchitectureKind.ONE_WORKER_ONE_GPU
 _FLOAT_MAX = sys.float_info.max
 _INF = math.inf
 _RAW_DECODE = json.JSONDecoder().raw_decode
@@ -156,69 +168,140 @@ def _decode_line(line: str):
     return obj if end == len(line) else json.loads(line)
 
 
-def _screen_record(obj) -> Optional[WorkloadRecord]:
-    """The record ``record_from_dict(obj)`` returns, for a clean object.
+#: The required fields of a trace object, in ``WorkloadRecord`` order: the
+#: job's id, architecture, cNodes and batch size, then its quantities.
+_REQUIRED_NAMES = tuple(f.name for f in fields(WorkloadRecord) if f.default is MISSING)
+_REQUIRED = operator.itemgetter(*_REQUIRED_NAMES)
+_WEIGHT_TRAFFIC = [name for name, _ in _QUANTITY_KINDS].index("weight_traffic_bytes")
+_STR = frozenset({str})
+_INT = frozenset({int})
+_FLOAT = frozenset({float})
+_NUMBER = frozenset({int, float})
+_NONE_OR_DICT = frozenset({type(None), dict})
+#: Trace objects that ``parse_trace`` screens together: per record, 32 was
+#: within noise of the fastest of 8 to 128 on a 20k-job trace, and a
+#: batch's decoded objects stay small beside one block of lines.
+_BATCH_LINES = 32
 
-    A clean object has every required field and no unknown one, a str
-    ``job_id`` of ASCII, a known ``arch`` label, int cNodes and batch size
-    within the architecture's rules, quantities that are floats, ints or
-    unit strings with a finite non-negative value, and, if given, a
-    positive finite measured step time and finite numeric notes: a subset
-    of what ``record_from_dict`` accepts, each value converted as it does.
-    Every other object gets None: ``record_from_dict`` then builds it or
-    names what is wrong, so it stays the one source of every rejection
-    message.
-    """
-    if type(obj) is not dict or not _TRACE_KEYS.issuperset(obj):
-        return None
-    job_id = obj.get("job_id")
-    label = obj.get("arch")
-    num_cnodes = obj.get("num_cnodes")
-    batch_size = obj.get("batch_size")
-    if not (type(job_id) is str and job_id.isascii() and type(label) is str
-            and type(num_cnodes) is int and type(batch_size) is int
-            and 1 <= num_cnodes <= _FLOAT_MAX and 1 <= batch_size <= _FLOAT_MAX):
-        return None
-    arch = _ARCH_BY_LABEL.get(label)
-    if arch is None or placed_cnodes(arch, num_cnodes) != num_cnodes:
-        return None
-    values = []
-    for name, kind in _QUANTITY_KINDS:
-        value = obj.get(name)
-        kind_of = type(value)
-        if kind_of is int:
-            if not 0 <= value <= _FLOAT_MAX:
-                return None
-            value = float(value)
-        elif kind_of is str:
-            try:
-                value = parse_count(value) if kind == "count" else parse_quantity(value, kind)
-            except QuantityError:
-                return None
-        elif kind_of is not float:
-            return None
-        if not 0.0 <= value < _INF:
-            return None
-        values.append(value)
-    flops, mem_access, input_bytes, weight_traffic, dense, embedding = values
-    if arch is ArchitectureKind.ONE_WORKER_ONE_GPU and weight_traffic != 0:
-        return None
-    measured = obj.get("measured_step_seconds")
-    if measured is not None:
-        if type(measured) is int and 0 < measured <= _FLOAT_MAX:
-            measured = float(measured)
-        elif not (type(measured) is float and 0.0 < measured < _INF):
-            return None
-    notes = obj.get("notes")
-    if notes is not None:
-        if type(notes) is not dict:
-            return None
-        for value in notes.values():
-            if not (type(value) is int or (type(value) is float and -_INF < value < _INF)):
-                return None
-        notes = _share_keys(notes)
-    return WorkloadRecord(job_id, arch, num_cnodes, batch_size, flops, mem_access, input_bytes,
-                          weight_traffic, dense, embedding, measured, notes)
+
+def _as_floats(values):
+    """``values`` converted as ``record_from_dict`` converts a number (an int
+    or a float) to a float, or None if one is not a number."""
+    kinds = set(map(type, values))
+    if kinds <= _FLOAT:
+        return values
+    return list(map(float, values)) if kinds <= _NUMBER else None
+
+
+def _in_range(values, positive: bool = False) -> bool:
+    """Whether each float is finite and not negative (positive, if asked)."""
+    low = min(values)
+    # The sum is NaN if a value is, and infinite if one is or if they add
+    # past the largest float: the batch is then screened in parts.
+    return (low > 0.0 if positive else low >= 0.0) and sum(values) < _INF
+
+
+class _Reader:
+    """A population as it is read: one list per ``WorkloadRecord`` field,
+    the job ids read so far and the line of each record."""
+
+    def __init__(self) -> None:
+        self.columns = tuple([] for _ in RECORD_FIELDS)
+        # A dict of None values: a set of as many ids takes twice the memory.
+        self.seen: dict[str, None] = {}
+        self.record_lines = array("q")
+        self._index: dict[str, int] = {}  # job id -> record, from the first duplicate on
+
+    def add(self, rec: WorkloadRecord, line: int) -> None:
+        self.seen[rec.job_id] = None
+        self.record_lines.append(line)
+        for column, name in zip(self.columns, RECORD_FIELDS):
+            column.append(getattr(rec, name))
+
+    def first_line(self, job_id: str) -> int:
+        """The line of the record that used ``job_id``."""
+        done, job_ids = len(self._index), self.columns[0]
+        self._index.update(zip(job_ids[done:], range(done, len(job_ids))))
+        return self.record_lines[self._index[job_id]]
+
+    def screen(self, objs: list, lines: list[int]) -> bool:
+        """Add the records of ``objs``, decoded from ``lines``, if each
+        object is clean.
+
+        A clean object is one that ``record_from_dict`` accepts, with a
+        str ``job_id`` that no earlier object used, int cNodes and batch
+        size, and each quantity column all numbers or all unit strings;
+        each value is converted as ``record_from_dict`` converts it.  Each
+        rule is checked a column at a time.  Returns False, adding
+        nothing, for any other batch: ``record_from_dict`` then builds or
+        names each line, so it stays the one source of every rejection
+        message.
+        """
+        n = len(objs)
+        try:
+            job_ids, labels, num_cnodes, batch_sizes, *quantities = zip(*map(_REQUIRED, objs))
+            # Every required key is there, so an object of that many keys
+            # has no other.
+            plain = max(map(len, objs)) == len(_REQUIRED_NAMES)
+            if not (plain or all(map(_TRACE_KEYS.issuperset, objs))):
+                return False
+            if not (set(map(type, job_ids)) <= _STR and len(set(job_ids)) == n
+                    and self.seen.keys().isdisjoint(job_ids)):
+                return False
+            joined = "".join(job_ids)
+            if not joined.isascii():
+                joined.encode("utf-8")  # UnicodeEncodeError: a lone surrogate
+            archs = list(map(_ARCH_BY_LABEL.__getitem__, labels))
+            counts = num_cnodes + batch_sizes
+            if not (set(map(type, counts)) <= _INT and min(counts) >= 1
+                    and max(counts) <= _FLOAT_MAX
+                    and tuple(map(placed_cnodes, archs, num_cnodes)) == num_cnodes):
+                return False
+            for i, ((_, kind), values) in enumerate(zip(_QUANTITY_KINDS, quantities)):
+                # A unit string column; any other value in it has no .strip().
+                if type(values[0]) is str:
+                    quantities[i] = list(map(parse_count, values) if kind == "count"
+                                         else map(parse_quantity, values, repeat(kind)))
+            values = _as_floats(list(chain.from_iterable(quantities)))
+            if values is None or not _in_range(values):
+                return False
+            quantities = [values[i:i + n] for i in range(0, len(values), n)]
+            one_gpu = map(operator.is_, archs, repeat(_ONE_GPU))
+            if any(compress(quantities[_WEIGHT_TRAFFIC], one_gpu)):  # 1w1g moves no weights
+                return False
+            measured = notes = [None] * n
+            if not plain:
+                measured = list(map(dict.get, objs, repeat("measured_step_seconds")))
+                given = [m for m in measured if m is not None]
+                if given:
+                    given = _as_floats(given)
+                    if given is None or not _in_range(given, positive=True):
+                        return False
+                    given = iter(given)
+                    measured = [m if m is None else next(given) for m in measured]
+                notes = list(map(dict.get, objs, repeat("notes")))
+                if not set(map(type, notes)) <= _NONE_OR_DICT:
+                    return False
+                for note in notes:
+                    if note:
+                        for value in note.values():
+                            if not (type(value) is int or (type(value) is float
+                                                           and -_INF < value < _INF)):
+                                return False
+        # KeyError: a missing field or an unknown architecture; TypeError: an
+        # object that is not a dict, or an unhashable label; AttributeError: a
+        # unit string column holding another value; ValueError: a malformed
+        # unit string (QuantityError) or a job_id with a lone surrogate
+        # (UnicodeEncodeError); OverflowError: an int beyond a float.
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError):
+            return False
+        self.seen.update(zip(job_ids, repeat(None)))
+        self.record_lines.extend(lines)
+        for column, values in zip(self.columns, (
+                job_ids, archs, num_cnodes, batch_sizes, *quantities, measured,
+                [note if note is None else _share_keys(note) for note in notes])):
+            column.extend(values)
+        return True
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -232,45 +315,75 @@ def _lines(text: str) -> Iterator[str]:
 
 
 def parse_trace(text: str, strict: bool = False,
-                source: str = "<trace>") -> tuple[tuple[WorkloadRecord, ...], list[TraceError]]:
-    """Parse newline-delimited JSON text into a population (a tuple of
-    records) plus a per-line error report.
+                source: str = "<trace>") -> tuple[Population, list[TraceError]]:
+    """Parse newline-delimited JSON text into a population (one list per
+    record field) plus a per-line error report.
 
     Lines end at a line feed alone, since JSON allows a raw U+2028 and
     the other characters ``str.splitlines`` also breaks at inside a
     string.  Blank lines are skipped.  A record whose ``job_id`` an
     earlier line already used is malformed.  In strict mode the first
     malformed line raises TraceFormatError instead of being reported.
-    Besides the text and the result, only one block of lines is held.
+
+    Decoded objects are screened ``_BATCH_LINES`` at a time, a column at
+    a time.  A batch that fails the screen is halved and each half
+    screened again, down to single lines; a line that fails alone goes
+    to ``record_from_dict``.  Besides the text and the result, only one
+    block of lines, one batch of objects and the job ids read so far are
+    held.
     """
-    records = []
+    reader = _Reader()
     errors = []
-    first_lines: dict[str, int] = {}
+    batch, batch_lines = [], []
+
+    def reject(lineno: int, message: str) -> None:
+        if strict:
+            raise TraceFormatError(f"{source}:{lineno}: {message}")
+        errors.append(TraceError(line=lineno, message=message))
+
+    def read(objs: list, lines: list[int]) -> None:
+        if reader.screen(objs, lines):
+            return
+        if len(objs) > 1:
+            half = len(objs) // 2
+            read(objs[:half], lines[:half])
+            read(objs[half:], lines[half:])
+            return
+        [obj], [lineno] = objs, lines
+        try:
+            rec = record_from_dict(obj)
+        except TraceFormatError as exc:
+            reject(lineno, str(exc))
+            return
+        if rec.job_id in reader.seen:
+            first = reader.first_line(rec.job_id)
+            reject(lineno, f"duplicate job_id {rec.job_id!r} (first on line {first})")
+        else:
+            reader.add(rec, lineno)
+
+    def flush() -> None:
+        if batch:
+            read(batch, batch_lines)
+            batch.clear()
+            batch_lines.clear()
+
     for lineno, line in enumerate(_lines(text), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            obj = _decode_line(stripped)
+            batch.append(_decode_line(stripped))
         # Besides a JSONDecodeError, an over-long integer literal raises a
         # ValueError and over-deep nesting a RecursionError.
         except (ValueError, RecursionError) as exc:
-            message = f"invalid JSON: {getattr(exc, 'msg', exc)}"
-        else:
-            try:
-                rec = _screen_record(obj) or record_from_dict(obj)
-            except TraceFormatError as exc:
-                message = str(exc)
-            else:
-                first = first_lines.setdefault(rec.job_id, lineno)
-                if first == lineno:
-                    records.append(rec)
-                    continue
-                message = f"duplicate job_id {rec.job_id!r} (first on line {first})"
-        if strict:
-            raise TraceFormatError(f"{source}:{lineno}: {message}")
-        errors.append(TraceError(line=lineno, message=message))
-    return tuple(records), errors
+            flush()
+            reject(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}")
+            continue
+        batch_lines.append(lineno)
+        if len(batch) == _BATCH_LINES:
+            flush()
+    flush()
+    return Population(*reader.columns), errors
 
 
 def decode_trace(data: bytes, source: str = "<trace>") -> str:
@@ -284,8 +397,7 @@ def decode_trace(data: bytes, source: str = "<trace>") -> str:
                                f"({exc.reason})") from None
 
 
-def load_trace(path: PathLike,
-               strict: bool = False) -> tuple[tuple[WorkloadRecord, ...], list[TraceError]]:
+def load_trace(path: PathLike, strict: bool = False) -> tuple[Population, list[TraceError]]:
     """Read a trace file; see parse_trace for the per-line error contract."""
     text = decode_trace(Path(path).read_bytes(), source=str(path))
     return parse_trace(text, strict=strict, source=str(path))

@@ -24,6 +24,7 @@ from .core import (
     EfficiencyModel,
     HardwareProfile,
     OverlapMode,
+    Population,
     WorkloadRecord,
     require_jobs,
 )
@@ -107,7 +108,7 @@ class SweepTable:
         return len(self.job_ids) * len(self.settings)
 
 
-def _sweep(pop: tuple[WorkloadRecord, ...], axes: Sequence[SweepAxis],
+def _sweep(pop: Population, axes: Sequence[SweepAxis],
            settings: Sequence[Setting], base_hw: HardwareProfile, eff: EfficiencyModel,
            overlap: OverlapMode) -> SweepTable:
     """Per-job speedup of each setting over ``base_hw``."""
@@ -124,7 +125,7 @@ def _sweep(pop: tuple[WorkloadRecord, ...], axes: Sequence[SweepAxis],
         # only the combined columns they enter are summed again.
         new = Evaluation(terms(cols, hw, eff, like=base_terms), like=base)
         speedups.append(list(map(speedup, base_totals, new.t_total(overlap))))
-    return SweepTable([rec.job_id for rec in pop], tuple(settings), speedups)
+    return SweepTable(pop.job_id, tuple(settings), speedups)
 
 
 def hardware_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],

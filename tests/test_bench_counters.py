@@ -1,20 +1,27 @@
-"""The benchmark's tracer counts what the CLI emits.
+"""The benchmark's tracer counts what the CLI reads and emits.
 
-``perfbench/spans.py`` derives ``report.rows``, ``report.bytes`` and
-``sweep.cells`` from the results of the calls it traces, and counts 0
-where a result no longer has the shape it reads.  These tests run
+``perfbench/spans.py`` derives ``ingest.records``, ``ingest.rejected``,
+``report.rows``, ``report.bytes`` and ``sweep.cells`` from the results of
+the calls it traces, and counts 0 where a result no longer has the shape
+it reads; ``units.calls`` counts the calls of the unit parsers.  These tests run
 commands in-process under the tracer, as ``perfbench/run.py --trace 1``
 does, and check each counter against the output, so a changed result
 shape fails here rather than zeroing a benchmark metric.
 """
 
+import csv
 import importlib.util
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from dlcost.cli import EX_OK, run
+from dlcost.cli import EX_DATA, EX_OK, run
+from dlcost.core import RECORD_QUANTITIES
+from dlcost.corpus import SynthSpec, builtin_corpus, synth_population
+from dlcost.ingest import dump_trace, record_to_dict
+from dlcost.units import format_quantity
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -29,18 +36,28 @@ def load_spans():
 spans = load_spans()
 
 
-def traced(tmp_path, *command):
+def traced(tmp_path, *command, source=("--corpus",), code=EX_OK):
     """The tracer's counts, the report's bytes and its number of data rows."""
-    out = tmp_path / "out"
-    tracer = spans.Tracer()
-    with spans.patched(tracer):
-        assert run([*command, "--corpus", "--out", str(out)]) == EX_OK
-    data = out.read_bytes()
+    counts, _, data = traced_run(tmp_path, *command, source=source, code=code)
     if "json" in command:
         n_rows = len(json.loads(data)["rows"])
     else:
-        n_rows = len([line for line in data.decode().splitlines() if not line.startswith("# ")]) - 1
-    return tracer.counts, data, n_rows
+        n_rows = len(csv_rows(data))
+    return counts, data, n_rows
+
+
+def traced_run(tmp_path, *command, source=("--corpus",), code=EX_OK):
+    """The tracer's counts and calls, and the report's bytes."""
+    out = tmp_path / "out"
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        assert run([*command, *source, "--out", str(out)]) == code
+    return tracer.counts, tracer.calls, out.read_bytes()
+
+
+def csv_rows(data):
+    lines = [line for line in data.decode().splitlines() if not line.startswith("# ")]
+    return list(csv.DictReader(io.StringIO("\n".join(lines))))
 
 
 @pytest.mark.parametrize("command", [
@@ -57,3 +74,34 @@ def test_report_counters_match_the_output(tmp_path, command):
 def test_sweep_cells_counter_matches_the_rows(tmp_path, command):
     counts, _, n_rows = traced(tmp_path, *command)
     assert counts["sweep.cells"] == n_rows > 0
+
+
+def test_ingest_counters_match_the_validate_report(tmp_path):
+    lines = dump_trace(builtin_corpus()).splitlines()
+    lines.insert(2, "{broken")
+    lines.append(lines[0])  # a duplicate job_id
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    counts, _, data = traced_run(tmp_path, "validate", source=("--trace", str(trace)),
+                                 code=EX_DATA)
+    statuses = [row["status"] for row in csv_rows(data)]
+    assert counts["ingest.records"] == statuses.count("ok") == len(builtin_corpus())
+    assert counts["ingest.rejected"] == statuses.count("error") == 2
+
+
+def spelled(obj):
+    """A trace object with every quantity a unit string."""
+    return obj | {f.name: (f"{obj[f.name]!r}FLOPs" if f.metadata["kind"] == "count"
+                           else format_quantity(obj[f.name], f.metadata["kind"]))
+                  for f in RECORD_QUANTITIES}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["aggregate", "--stat", "shares"],
+                                     ["project", "--target", "allreduce_local"]])
+def test_unit_parsers_are_called_once_per_quantity(tmp_path, command):
+    records = synth_population(SynthSpec(size=100, seed=5))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps(spelled(record_to_dict(rec))) + "\n" for rec in records))
+    counts, calls, _ = traced_run(tmp_path, *command, source=("--trace", str(trace)))
+    assert counts["ingest.records"] == len(records)
+    assert calls["units.parse_quantity"] + calls["units.parse_count"] == 6 * len(records)

@@ -12,13 +12,16 @@ from hypothesis import given, settings
 
 from dlcost import ingest
 from dlcost.core import (
+    RECORD_FIELDS,
     RECORD_QUANTITIES,
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
+    Medium,
     WorkloadRecord,
 )
 from dlcost.corpus import SynthSpec, synth_population
+from dlcost.engine import WEIGHT_MEDIUM_PATHS, Columns, pcie_contention
 from dlcost.ingest import (
     TraceFormatError,
     case_study_testbed,
@@ -159,13 +162,41 @@ def exact(records):
             for rec in records]
 
 
+def exact_lists(lists):
+    """Each list's type, and the type and repr of each of its values."""
+    return [(type(values), [(type(value), repr(value)) for value in values])
+            for values in lists]
+
+
+def reference_columns(records):
+    """The kernel's model inputs, a record at a time as ``Columns`` defines them."""
+    return Columns(
+        flops=[rec.flops for rec in records],
+        mem_access_bytes=[rec.mem_access_bytes for rec in records],
+        input_bytes=[rec.input_bytes for rec in records],
+        pcie_contention=[pcie_contention(rec.arch, rec.num_cnodes) for rec in records],
+        weight_on={m: [rec.weight_traffic_bytes if m in WEIGHT_MEDIUM_PATHS[rec.arch] else 0.0
+                       for rec in records] for m in Medium},
+        num_cnodes=[rec.num_cnodes for rec in records],
+    )
+
+
+def columns_lists(cols):
+    return [*cols[:4], *cols.weight_on.values(), cols.num_cnodes]
+
+
 def assert_parsed_as_reference(text):
     """parse_trace returns the reference's records, bit for bit, and its
-    errors; strict mode raises the first of them."""
+    errors; strict mode raises the first of them.  The population's field
+    lists and the kernel's columns of it equal those of the records."""
     records, errors = reference_parse(text)
     pop, got_errors = parse_trace(text)
     assert list(pop) == records
     assert exact(pop) == exact(records)
+    assert exact_lists(getattr(pop, name) for name in RECORD_FIELDS) == exact_lists(
+        [getattr(rec, name) for rec in records] for name in RECORD_FIELDS)
+    assert exact_lists(columns_lists(Columns.of(pop))) == exact_lists(
+        columns_lists(reference_columns(records)))
     assert [(err.line, err.message) for err in got_errors] == errors
     if errors:
         line, message = errors[0]
@@ -343,10 +374,12 @@ class TestTraceParsing:
                     lines.append(json.dumps(base | {"job_id": f"j{len(lines)}", key: value}))
         assert_parsed_as_reference("\n".join(lines))
 
-    @given(TRACE_LINES, st.sampled_from([1, 7, 64]))
-    def test_parse_trace_matches_record_from_dict_across_blocks(self, lines, block_chars):
+    @given(TRACE_LINES, st.sampled_from([1, 7, 64]), st.sampled_from([1, 2, 3, 32]))
+    def test_parse_trace_matches_record_from_dict_across_blocks(self, lines, block_chars,
+                                                                batch_lines):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_BLOCK_CHARS", block_chars)
+            patch.setattr(ingest, "_BATCH_LINES", batch_lines)
             assert_parsed_as_reference("\n".join(lines))
 
     @pytest.mark.parametrize("block_chars", [1, 7, 64])
@@ -373,6 +406,32 @@ class TestTraceParsing:
         assert malformed.message.startswith("invalid JSON: ")
         assert duplicate.message == "duplicate job_id 'r50' (first on line 1)"
 
+    @pytest.mark.parametrize("batch_lines", [2, 3, 32])
+    @pytest.mark.parametrize("block_chars", [1, 700, ingest._BLOCK_CHARS])
+    def test_batches_mixing_clean_and_other_lines_parse_as_the_reference(
+            self, monkeypatch, batch_lines, block_chars):
+        monkeypatch.setattr(ingest, "_BATCH_LINES", batch_lines)
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", block_chars)
+        clean = [record_to_dict(rec) for rec in synth_population(SynthSpec(size=600, seed=3))]
+        others = itertools.cycle([
+            lambda obj: "{broken",
+            lambda obj: json.dumps(obj | {"job_id": clean[0]["job_id"]}),  # a duplicate
+            lambda obj: json.dumps(obj | {"flops": 10 ** 12, "input_bytes": 0}),  # ints
+            lambda obj: json.dumps(spelled(obj)),  # every quantity a unit string
+            lambda obj: json.dumps(obj | {"flops": "2T"}),  # one column of mixed types
+            lambda obj: json.dumps(obj | {"mem_access_bytes": -1.0}),
+            lambda obj: json.dumps(obj | {"num_cnodes": float(obj["num_cnodes"])}),
+            lambda obj: json.dumps(obj | {"measured_step_seconds": 2, "notes": {"q": 1}}),
+            lambda obj: "",
+        ])
+        # The first and last lines of every third batch are other lines.
+        lines = [next(others)(obj) if n % batch_lines in (0, batch_lines - 1)
+                 and n // batch_lines % 3 == 1 else json.dumps(obj)
+                 for n, obj in enumerate(clean)]
+        text = "\n".join(lines)
+        assert len(text) > 2 * block_chars
+        assert_parsed_as_reference(text)
+
 
 class TestIngestMemory:
     @staticmethod
@@ -391,10 +450,11 @@ class TestIngestMemory:
         return result, retained - before, peak - retained
 
     def test_parse_holds_one_block_of_lines(self):
-        # Measured: 158 kB (180 kB on Python 3.10), of which the job-id
-        # index and the record list take 119 kB (141 kB) and one block's
-        # text and lines the rest.  A list of every line would add about
-        # the text's size, 611 kB here: 827 kB in all.
+        # Measured on Python 3.11: 151 kB, of which the job-id index (a
+        # dict of None values) takes 52 kB, the records' line numbers 17 kB,
+        # and one block's text and lines and one batch of decoded objects
+        # the rest.  A list of every line would add about the text's size,
+        # 611 kB here.
         text = dump_trace(synth_population(SynthSpec(size=2000, seed=7)))
         (pop, errors), _, held = self.traced_parse(text)
         assert len(pop) == 2000 and errors == []
@@ -402,16 +462,17 @@ class TestIngestMemory:
         assert held < 3 * ingest._BLOCK_CHARS
 
     def test_records_are_slotted_and_share_their_note_keys(self):
-        # Bytes retained per record: 352 (355 on Python 3.10) for a slotted
-        # record, and 400 (507) with a __dict__.  Two notes add 232 (278)
-        # with shared keys, and 373 (419) with each record's own copies.
+        # Bytes retained per record, measured on Python 3.11: 325 for one
+        # value in each field list, against 352 for a slotted record and
+        # 400 with a __dict__.  Two notes add 232 with shared keys, and 373
+        # with each record's own copies.
         pop = synth_population(SynthSpec(size=2000, seed=7))
         noted = [dataclasses.replace(rec, notes={"reported_network_traffic_bytes": 1e6 + n,
                                                  "queue_seconds": 0.5 + n})
                  for n, rec in enumerate(pop)]
         (plain, _), plain_bytes, _ = self.traced_parse(dump_trace(pop))
         (with_notes, _), noted_bytes, _ = self.traced_parse(dump_trace(noted))
-        assert plain == pop and with_notes == tuple(noted)
+        assert tuple(plain) == pop and tuple(with_notes) == tuple(noted)
         assert plain_bytes / len(pop) < 376
         assert (noted_bytes - plain_bytes) / len(pop) < 325
 
@@ -437,7 +498,7 @@ class TestRoundTrip:
         pop, errors = parse_trace(dump_trace(records))
         assert errors == []
         # repr tells apart every float bit pattern, including 0.0 and -0.0
-        assert repr(pop) == repr(tuple(records))
+        assert repr(tuple(pop)) == repr(tuple(records))
 
     def test_dump_preserves_order(self):
         records = [make_record(job_id=f"j{i}") for i in range(5)]
