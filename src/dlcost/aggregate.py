@@ -45,7 +45,8 @@ class EmpiricalCDF:
             raise ValueError("values and weights differ in length")
         grouped: dict[float, list[float]] = {}
         for v, w in zip(values, weights):
-            grouped.setdefault(float(v), []).append(float(w))
+            # + 0.0 keys a tie of 0.0 and -0.0 by 0.0, whichever comes first.
+            grouped.setdefault(float(v) + 0.0, []).append(float(w))
         # fsum per tie group, then a fixed-order cumulative pass: the result
         # is independent of the input ordering.
         xs = sorted(grouped)

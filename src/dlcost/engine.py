@@ -254,8 +254,8 @@ class Evaluation:
         if component not in _SHARE_TIMES:
             raise ValueError(f"unknown share component {component!r} "
                              f"(known: {Shares.COMPONENTS})")
-        return share_of(getattr(self, _SHARE_TIMES[component]),
-                        self.t_data, self.t_compute, self.t_weight)
+        return [t / s if s > 0 else 0.0
+                for t, s in zip(getattr(self, _SHARE_TIMES[component]), self.component_sum)]
 
 
 def evaluate(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel) -> Evaluation:

@@ -6,10 +6,12 @@ efficiency model, overlap mode, tool version, input digest).  The rows
 come in blocks: in each block, a column holds either one cell per row
 or one fixed cell that every row of the block shares (a sweep's
 setting, say), which is stored and formatted once per block.  Emission
-is byte-deterministic: floats are serialized with 9 significant digits
-in both CSV and JSON, so the two formats parse to identical values.
-Non-finite floats (an infinite speedup) have no standard JSON form and
-are emitted as missing values: ``null`` in JSON, an empty CSV cell.
+is byte-deterministic, by one table of rules per format, keyed by cell
+type, that turns a column of cells into their text.  Floats are written
+with 9 significant digits in both CSV and JSON, so the two formats parse
+to identical values.  Non-finite floats (an infinite speedup) have no
+standard JSON form: they, and ``None``, are missing values (``null`` in
+JSON, an empty CSV cell), and take the float rule.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import hashlib
 import json
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass, fields
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -33,25 +37,60 @@ def round9(value: float) -> float:
     return float(f"{value:.9g}")
 
 
-def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.9g}" if math.isfinite(value) else ""
-    return str(value)
+#: A formatting rule: the text of each cell of a column of cells it takes.
+Rule = Callable[[Sequence[Any]], Sequence[str]]
+
+
+def _floats(finite: Rule, missing: str) -> Rule:
+    """A float rule: ``finite``'s text, or ``missing`` for a missing or non-finite cell."""
+    def rule(values: Sequence[Any]) -> Sequence[str]:
+        finite_only = False
+        with suppress(TypeError):  # raised by a missing cell
+            finite_only = all(map(math.isfinite, values))
+        if finite_only:
+            return finite(values)
+        kept = [v is not None and math.isfinite(v) for v in values]
+        texts = iter(finite(list(compress(values, kept))))
+        return [next(texts) if k else missing for k in kept]
+    return rule
+
+
+def _bools(values: Sequence[bool]) -> Sequence[str]:
+    return ["true" if v else "false" for v in values]
 
 
 #: Characters that make a CSV field quoted.
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
 
 
-def _csv_field(value: Any) -> str:
-    """A CSV field: the cell, quoted if it holds a comma, a quote or a line break."""
-    if isinstance(value, str) and _CSV_QUOTED.search(value):
-        return '"' + value.replace('"', '""') + '"'
-    return _csv_cell(value)
+def _csv_strs(values: Sequence[str]) -> Sequence[str]:
+    """Text as it is, quoted if it holds a comma, a quote or a line break."""
+    if not _CSV_QUOTED.search("".join(values)):
+        return values
+    return ['"' + v.replace('"', '""') + '"' if _CSV_QUOTED.search(v) else v for v in values]
+
+
+#: Each format's rules, in ``isinstance`` order: a cell of a type with no
+#: rule of its own takes the first rule whose type it is an instance of.
+_CSV_RULES: dict[type, Rule] = {
+    **dict.fromkeys((type(None), float), _floats(lambda values: [f"{v:.9g}" for v in values], "")),
+    bool: _bools, str: _csv_strs, object: lambda values: list(map(str, values))}
+_JSON_RULES: dict[type, Rule] = {
+    **dict.fromkeys((type(None), float),
+                    _floats(lambda values: [repr(float(f"{v:.9g}")) for v in values], "null")),
+    bool: _bools, int: lambda values: list(map(int.__repr__, values)),
+    str: lambda values: list(map(encode_basestring_ascii, values)),
+    object: lambda values: list(map(json.dumps, values))}
+
+
+def _texts(rules: Mapping[type, Rule], values: Sequence[Any]) -> Sequence[str]:
+    """The text of a column's cells: one call of their rule when the cells
+    share one, otherwise a call per cell."""
+    rule_of = {kind: next(rule for base, rule in rules.items() if issubclass(kind, base))
+               for kind in set(map(type, values))}
+    if len(set(rule_of.values())) == 1:
+        return next(iter(rule_of.values()))(values)
+    return [rule_of[type(v)]((v,))[0] for v in values]
 
 
 #: A line break (anything ``str.splitlines`` splits on) or a lone surrogate,
@@ -60,18 +99,10 @@ _COMMENT_UNSAFE = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
 
 
 def _comment_value(value: Any) -> str:
-    """A metadata value for a CSV comment line: the cell text, or, if that
-    would break the line or not encode, the text as a JSON string literal."""
-    text = _csv_cell(value)
+    """A metadata value for a CSV comment line: its unquoted cell text, or, if
+    that would break the line or not encode, the text as a JSON string."""
+    text = str(value) if isinstance(value, str) else _texts(_CSV_RULES, (value,))[0]
     return json.dumps(text) if _COMMENT_UNSAFE.search(text) else text
-
-
-def _json_text(value: Any) -> str:
-    """One cell's JSON text: a float to 9 significant digits, or ``null``
-    when it is not finite."""
-    if isinstance(value, float):
-        return repr(round9(value)) if math.isfinite(value) else "null"
-    return json.dumps(value)
 
 
 def model_metadata(model: HardwareProfile | EfficiencyModel) -> dict[str, float]:
@@ -169,38 +200,19 @@ def _flatten_metadata(meta: Mapping[str, Any], prefix: str = "") -> list[tuple[s
 EMIT_CHUNK_ROWS = 2048
 
 
-def _chunks(report: Report, column_rule: Callable[[tuple], Sequence[str]],
-            cell_rule: Callable[[Any], str],
+def _chunks(report: Report, rules: Mapping[type, Rule],
             text: Callable[[int, list[Sequence[str]]], str]) -> Iterator[bytes]:
-    """Each chunk's ``text(n_rows, columns)`` of its columns' formatted cells,
-    encoded: a block's fixed cells go through ``cell_rule`` once per block,
-    and every other column through ``column_rule`` once per chunk.  No
-    formatted cell outlives its chunk's text."""
+    """Each chunk's ``text(n_rows, columns)`` of its columns' texts by
+    ``rules``, encoded: a block's fixed cells are formatted once per block,
+    the other columns once per chunk.  No cell's text outlives its chunk's."""
     width = range(len(report.columns))
     for rows, fixed in report.blocks:
-        texts = {i: cell_rule(value) for i, value in fixed.items()}
+        texts = {i: _texts(rules, (value,))[0] for i, value in fixed.items()}
         for start in range(0, len(rows), EMIT_CHUNK_ROWS):
             chunk = rows[start:start + EMIT_CHUNK_ROWS]
-            varying = map(column_rule, zip(*chunk))
+            varying = (_texts(rules, column) for column in zip(*chunk))
             yield text(len(chunk), [[texts[i]] * len(chunk) if i in texts else next(varying)
                                     for i in width]).encode("utf-8")
-
-
-def _csv_column(values: tuple) -> Sequence[str]:
-    """The CSV fields of one column: one rule for the column when its cells
-    share a type, otherwise ``_csv_field`` per cell."""
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return [f"{v:.9g}" for v in values]
-    if kinds == {str} and not _CSV_QUOTED.search("".join(values)):
-        return values
-    if kinds == {int}:
-        return list(map(str, values))
-    if kinds == {bool}:
-        return ["true" if v else "false" for v in values]
-    if kinds == {type(None)}:
-        return [""] * len(values)
-    return list(map(_csv_field, values))
 
 
 def _csv_text(n_rows: int, fields: Sequence[Sequence[str]]) -> str:
@@ -213,30 +225,11 @@ def _csv_text(n_rows: int, fields: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_column(values: tuple) -> Sequence[str]:
-    """The JSON text of one column's cells, chosen as ``_csv_column`` does."""
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return [repr(float(f"{v:.9g}")) for v in values]
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {bool}:
-        return ["true" if v else "false" for v in values]
-    if kinds == {type(None)}:
-        return ["null"] * len(values)
-    return list(map(_json_text, values))
-
-
 def emit(report: Report, format: str = "csv") -> bytes:
     """Serialize a report. CSV prefixes metadata as '# key: value' comments."""
-    # Text is encoded as it is written, a chunk at a time, so the whole
-    # report is never held as text beside its bytes; the parts are joined
-    # once at the end.  (A buffer grown as it is written, such as BytesIO,
-    # is reallocated as it grows, and whether a reallocation copies, and so
-    # briefly holds the report twice, depends on the heap's layout: the
-    # peak memory would swing from one run to the next.)
+    # Text is encoded as it is written, a chunk at a time, and the parts are
+    # joined once at the end.  (Whether a growing BytesIO copies as it grows
+    # depends on the heap's layout, so its peak memory would swing.)
     parts: list[bytes] = []
 
     def write(text: str) -> None:
@@ -245,8 +238,8 @@ def emit(report: Report, format: str = "csv") -> bytes:
     if format == "csv":
         for key, value in _flatten_metadata(report.metadata):
             write(f"# {key}: {_comment_value(value)}\n")
-        write(_csv_text(1, [[_csv_field(c)] for c in report.columns]))
-        parts += _chunks(report, _csv_column, _csv_field, _csv_text)
+        write(_csv_text(1, [[c] for c in _texts(_CSV_RULES, report.columns)]))
+        parts += _chunks(report, _CSV_RULES, _csv_text)
     elif format == "json":
         # The rows, the bulk of the bytes, are spliced into the frame that
         # ``indent=2`` gives, each row through one template of its keys.
@@ -260,11 +253,8 @@ def emit(report: Report, format: str = "csv") -> bytes:
         def rows(n_rows: int, columns: list[Sequence[str]]) -> str:
             return ",\n    ".join(map(row, *columns) if columns else ["{}"] * n_rows)
 
-        sep = "[\n    "
-        for data in _chunks(report, _json_column, _json_text, rows):
-            write(sep)
-            parts.append(data)
-            sep = ",\n    "
+        for i, data in enumerate(_chunks(report, _JSON_RULES, rows)):
+            parts += (b",\n    " if i else b"[\n    ", data)
         write("\n  ]\n}\n" if report.rows else "[]\n}\n")
     else:
         raise ValueError(f"unknown report format {format!r} (expected one of {FORMATS})")

@@ -218,6 +218,28 @@ class TestShareCdf:
         xs = [x for x, _ in cdf.points]
         assert xs == sorted(xs)
 
+    @given(st.lists(workload_records(), max_size=10),
+           st.lists(st.booleans(), min_size=1, max_size=6), st.randoms(use_true_random=False))
+    def test_signed_zeros_do_not_make_the_points_depend_on_job_order(self, records, negative,
+                                                                     rnd):
+        # A trace may hold -0.0, which passes the >= 0 checks; its memory
+        # share and model size tie with another job's 0.0.  Points are
+        # compared by repr, since -0.0 == 0.0.
+        zeros = [make_record(job_id=f"zero{i}", mem_access_bytes=z, dense_weight_bytes=z,
+                             embedding_weight_bytes=z)
+                 for i, z in enumerate(-0.0 if n else 0.0 for n in negative)]
+        pop = records + zeros
+        shuffled = rnd.sample(pop, len(pop))
+
+        def cdfs(pop):
+            return [*(share_cdf(pop, component, PAI, EFF, level=level)
+                      for component in Shares.COMPONENTS for level in ("job", "cnode")),
+                    *(cdf for dist in scale_distribution(pop).values()
+                      for cdf in (dist.cnodes, dist.model_bytes))]
+
+        for cdf, other in zip(cdfs(pop), cdfs(shuffled), strict=True):
+            assert repr(cdf.points) == repr(other.points)
+
     def test_unknown_component_rejected(self):
         pop = [make_record()]
         with pytest.raises(ValueError):

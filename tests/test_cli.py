@@ -246,6 +246,27 @@ class TestAggregateCommand:
         rows = parse_csv(data)
         assert float(rows[-1]["cumulative_fraction"]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("stat", [["share-cdf", "--component", "memory_bound"],
+                                      ["scale-cdf"]], ids=["share-cdf", "scale-cdf"])
+    @pytest.mark.parametrize("format", FORMATS)
+    def test_signed_zero_rows_do_not_depend_on_line_order(self, tmp_path, stat, format):
+        # -0.0 passes the >= 0 checks; it ties with 0.0 in both statistics.
+        jobs = [make_record(job_id=f"j{i}", mem_access_bytes=z, dense_weight_bytes=z,
+                            embedding_weight_bytes=z) for i, z in enumerate((-0.0, 0.0))]
+        rows = []
+        for order in (jobs, jobs[::-1]):
+            trace = tmp_path / "trace.jsonl"
+            write_trace(order, trace)
+            code, data = run_to_file(tmp_path, "aggregate", "--trace", str(trace),
+                                     "--stat", *stat, "--format", format)
+            assert code == EX_OK
+            # The metadata holds the trace's digest, which differs by order.
+            if format == "csv":
+                rows.append([ln for ln in data.splitlines() if not ln.startswith(b"#")])
+            else:
+                rows.append(data.split(b'\n  "columns": ', 1)[1])
+        assert rows[0] == rows[1]
+
 
 class TestSensitivityCommand:
     def test_efficiency_grid(self, tmp_path):
@@ -550,6 +571,10 @@ def one_block(columns, rows, metadata):
     return Report(columns=columns, blocks=(Block(rows, {}),), metadata=metadata)
 
 
+class Text(str):
+    """A str subclass: text to both formats, as a str is."""
+
+
 class TestBuildReport:
     def test_columns_of_different_lengths_are_rejected(self):
         # zip would otherwise drop the rows past the shortest column.
@@ -712,6 +737,16 @@ class TestEmit:
         Block(((1.5,), (2.5,), (3.5,)), {1: 'say "hi"', 2: None}),
         Block(((), (), ()), {0: math.nan, 1: "", 2: -math.inf}),
         Block(((None, "a"), ("b,c", 1)), {0: "x"})), metadata={})))
+    # Float-or-missing columns across a chunk boundary, each chunk of one
+    # column with a different mix.
+    @example((2, one_block(("f", "g"), (
+        (1.5, None), (0.25, math.inf), (None, -math.inf), (math.nan, 2.5), (-0.0, None)), {})))
+    # A fixed cell of every type.
+    @example((2, Report(columns=("n", "b", "i", "f", "s", "v"), blocks=(
+        Block(((1.5,), (2.5,), (3.5,)), {0: None, 1: False, 2: -7, 3: 0.1, 4: "a,b"}),),
+        metadata={})))
+    # A str subclass holding a comma, and a bool among ints.
+    @example((2, one_block(("m",), ((1,), (Text("x,y"),), (True,), (2,), (False,)), {})))
     def test_emit_equals_the_per_cell_reference(self, case):
         chunk, report = case
         with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", chunk):
