@@ -23,7 +23,7 @@ from .core import (
     WorkloadRecord,
     require_jobs,
 )
-from .engine import Columns, evaluate
+from .engine import evaluate
 # Unused here, but perfbench's tracer patches ``dlcost.aggregate.breakdown``.
 from .engine import breakdown  # noqa: F401
 
@@ -131,14 +131,13 @@ def weighted_breakdown(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
                        eff: EfficiencyModel) -> BreakdownAverages:
     """Average shares per component, job-level and cNode-weighted."""
     pop = require_jobs(pop)
-    cols = Columns.of(pop)
-    ev = evaluate(cols, hw, eff)
+    ev = evaluate(pop, hw, eff)
     job = {}
     cnode = {}
     for name in Shares.COMPONENTS:
         values = ev.share(name)
         job[name] = job_level_mean(values)
-        cnode[name] = cnode_level_mean(values, cols.num_cnodes)
+        cnode[name] = cnode_level_mean(values, pop.num_cnodes)
     return BreakdownAverages(job_level=Shares(**job), cnode_level=Shares(**cnode))
 
 
@@ -148,9 +147,8 @@ def share_cdf(pop: Iterable[WorkloadRecord], component: str, hw: HardwareProfile
     if level not in ("job", "cnode"):
         raise ValueError(f"level must be 'job' or 'cnode', got {level!r}")
     pop = require_jobs(pop)
-    cols = Columns.of(pop)
-    values = evaluate(cols, hw, eff).share(component)
-    weights = [float(c) for c in cols.num_cnodes] if level == "cnode" else None
+    values = evaluate(pop, hw, eff).share(component)
+    weights = [float(c) for c in pop.num_cnodes] if level == "cnode" else None
     return EmpiricalCDF.from_samples(values, weights)
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 from .aggregate import composition, scale_distribution, share_cdf, weighted_breakdown
 from .core import ArchitectureKind, OverlapMode, Population, Shares
 from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
-from .engine import Columns, evaluate, samples_per_second, validation_gap
+from .engine import evaluate, samples_per_second, validation_gap
 # Unused here, but perfbench's tracer patches ``dlcost.cli.breakdown``.
 from .engine import breakdown  # noqa: F401
 from .ingest import (
@@ -173,7 +173,7 @@ def _write_output(data: bytes, out: Optional[str]) -> None:
 # of column name -> one value per row or a ``Fixed`` cell shared by the
 # block's rows, in report order) and its extra metadata.
 def cmd_breakdown(args, pop, hw, eff, overlap):
-    ev = evaluate(Columns.of(pop), hw, eff)
+    ev = evaluate(pop, hw, eff)
     t_total = ev.t_total(overlap)
     columns = {
         "job_id": pop.job_id,
@@ -374,7 +374,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_validate(pop, errors, hw, eff, overlap):
     """One row per rejected line, then one per record with its predicted step."""
-    predicted = evaluate(Columns.of(pop), hw, eff).t_total(overlap)
+    predicted = evaluate(pop, hw, eff).t_total(overlap)
     measured = pop.measured_step_seconds
     none = Fixed(None)
     rejected = {"line": [err.line for err in errors], "job_id": none, "status": Fixed("error"),

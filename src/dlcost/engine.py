@@ -19,9 +19,9 @@ maximum (ideal overlap).  All functions are pure and deterministic.
 The model is evaluated two ways.  ``breakdown`` decomposes one job into
 a ``TimeBreakdown``; it serves projections and the one-job API and is
 the reference the other path is tested against.  Every other analysis
-runs on a population held as ``Columns``: ``terms`` divides out each
-rate once, and ``Evaluation`` combines the terms into step times and
-shares.  Both paths perform the same float operations in the same order
+calls ``evaluate`` on a ``Population``: it divides out each rate once,
+and the ``Evaluation`` it returns combines the terms into step times
+and shares.  Both paths perform the same float operations in the same order
 (``Medium`` order is every weight path's order), so their results are
 bit-identical.
 """
@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import fields
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     GPUS_PER_SERVER,
@@ -113,80 +113,30 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
     return TimeBreakdown(t_data, t_cb, t_mb, t_weight, t_total, shares, shares_defined)
 
 
-class Columns(NamedTuple):
-    """A population's model inputs as parallel per-job lists, in job order.
-
-    ``weight_on`` holds one list per medium, in ``Medium`` order: a job's
-    weight bytes where that medium is on its architecture's weight path,
-    else 0.0.
-    """
-
-    flops: list[float]
-    mem_access_bytes: list[float]
-    input_bytes: list[float]
-    pcie_contention: list[int]
-    weight_on: dict[Medium, list[float]]
-    num_cnodes: list[int]
-
-    @classmethod
-    def of(cls, records: Iterable[WorkloadRecord]) -> "Columns":
-        """The model inputs of ``Population.of(records)``, sharing its
-        flops, memory, input and cNode lists."""
-        pop = Population.of(records)
-        paths = list(map(WEIGHT_MEDIUM_PATHS.__getitem__, pop.arch))
-        return cls(
-            flops=pop.flops,
-            mem_access_bytes=pop.mem_access_bytes,
-            input_bytes=pop.input_bytes,
-            pcie_contention=list(map(pcie_contention, pop.arch, pop.num_cnodes)),
-            weight_on={m: [w if m in path else 0.0
-                           for w, path in zip(pop.weight_traffic_bytes, paths)] for m in Medium},
-            num_cnodes=pop.num_cnodes,
-        )
-
-
-class Term(NamedTuple):
+class _Term(NamedTuple):
     """One term's per-job times and the attainable rate they divide by."""
 
     rate: float
     times: list[float]
 
 
-class Terms(NamedTuple):
+class _Terms(NamedTuple):
     """A population's terms at one model point, ``weight_on`` in ``Medium`` order."""
 
-    data: Term
-    compute_bound: Term
-    memory_bound: Term
-    weight_on: dict[Medium, Term]
+    data: _Term
+    compute_bound: _Term
+    memory_bound: _Term
+    weight_on: dict[Medium, _Term]
 
 
-def terms(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel,
-          like: Optional[Terms] = None) -> Terms:
-    """Every job's terms on ``hw``: each attainable rate is computed once
-    (PCIe once per contention level) and divided out in ``breakdown``'s
-    order, so each value equals the scalar result bit for bit.  A term of
-    ``like`` (terms of the same ``cols``) whose rate is unchanged is reused."""
-    def term(old: Optional[Term], rate: float, divide: Callable[[float], list[float]]) -> Term:
-        return old if old is not None and old.rate == rate else Term(rate, divide(rate))
+class _Inputs(NamedTuple):
+    """A population with the model inputs derived from it: each job's PCIe
+    contention, and per medium in ``Medium`` order, the job's weight bytes
+    where that medium is on its architecture's weight path, else 0.0."""
 
-    def divided(volumes: list[float]) -> Callable[[float], list[float]]:
-        return lambda rate: [v / rate for v in volumes]
-
-    def data(pcie: float) -> list[float]:
-        data_rate = {c: pcie / c for c in set(cols.pcie_contention)}
-        return [b / data_rate[c] for b, c in zip(cols.input_bytes, cols.pcie_contention)]
-
-    old = like or Terms(None, None, None, dict.fromkeys(Medium))
-    return Terms(
-        term(old.data, hw.pcie_bandwidth * eff.pcie_eff, data),
-        term(old.compute_bound, hw.gpu_peak_flops * eff.compute_eff, divided(cols.flops)),
-        term(old.memory_bound, hw.gpu_mem_bandwidth * eff.mem_eff,
-             divided(cols.mem_access_bytes)),
-        {m: term(old.weight_on[m], getattr(hw, bandwidth) * getattr(eff, efficiency),
-                 divided(cols.weight_on[m]))
-         for m, (bandwidth, efficiency) in _MEDIUM_RATE_FIELDS.items()},
-    )
+    pop: Population
+    pcie_contention: list[int]
+    weight_on: dict[Medium, list[float]]
 
 
 def share_of(times: list[float], t_data: list[float], t_compute: list[float],
@@ -202,29 +152,21 @@ _SHARE_TIMES = dict(zip(Shares.COMPONENTS,
 
 
 class Evaluation:
-    """The combine step: per-job step times at one model point, in job order.
+    """Per-job step times of a population at one model point, in job order,
+    as ``evaluate`` returns them.
 
     Each column holds the ``TimeBreakdown`` field of the same name, plus
     ``t_weight_on`` (each medium's part of ``t_weight``), ``t_compute`` and
     ``component_sum`` (the shares' denominator).  A combined column is
-    built when first read, so a caller pays only for what it reads.  Given
-    ``like`` (an evaluation of the same columns at another point),
-    ``t_compute`` and ``t_weight`` are taken from it when their term lists
-    are ``like``'s own.
+    built when first read, so a caller pays only for what it reads.
     """
 
-    def __init__(self, t: Terms, like: Optional["Evaluation"] = None) -> None:
+    def __init__(self, inputs: _Inputs, t: _Terms) -> None:
+        self._inputs, self._terms = inputs, t
         self.t_data = t.data.times
         self.t_compute_bound = t.compute_bound.times
         self.t_memory_bound = t.memory_bound.times
         self.t_weight_on = {m: term.times for m, term in t.weight_on.items()}
-        if like is None:
-            return
-        if (self.t_compute_bound is like.t_compute_bound
-                and self.t_memory_bound is like.t_memory_bound):
-            self.t_compute = like.t_compute
-        if all(map(operator.is_, self.t_weight_on.values(), like.t_weight_on.values())):
-            self.t_weight = like.t_weight
 
     @cached_property
     def t_compute(self) -> list[float]:
@@ -258,9 +200,57 @@ class Evaluation:
                 for t, s in zip(getattr(self, _SHARE_TIMES[component]), self.component_sum)]
 
 
-def evaluate(cols: Columns, hw: HardwareProfile, eff: EfficiencyModel) -> Evaluation:
-    """``breakdown`` of every job in ``cols`` on ``hw``, as columns."""
-    return Evaluation(terms(cols, hw, eff))
+def evaluate(pop: Population, hw: HardwareProfile, eff: EfficiencyModel,
+             like: Optional[Evaluation] = None) -> Evaluation:
+    """``breakdown`` of every job in ``pop`` on ``hw``, as columns.
+
+    Each attainable rate is computed once (PCIe once per contention
+    level) and divided out in ``breakdown``'s order, so each value equals
+    the scalar result bit for bit.  Given ``like``, an evaluation of the
+    same population at another point, a term whose rate is unchanged is
+    reused, as are ``t_compute`` and ``t_weight`` when all of their terms
+    are; each job's PCIe contention and on-path weight bytes are derived
+    once per chain of evaluations.  A ``like`` of another population
+    raises ValueError.
+    """
+    if like is None:
+        paths = list(map(WEIGHT_MEDIUM_PATHS.__getitem__, pop.arch))
+        inputs = _Inputs(pop, list(map(pcie_contention, pop.arch, pop.num_cnodes)),
+                         {m: [w if m in path else 0.0
+                              for w, path in zip(pop.weight_traffic_bytes, paths)]
+                          for m in Medium})
+        old = _Terms(None, None, None, dict.fromkeys(Medium))
+    elif like._inputs.pop is pop:
+        inputs, old = like._inputs, like._terms
+    else:
+        raise ValueError("like is an evaluation of another population")
+
+    def term(old: Optional[_Term], rate: float, divide: Callable[[float], list[float]]) -> _Term:
+        return old if old is not None and old.rate == rate else _Term(rate, divide(rate))
+
+    def divided(volumes: list[float]) -> Callable[[float], list[float]]:
+        return lambda rate: [v / rate for v in volumes]
+
+    def data(pcie: float) -> list[float]:
+        data_rate = {c: pcie / c for c in set(inputs.pcie_contention)}
+        return [b / data_rate[c] for b, c in zip(pop.input_bytes, inputs.pcie_contention)]
+
+    ev = Evaluation(inputs, _Terms(
+        term(old.data, hw.pcie_bandwidth * eff.pcie_eff, data),
+        term(old.compute_bound, hw.gpu_peak_flops * eff.compute_eff, divided(pop.flops)),
+        term(old.memory_bound, hw.gpu_mem_bandwidth * eff.mem_eff,
+             divided(pop.mem_access_bytes)),
+        {m: term(old.weight_on[m], getattr(hw, bandwidth) * getattr(eff, efficiency),
+                 divided(inputs.weight_on[m]))
+         for m, (bandwidth, efficiency) in _MEDIUM_RATE_FIELDS.items()},
+    ))
+    if like is not None:
+        if (ev.t_compute_bound is like.t_compute_bound
+                and ev.t_memory_bound is like.t_memory_bound):
+            ev.t_compute = like.t_compute
+        if all(map(operator.is_, ev.t_weight_on.values(), like.t_weight_on.values())):
+            ev.t_weight = like.t_weight
+    return ev
 
 
 def speedup(base_total: float, new_total: float) -> float:

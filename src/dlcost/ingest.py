@@ -341,31 +341,33 @@ def parse_trace(text: str, strict: bool = False,
             raise TraceFormatError(f"{source}:{lineno}: {message}")
         errors.append(TraceError(line=lineno, message=message))
 
-    def read(objs: list, lines: list[int]) -> None:
-        if reader.screen(objs, lines):
-            return
-        if len(objs) > 1:
-            half = len(objs) // 2
-            read(objs[:half], lines[:half])
-            read(objs[half:], lines[half:])
-            return
-        [obj], [lineno] = objs, lines
-        try:
-            rec = record_from_dict(obj)
-        except TraceFormatError as exc:
-            reject(lineno, str(exc))
-            return
-        if rec.job_id in reader.seen:
-            first = reader.first_line(rec.job_id)
-            reject(lineno, f"duplicate job_id {rec.job_id!r} (first on line {first})")
-        else:
-            reader.add(rec, lineno)
-
     def flush() -> None:
-        if batch:
-            read(batch, batch_lines)
-            batch.clear()
-            batch_lines.clear()
+        # The batches still to read, the next one last: a batch that fails
+        # the screen is replaced by its halves.  A closure that called
+        # itself would be a reference cycle keeping ``reader`` alive after
+        # ``parse_trace`` returns.
+        todo = [(batch[:], batch_lines[:])] if batch else []
+        batch.clear()
+        batch_lines.clear()
+        while todo:
+            objs, lines = todo.pop()
+            if reader.screen(objs, lines):
+                continue
+            if len(objs) > 1:
+                half = len(objs) // 2
+                todo += (objs[half:], lines[half:]), (objs[:half], lines[:half])
+                continue
+            [obj], [lineno] = objs, lines
+            try:
+                rec = record_from_dict(obj)
+            except TraceFormatError as exc:
+                reject(lineno, str(exc))
+                continue
+            if rec.job_id in reader.seen:
+                first = reader.first_line(rec.job_id)
+                reject(lineno, f"duplicate job_id {rec.job_id!r} (first on line {first})")
+            else:
+                reader.add(rec, lineno)
 
     for lineno, line in enumerate(_lines(text), start=1):
         stripped = line.strip()

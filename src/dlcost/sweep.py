@@ -28,7 +28,7 @@ from .core import (
     WorkloadRecord,
     require_jobs,
 )
-from .engine import Columns, Evaluation, evaluate, share_of, speedup, terms
+from .engine import evaluate, share_of, speedup
 # Unused here, but perfbench's tracer patches ``dlcost.sweep.breakdown``.
 from .engine import breakdown  # noqa: F401
 from .projection import ProjectionResult, ProjectionSummary, population_speedup_profile
@@ -114,16 +114,14 @@ def _sweep(pop: Population, axes: Sequence[SweepAxis],
     """Per-job speedup of each setting over ``base_hw``."""
     if not axes:
         raise ValueError("no sweep axes given")
-    cols = Columns.of(pop)
-    base_terms = terms(cols, base_hw, eff)
-    base = Evaluation(base_terms)
+    base = evaluate(pop, base_hw, eff)
     base_totals = base.t_total(overlap)
     speedups = []
     for setting in settings:
         hw = replace(base_hw, **{resource.field.name: value for resource, value in setting})
         # Only the terms whose rate the setting moves are divided again, and
         # only the combined columns they enter are summed again.
-        new = Evaluation(terms(cols, hw, eff, like=base_terms), like=base)
+        new = evaluate(pop, hw, eff, like=base)
         speedups.append(list(map(speedup, base_totals, new.t_total(overlap))))
     return SweepTable(pop.job_id, tuple(settings), speedups)
 
@@ -181,27 +179,25 @@ def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
                 raise ValueError(f"{name} efficiency {g!r} outside (0, 1]")
             if grid.count(g) > 1:
                 raise ValueError(f"{name} efficiency {g!r} given more than once")
-    cols = Columns.of(pop)
     # The compute efficiency moves only the compute terms and the
     # communication efficiency only the data and weight terms, so each
     # is divided and summed once per grid value, not once per point.  One
-    # t_compute is held per compute value and one (t_data, t_weight) pair
-    # at a time.
-    eff, t, per_comp = EfficiencyModel(), None, []
+    # t_compute is held per compute value; each communication value's
+    # (t_data, t_weight) pair is held until the next is formed from it.
+    eff, ev, per_comp = EfficiencyModel(), None, []
     for comp in compute_eff_grid:
         eff = replace(eff, compute_eff=comp, mem_eff=comp)
-        t = terms(cols, hw, eff, like=t)
-        per_comp.append(Evaluation(t).t_compute)
+        ev = evaluate(pop, hw, eff, like=ev)
+        per_comp.append(ev.t_compute)
     means = [[] for _ in compute_eff_grid]
     for comm in comm_eff_grid:
-        t = terms(cols, hw, replace(eff, pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm),
-                  like=t)
-        ev = Evaluation(t)
+        ev = evaluate(pop, hw, replace(eff, pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm),
+                      like=ev)
         for t_compute, row in zip(per_comp, means):
             weight_shares = share_of(ev.t_weight, ev.t_data, t_compute, ev.t_weight)
             row.append((job_level_mean(weight_shares),
-                        cnode_level_mean(weight_shares, cols.num_cnodes)))
-        del ev, weight_shares  # freed before the next pair is formed
+                        cnode_level_mean(weight_shares, pop.num_cnodes)))
+        del weight_shares  # freed before the next pair is formed
     # Cells in compute-major order, as the grid is given.
     return [SensitivityCell(comp, comm, *point)
             for comp, row in zip(compute_eff_grid, means)
@@ -229,8 +225,7 @@ def overlap_comparison(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
                        eff: EfficiencyModel, target: ArchitectureKind) -> OverlapComparison:
     """Paired no-overlap / ideal-overlap summaries for one projection target."""
     pop = require_jobs(pop)
-    cols = Columns.of(pop)
-    weight_shares = evaluate(cols, hw, eff).share("weight")
+    weight_shares = evaluate(pop, hw, eff).share("weight")
 
     def stats(overlap: OverlapMode) -> tuple[OverlapModeStats, list[ProjectionResult]]:
         results, summary = population_speedup_profile(pop, target, hw, eff, overlap)
@@ -241,7 +236,7 @@ def overlap_comparison(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
     at_ratio = sum(1 for r in ideal_results if r.weight_bound)
     return OverlapComparison(
         job_level_weight_share=job_level_mean(weight_shares),
-        cnode_level_weight_share=cnode_level_mean(weight_shares, cols.num_cnodes),
+        cnode_level_weight_share=cnode_level_mean(weight_shares, pop.num_cnodes),
         no_overlap=none_stats,
         ideal_overlap=ideal_stats,
         fraction_at_weight_path_ratio=at_ratio / len(pop),

@@ -12,8 +12,14 @@ import re
 import hypothesis.strategies as st
 
 from dlcost.aggregate import cnode_level_mean, job_level_mean
-from dlcost.core import ArchitectureKind, EfficiencyModel, HardwareProfile, WorkloadRecord
-from dlcost.engine import Columns, evaluate
+from dlcost.core import (
+    ArchitectureKind,
+    EfficiencyModel,
+    HardwareProfile,
+    Population,
+    WorkloadRecord,
+)
+from dlcost.engine import evaluate
 from dlcost.ingest import case_study_testbed, pai_baseline
 from dlcost.sweep import SensitivityCell
 
@@ -110,18 +116,18 @@ def float_bits(values) -> list[str]:
 def reference_efficiency_sensitivity(pop, hw, compute_eff_grid, comm_eff_grid):
     """The efficiency grid with a whole ``evaluate`` per grid point: the
     reference that ``sweep.efficiency_sensitivity`` is held to, bit for bit."""
-    cols = Columns.of(pop)
+    pop = Population.of(pop)
     cells = []
     for comp in compute_eff_grid:
         for comm in comm_eff_grid:
             eff = EfficiencyModel(compute_eff=comp, mem_eff=comp,
                                   pcie_eff=comm, ethernet_eff=comm, nvlink_eff=comm)
-            weight_shares = evaluate(cols, hw, eff).share("weight")
+            weight_shares = evaluate(pop, hw, eff).share("weight")
             cells.append(SensitivityCell(
                 compute_eff=comp,
                 comm_eff=comm,
                 job_level_weight_share=job_level_mean(weight_shares),
-                cnode_level_weight_share=cnode_level_mean(weight_shares, cols.num_cnodes),
+                cnode_level_weight_share=cnode_level_mean(weight_shares, pop.num_cnodes),
             ))
     return cells
 

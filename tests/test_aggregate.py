@@ -13,8 +13,8 @@ from dlcost.aggregate import (
     share_cdf,
     weighted_breakdown,
 )
-from dlcost.core import ArchitectureKind, OverlapMode, Shares
-from dlcost.engine import Columns, breakdown, evaluate
+from dlcost.core import ArchitectureKind, OverlapMode, Population, Shares
+from dlcost.engine import breakdown, evaluate
 from helpers import (
     EFF,
     PAI,
@@ -113,7 +113,7 @@ class TestPopulationShares:
     @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
            eff=efficiency_models(), overlap=st.sampled_from(list(OverlapMode)))
     def test_equal_to_scalar_shares_bit_for_bit(self, records, hw, eff, overlap):
-        ev = evaluate(Columns.of(records), hw, eff)
+        ev = evaluate(Population.of(records), hw, eff)
         oracle = [breakdown(rec, hw, eff, overlap).shares for rec in records]
         for name in Shares.COMPONENTS:
             assert float_bits(ev.share(name)) == float_bits(

@@ -4,15 +4,20 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from dlcost.core import ArchitectureKind, EfficiencyModel, Medium, OverlapMode, Shares
+from dlcost.core import (
+    ArchitectureKind,
+    EfficiencyModel,
+    Medium,
+    OverlapMode,
+    Population,
+    Shares,
+)
 from dlcost.corpus import SynthSpec, synth_population
 from dlcost.engine import (
     WEIGHT_MEDIUM_PATHS,
-    Columns,
     breakdown,
     evaluate,
     pcie_contention,
-    terms,
     throughput,
     validation_gap,
 )
@@ -108,7 +113,7 @@ class TestWeightTime:
     # oracle: 1e9/(3.125e9*0.7) + 1e9/(1e10*0.7) = 0.45714285714285713 + 0.14285714285714285
     def test_ps_worker_serial_sum(self):
         rec = make_record(arch=A.PS_WORKER, weight_traffic_bytes=1e9)
-        ev = evaluate(Columns.of([rec]), PAI, EFF)
+        ev = evaluate(Population.of([rec]), PAI, EFF)
         per_medium, total = ev.t_weight_on, ev.t_weight
         assert per_medium[Medium.ETHERNET] == [pytest.approx(0.45714285714285713, rel=1e-12)]
         assert per_medium[Medium.PCIE] == [pytest.approx(0.14285714285714285, rel=1e-12)]
@@ -118,7 +123,7 @@ class TestWeightTime:
     # oracle: 1e9 / (5e10 * 0.7) = 0.02857142857142857
     def test_allreduce_local(self):
         rec = make_record(arch=A.ALLREDUCE_LOCAL, num_cnodes=8, weight_traffic_bytes=1e9)
-        ev = evaluate(Columns.of([rec]), PAI, EFF)
+        ev = evaluate(Population.of([rec]), PAI, EFF)
         per_medium, total = ev.t_weight_on, ev.t_weight
         assert per_medium == {Medium.ETHERNET: [0.0], Medium.PCIE: [0.0],
                               Medium.NVLINK: [pytest.approx(0.02857142857142857, rel=1e-12)]}
@@ -133,7 +138,7 @@ class TestWeightTime:
 
     def test_single_gpu_has_no_weight_path(self):
         rec = make_record(arch=A.ONE_WORKER_ONE_GPU)
-        ev = evaluate(Columns.of([rec]), PAI, EFF)
+        ev = evaluate(Population.of([rec]), PAI, EFF)
         assert (ev.t_weight_on, ev.t_weight) == ({m: [0.0] for m in Medium}, [0.0])
 
     @given(st.floats(min_value=1.0, max_value=1e15, allow_nan=False))
@@ -264,7 +269,7 @@ class TestValidationGap:
 
 
 def assert_kernel_matches_breakdown(records, hw, eff, overlap):
-    ev = evaluate(Columns.of(records), hw, eff)
+    ev = evaluate(Population.of(records), hw, eff)
     oracle = [breakdown(rec, hw, eff, overlap) for rec in records]
     for name in ("t_data", "t_compute_bound", "t_memory_bound", "t_weight"):
         assert float_bits(getattr(ev, name)) == float_bits(getattr(bd, name) for bd in oracle)
@@ -287,7 +292,7 @@ class TestColumnarKernel:
     @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
            eff=efficiency_models())
     def test_per_medium_weight_times_sum_to_the_scalar_t_weight(self, records, hw, eff):
-        ev = evaluate(Columns.of(records), hw, eff)
+        ev = evaluate(Population.of(records), hw, eff)
         rates = {Medium.ETHERNET: hw.ethernet_bandwidth * eff.ethernet_eff,
                  Medium.PCIE: hw.pcie_bandwidth * eff.pcie_eff,
                  Medium.NVLINK: hw.nvlink_bandwidth * eff.nvlink_eff}
@@ -311,14 +316,17 @@ class TestColumnarKernel:
         assert_kernel_matches_breakdown(records, TESTBED, eff, overlap)
 
 
-def each_term(t):
-    return {"data": t.data, "compute_bound": t.compute_bound, "memory_bound": t.memory_bound,
-            **{m.value: term for m, term in t.weight_on.items()}}
+def each_term(ev):
+    """An evaluation's term lists by name."""
+    return {"data": ev.t_data, "compute_bound": ev.t_compute_bound,
+            "memory_bound": ev.t_memory_bound,
+            **{m.value: times for m, times in ev.t_weight_on.items()}}
 
 
-def term_bits(t):
-    return {name: (float.hex(term.rate), float_bits(term.times))
-            for name, term in each_term(t).items()}
+def column_bits(ev):
+    columns = each_term(ev) | {name: getattr(ev, name)
+                               for name in ("t_compute", "t_weight", "component_sum")}
+    return {name: float_bits(times) for name, times in columns.items()}
 
 
 def mixed(draw, base, other):
@@ -328,22 +336,23 @@ def mixed(draw, base, other):
     return dataclasses.replace(base, **{name: getattr(other, name) for name in taken})
 
 
-class TestTerms:
+class TestChainedEvaluation:
     @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
            eff=efficiency_models(), other_hw=hardware_profiles(),
            other_eff=efficiency_models(), data=st.data())
-    def test_terms_reused_from_like_equal_fresh_terms(self, records, hw, eff, other_hw,
-                                                      other_eff, data):
-        cols = Columns.of(records)
+    def test_a_chained_evaluation_equals_a_fresh_one(self, records, hw, eff, other_hw,
+                                                     other_eff, data):
+        pop = Population.of(records)
         hw2, eff2 = mixed(data.draw, hw, other_hw), mixed(data.draw, eff, other_eff)
-        assert term_bits(terms(cols, hw2, eff2, like=terms(cols, hw, eff))) == term_bits(
-            terms(cols, hw2, eff2))
+        assert column_bits(evaluate(pop, hw2, eff2, like=evaluate(pop, hw, eff))) == column_bits(
+            evaluate(pop, hw2, eff2))
 
     def test_a_rate_that_moves_rebuilds_only_its_terms(self):
-        cols = Columns.of(synth_population(SynthSpec(size=50, seed=3)))
-        base = terms(cols, PAI, EFF)
-        assert all(term is each_term(base)[name]
-                   for name, term in each_term(terms(cols, PAI, EFF, like=base)).items())
+        pop = Population.of(synth_population(SynthSpec(size=50, seed=3)))
+        base = evaluate(pop, PAI, EFF)
+        again = evaluate(pop, PAI, EFF, like=base)
+        assert all(times is each_term(base)[name] for name, times in each_term(again).items())
+        assert again.t_compute is base.t_compute and again.t_weight is base.t_weight
         moved = {
             "pcie_bandwidth": {"data", "pcie"},
             "ethernet_bandwidth": {"ethernet"},
@@ -353,6 +362,20 @@ class TestTerms:
         }
         for field, names in moved.items():
             hw = dataclasses.replace(PAI, **{field: getattr(PAI, field) * 2})
-            rebuilt = {name for name, term in each_term(terms(cols, hw, EFF, like=base)).items()
-                       if term is not each_term(base)[name]}
+            ev = evaluate(pop, hw, EFF, like=base)
+            rebuilt = {name for name, times in each_term(ev).items()
+                       if times is not each_term(base)[name]}
             assert rebuilt == names, field
+            # A combined column is the base's own exactly when none of its
+            # terms moved.
+            assert (ev.t_compute is base.t_compute) == names.isdisjoint(
+                {"compute_bound", "memory_bound"}), field
+            assert (ev.t_weight is base.t_weight) == names.isdisjoint(
+                {m.value for m in Medium}), field
+
+    def test_a_like_of_another_population_is_refused(self):
+        pop = Population.of(synth_population(SynthSpec(size=20, seed=3)))
+        base = evaluate(pop, PAI, EFF)
+        for other in (pop[:], pop[:10]):
+            with pytest.raises(ValueError, match="another population"):
+                evaluate(other, PAI, EFF, like=base)

@@ -17,11 +17,9 @@ from dlcost.core import (
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
-    Medium,
     WorkloadRecord,
 )
 from dlcost.corpus import SynthSpec, synth_population
-from dlcost.engine import WEIGHT_MEDIUM_PATHS, Columns, pcie_contention
 from dlcost.ingest import (
     TraceFormatError,
     case_study_testbed,
@@ -168,35 +166,16 @@ def exact_lists(lists):
             for values in lists]
 
 
-def reference_columns(records):
-    """The kernel's model inputs, a record at a time as ``Columns`` defines them."""
-    return Columns(
-        flops=[rec.flops for rec in records],
-        mem_access_bytes=[rec.mem_access_bytes for rec in records],
-        input_bytes=[rec.input_bytes for rec in records],
-        pcie_contention=[pcie_contention(rec.arch, rec.num_cnodes) for rec in records],
-        weight_on={m: [rec.weight_traffic_bytes if m in WEIGHT_MEDIUM_PATHS[rec.arch] else 0.0
-                       for rec in records] for m in Medium},
-        num_cnodes=[rec.num_cnodes for rec in records],
-    )
-
-
-def columns_lists(cols):
-    return [*cols[:4], *cols.weight_on.values(), cols.num_cnodes]
-
-
 def assert_parsed_as_reference(text):
     """parse_trace returns the reference's records, bit for bit, and its
     errors; strict mode raises the first of them.  The population's field
-    lists and the kernel's columns of it equal those of the records."""
+    lists equal those of the records."""
     records, errors = reference_parse(text)
     pop, got_errors = parse_trace(text)
     assert list(pop) == records
     assert exact(pop) == exact(records)
     assert exact_lists(getattr(pop, name) for name in RECORD_FIELDS) == exact_lists(
         [getattr(rec, name) for rec in records] for name in RECORD_FIELDS)
-    assert exact_lists(columns_lists(Columns.of(pop))) == exact_lists(
-        columns_lists(reference_columns(records)))
     assert [(err.line, err.message) for err in got_errors] == errors
     if errors:
         line, message = errors[0]
@@ -475,6 +454,21 @@ class TestIngestMemory:
         assert tuple(plain) == pop and tuple(with_notes) == tuple(noted)
         assert plain_bytes / len(pop) < 376
         assert (noted_bytes - plain_bytes) / len(pop) < 325
+
+    def test_parse_leaves_no_reference_cycle(self):
+        # Halving a failing batch must not keep the parser's state alive in
+        # a cycle after it returns: the population and errors are all that
+        # ``del`` needs to drop.
+        text = "\n".join([RESNET_LINE, "{broken", RESNET_LINE])
+        gc.collect()
+        gc.disable()
+        try:
+            result = parse_trace(text)
+            assert [err.line for err in result[1]] == [2, 3]
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRoundTrip:
