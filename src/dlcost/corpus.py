@@ -162,7 +162,10 @@ class SynthSpec:
             if not (math.isfinite(frac) and frac >= 0):
                 raise ValueError(f"mix fraction for {arch.value} must be finite and "
                                  f"non-negative, got {frac!r}")
-        total = math.fsum(self.mix.values())
+        try:
+            total = math.fsum(self.mix.values())
+        except OverflowError:  # fractions that add past the largest float
+            total = math.inf
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"mix fractions must sum to 1, got {total!r}")
 

@@ -7,9 +7,11 @@ canonical numbers so a written trace reloads bit-exactly.
 
 A trace is read into a ``core.Population``: one list per record field,
 with no ``WorkloadRecord`` built for a line that passes the column
-screen (``_Reader.screen``).  ``record_from_dict`` with
-``core.record_errors`` is the reference for every other line, and the
-source of every rejection message.
+screen (``_Reader.screen``).  The screen reads a column of unit strings
+with ``units.parse_column`` in one regex pass, or with one parser call
+per value if a value is not in the plain form.  ``record_from_dict``
+with ``core.record_errors`` is the reference for every other line, and
+the source of every rejection message.
 
 Hardware profiles come from built-in presets or flat key = value files
 with unit-string values; the DLCOST_HW_DIR environment variable prepends
@@ -42,7 +44,7 @@ from .core import (
     record_errors,
 )
 from .corpus import measured_efficiency
-from .units import QuantityError, parse_count, parse_quantity
+from .units import QuantityError, parse_column, parse_count, parse_quantity
 
 PathLike = Union[str, Path]
 
@@ -258,10 +260,14 @@ class _Reader:
                     and tuple(map(placed_cnodes, archs, num_cnodes)) == num_cnodes):
                 return False
             for i, ((_, kind), values) in enumerate(zip(_QUANTITY_KINDS, quantities)):
-                # A unit string column; any other value in it has no .strip().
+                # A unit string column: one regex pass if every value is in
+                # the plain form, else one parser call per value.
                 if type(values[0]) is str:
-                    quantities[i] = list(map(parse_count, values) if kind == "count"
-                                         else map(parse_quantity, values, repeat(kind)))
+                    parsed = parse_column(values, kind)
+                    if parsed is None:
+                        parsed = list(map(parse_count, values) if kind == "count"
+                                      else map(parse_quantity, values, repeat(kind)))
+                    quantities[i] = parsed
             values = _as_floats(list(chain.from_iterable(quantities)))
             if values is None or not _in_range(values):
                 return False
@@ -289,8 +295,9 @@ class _Reader:
                                                            and -_INF < value < _INF)):
                                 return False
         # KeyError: a missing field or an unknown architecture; TypeError: an
-        # object that is not a dict, or an unhashable label; AttributeError: a
-        # unit string column holding another value; ValueError: a malformed
+        # object that is not a dict, an unhashable label, or a unit string
+        # column holding another value (AttributeError, if the column is
+        # parsed a value at a time); ValueError: a malformed
         # unit string (QuantityError) or a job_id with a lone surrogate
         # (UnicodeEncodeError); OverflowError: an int beyond a float.
         except (KeyError, TypeError, AttributeError, ValueError, OverflowError):

@@ -11,21 +11,41 @@ Conventions:
     bit quantities are divided by 8 at parse time;
   * a rate suffix ("/s" or "ps") is optional on bandwidths and
     forbidden on plain byte sizes.
+
+``parse_column`` reads a whole trace column of byte sizes or counts in
+one regex pass when each value is in the plain form (no space, no rate
+suffix); the per-value regexes and the column's are built from the
+same pieces, so the column form is a part of the per-value grammar.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 
 KINDS = ("bandwidth", "flops_rate", "bytes")
 
 _PREFIX = {"": 1.0, "k": 1e3, "K": 1e3, "M": 1e6, "G": 1e9, "T": 1e12}
 
 _NUM = r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-_BYTES_RE = re.compile(_NUM + r"\s*(?P<prefix>[kKMGT]?)(?P<unit>[bB])\Z")
-_BANDWIDTH_RE = re.compile(_NUM + r"\s*(?P<prefix>[kKMGT]?)(?P<unit>[bB])(?P<rate>/s|ps)?\Z")
-_FLOPS_RE = re.compile(_NUM + r"\s*(?P<prefix>[kKMGT]?)(?P<unit>[Ff][Ll][Oo][Pp][Ss]?)?(?P<rate>/s)?\Z")
+_PREFIX_RE = r"(?P<prefix>[kKMGT]?)"
+_BYTE_UNIT = r"(?P<unit>[bB])"
+_FLOPS_UNIT = r"(?P<unit>[Ff][Ll][Oo][Pp][Ss]?)"
+_BYTES_RE = re.compile(_NUM + r"\s*" + _PREFIX_RE + _BYTE_UNIT + r"\Z")
+_BANDWIDTH_RE = re.compile(_NUM + r"\s*" + _PREFIX_RE + _BYTE_UNIT + r"(?P<rate>/s|ps)?\Z")
+_FLOPS_RE = re.compile(_NUM + r"\s*" + _PREFIX_RE + _FLOPS_UNIT + r"?(?P<rate>/s)?\Z")
+#: One value per line of a column, each in the plain form: ASCII digits,
+#: no space and no rate suffix, and a count with a prefix or a unit.
+_COLUMN_RE = {
+    "bytes": re.compile("^" + _NUM + _PREFIX_RE + _BYTE_UNIT + "$", re.ASCII | re.MULTILINE),
+    # "(?!$)": the number is followed by a prefix or a unit.
+    "count": re.compile("^" + _NUM + "(?!$)" + _PREFIX_RE + _FLOPS_UNIT + "?$",
+                        re.ASCII | re.MULTILINE),
+}
+#: A column divides each value by its unit's bits: bits by 8 as
+#: ``parse_quantity`` does, and bytes by 1.0, which leaves a float as it is.
+_BITS = {"B": 1.0, "b": 8.0}
 
 
 class QuantityError(ValueError):
@@ -84,6 +104,27 @@ def parse_count(text: str) -> float:
     if rate or not (prefix or unit):
         raise QuantityError(f"malformed operation count {text!r} (expected e.g. '1.56T')")
     return float(num) * _PREFIX[prefix]
+
+
+def parse_column(texts: Sequence[str], kind: str) -> list[float] | None:
+    """``parse_quantity`` (``parse_count`` for kind="count") of each of
+    ``texts``, a trace column of "bytes" or "count" strings, or None if a
+    text is not in the plain form that ``_COLUMN_RE`` matches.
+
+    One regex pass reads every text of the joined column; each value
+    then takes the float operations of the per-value parser, in its
+    order.  A column holding a newline inside a text is refused, since
+    its lines would no longer be its texts.
+    """
+    text = "\n".join(texts)
+    if text.count("\n") != len(texts) - 1:
+        return None
+    found = _COLUMN_RE[kind].findall(text)
+    if len(found) != len(texts):
+        return None
+    if kind == "count":
+        return [float(num) * _PREFIX[prefix] for num, prefix, _ in found]
+    return [float(num) * _PREFIX[prefix] / _BITS[unit] for num, prefix, unit in found]
 
 
 def format_quantity(value: float, kind: str) -> str:

@@ -3,10 +3,11 @@
 ``perfbench/spans.py`` derives ``ingest.records``, ``ingest.rejected``,
 ``report.rows``, ``report.bytes`` and ``sweep.cells`` from the results of
 the calls it traces, and counts 0 where a result no longer has the shape
-it reads; ``units.calls`` counts the calls of the unit parsers.  These tests run
-commands in-process under the tracer, as ``perfbench/run.py --trace 1``
-does, and check each counter against the output, so a changed result
-shape fails here rather than zeroing a benchmark metric.
+it reads; ``units.calls`` counts the calls of the per-value unit
+parsers.  These tests run commands in-process under the tracer, as
+``perfbench/run.py --trace 1`` does, and check each counter against the
+output, so a changed result shape fails here rather than zeroing a
+benchmark metric.
 """
 
 import csv
@@ -20,8 +21,7 @@ import pytest
 from dlcost.cli import EX_DATA, EX_OK, run
 from dlcost.core import RECORD_QUANTITIES
 from dlcost.corpus import SynthSpec, builtin_corpus, synth_population
-from dlcost.ingest import dump_trace, record_to_dict
-from dlcost.units import format_quantity
+from dlcost.ingest import dump_trace, parse_trace, record_to_dict
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -89,19 +89,40 @@ def test_ingest_counters_match_the_validate_report(tmp_path):
     assert counts["ingest.rejected"] == statuses.count("error") == 2
 
 
-def spelled(obj):
-    """A trace object with every quantity a unit string."""
-    return obj | {f.name: (f"{obj[f.name]!r}FLOPs" if f.metadata["kind"] == "count"
-                           else format_quantity(obj[f.name], f.metadata["kind"]))
+UNIT = {"count": "FLOPs", "bytes": "B"}
+
+
+def spelled(obj, space=""):
+    """A trace object with every quantity a unit string, ``space`` between
+    its number and its unit."""
+    return obj | {f.name: f"{obj[f.name]!r}{space}{UNIT[f.metadata['kind']]}"
                   for f in RECORD_QUANTITIES}
 
 
-@pytest.mark.parametrize("command", [["validate"], ["aggregate", "--stat", "shares"],
-                                     ["project", "--target", "allreduce_local"]])
-def test_unit_parsers_are_called_once_per_quantity(tmp_path, command):
+COMMANDS = [["validate"], ["aggregate", "--stat", "shares"],
+            ["project", "--target", "allreduce_local"]]
+
+
+def unit_string_run(tmp_path, command, space):
+    """A 100-job synthetic population, and the tracer's calls for ``command``
+    on it written as unit strings."""
     records = synth_population(SynthSpec(size=100, seed=5))
     trace = tmp_path / "trace.jsonl"
-    trace.write_text("".join(json.dumps(spelled(record_to_dict(rec))) + "\n" for rec in records))
+    trace.write_text("".join(json.dumps(spelled(record_to_dict(rec), space)) + "\n"
+                             for rec in records))
     counts, calls, _ = traced_run(tmp_path, *command, source=("--trace", str(trace)))
     assert counts["ingest.records"] == len(records)
-    assert calls["units.parse_quantity"] + calls["units.parse_count"] == 6 * len(records)
+    return records, trace, calls["units.parse_quantity"] + calls["units.parse_count"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_plain_unit_string_columns_call_no_per_value_parser(tmp_path, command):
+    records, trace, unit_calls = unit_string_run(tmp_path, command, space="")
+    assert unit_calls == 0
+    assert list(parse_trace(trace.read_text())[0]) == list(parse_trace(dump_trace(records))[0])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_spaced_unit_strings_call_the_parsers_once_per_quantity(tmp_path, command):
+    records, _, unit_calls = unit_string_run(tmp_path, command, space=" ")
+    assert unit_calls == 6 * len(records)

@@ -367,6 +367,7 @@ class TestSynthAndCorpusCommands:
         (",", "--mix entries must look like arch=fraction, got ''"),
         ("ps_worker=1,,", "--mix entries must look like arch=fraction, got ''"),
         ("ps_worker=abc", "--mix entries must look like arch=fraction, got 'ps_worker=abc'"),
+        ("ps_worker=1e308,pearl=1e308", "mix fractions must sum to 1, got inf"),
     ])
     def test_synth_mix_fraction_errors_are_usage_errors(self, tmp_path, capsys, mix, message):
         out = tmp_path / "out"
@@ -424,6 +425,20 @@ class TestValidateCommand:
         assert [(row["line"], row["status"]) for row in parse_csv(data)] == [
             ("2", "error"), ("", "ok")]
         assert capsys.readouterr().err == f"{trace}:2: {message}\n"
+
+    def test_a_line_feed_inside_a_unit_string_splits_no_column(self, tmp_path, capsys):
+        job = {"job_id": "c", "arch": "ps_worker", "num_cnodes": 4, "batch_size": 64,
+               "flops": "1T", "mem_access_bytes": "10GB", "input_bytes": "5MB\n7MB",
+               "weight_traffic_bytes": "1GB", "dense_weight_bytes": "100MB",
+               "embedding_weight_bytes": "0B"}
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps(job) + "\n"
+                         + json.dumps(job | {"job_id": "d", "input_bytes": "junk"}) + "\n")
+        code, data = run_to_file(tmp_path, "validate", "--trace", str(trace))
+        assert code == EX_DATA
+        assert capsys.readouterr().err == (
+            f"{trace}:1: malformed byte size '5MB\\n7MB' (expected e.g. '204MB')\n"
+            f"{trace}:2: malformed byte size 'junk' (expected e.g. '204MB')\n")
 
     @pytest.mark.parametrize("field", ["num_cnodes", "batch_size"])
     @pytest.mark.parametrize("command", [["validate"], ["breakdown"],

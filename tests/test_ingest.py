@@ -66,7 +66,7 @@ _QUANTITY_VARIANTS = [
     2 ** 1024, int(sys.float_info.max),
     int(sys.float_info.max) + 2 ** 969,  # rounds down to the largest float
     "1.5GB", "2T", "10Gbps", "0MB", " 3 kB ", "1.56TFLOPs", "1e999GB", "1e999T", "fast",
-    "12", "-1GB", None, [1]]
+    "12", "-1GB", "5MB\n7MB", None, [1]]
 
 #: For each field, values on either side of each rule that it must meet.
 FIELD_VARIANTS = {

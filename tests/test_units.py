@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
-from dlcost.units import QuantityError, format_quantity, parse_count, parse_quantity
+from dlcost.units import (QuantityError, format_quantity, parse_column, parse_count,
+                          parse_quantity)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -101,11 +102,14 @@ FLOPS_UNITS = ["", "FLOPs", "FLOPS", "flops", "FLOP", "Flop"]
 
 
 @st.composite
-def unit_strings(draw):
-    """(kind, text, num, prefix, unit) over the whole grammar of each kind."""
-    kind = draw(st.sampled_from(["bytes", "bandwidth", "flops_rate", "count"]))
-    num = draw(st.from_regex(r"(?:\d{1,5}(?:\.\d{0,4})?|\.\d{1,4})(?:[eE][+-]?\d{1,2})?",
-                             fullmatch=True))
+def unit_strings(draw, kinds=("bytes", "bandwidth", "flops_rate", "count"), spaces=("", " "),
+                 digit=r"\d"):
+    """(kind, text, num, prefix, unit) over the whole grammar of each of
+    ``kinds``, with one of ``spaces`` between the number and the rest and
+    the number's digits drawn from ``digit`` (any Unicode digit)."""
+    kind = draw(st.sampled_from(kinds))
+    num = draw(st.from_regex(r"(?:D{1,5}(?:\.D{0,4})?|\.D{1,4})(?:[eE][+-]?D{1,2})?"
+                             .replace("D", digit), fullmatch=True))
     prefix = draw(st.sampled_from(sorted(PREFIX)))
     if kind in ("bytes", "bandwidth"):
         unit = draw(st.sampled_from("bB"))
@@ -113,7 +117,7 @@ def unit_strings(draw):
         unit = draw(st.sampled_from(FLOPS_UNITS if prefix else FLOPS_UNITS[1:]))
     rate = draw(st.sampled_from({"bytes": [""], "bandwidth": ["", "/s", "ps"],
                                  "flops_rate": ["", "/s"], "count": [""]}[kind]))
-    space = draw(st.sampled_from(["", " "]))
+    space = draw(st.sampled_from(spaces))
     return kind, f"{num}{space}{prefix}{unit}{rate}", num, prefix, unit
 
 
@@ -129,6 +133,57 @@ def test_parsers_scale_the_number_bit_for_bit(case):
         return
     value = parse_count(text) if kind == "count" else parse_quantity(text, kind)
     assert value.hex() == expected.hex()
+
+
+#: Texts outside the plain form of a column, or outside every grammar.
+ODD_TEXTS = [" ", "5 MB", " 5MB", "5MB ", "5MB\n7MB", "\n", "5MB\n", "5MB\r", "\r",
+             "\u0665MB", "\u0661.5T", "10GB/s", "10Gbps", "2T/s", "2Tps", "", "1e400B",
+             "1e400T", "0b", "12", "1e5", "junk"]
+
+
+@st.composite
+def columns(draw):
+    """(kind, texts): a trace column of unit strings in the plain form of
+    its kind, and at times one more text from any kind or ODD_TEXTS."""
+    kind = draw(st.sampled_from(["bytes", "count"]))
+    plain = unit_strings(kinds=[kind], spaces=[""], digit="[0-9]").map(lambda case: case[1])
+    texts = draw(st.lists(plain, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        odd = draw(unit_strings().map(lambda case: case[1]) | st.sampled_from(ODD_TEXTS))
+        texts.insert(draw(st.integers(min_value=0, max_value=len(texts))), odd)
+    return kind, texts
+
+
+@given(columns())
+@example(("bytes", ["5MB\n7MB", "junk"]))  # two lines, two values, but not these two
+@example(("count", ["12", "1T"]))
+def test_column_parser_refuses_or_matches_the_per_value_parsers(case):
+    kind, texts = case
+    parse = parse_count if kind == "count" else lambda text: parse_quantity(text, kind)
+    try:
+        expected = [parse(text).hex() for text in texts]
+    except QuantityError:
+        expected = None
+    values = parse_column(texts, kind)
+    if values is not None:
+        assert [value.hex() for value in values] == expected
+
+
+@pytest.mark.parametrize("kind,texts,expected", [
+    ("bytes", ["204MB", "16Gb", "0B", "1e400B", ".5kB"], [2.04e8, 2e9, 0.0, float("inf"), 500.0]),
+    ("count", ["1.56T", "330.7GFLOPs", "1e3flop", "2k"], [1.56e12, 330.7e9, 1e3, 2e3]),
+])
+def test_column_parser_reads_plain_columns(kind, texts, expected):
+    assert parse_column(texts, kind) == expected
+
+
+@pytest.mark.parametrize("kind,texts", [
+    ("bytes", ["5MB", "7 MB"]), ("bytes", [" 5MB"]), ("bytes", ["5MB\r"]), ("bytes", ["\u0665MB"]),
+    ("count", ["1 T"]),
+])
+def test_column_parser_refuses_values_outside_the_plain_form(kind, texts):
+    """Values that the per-value parsers read, which the column leaves to them."""
+    assert parse_column(texts, kind) is None
 
 
 @given(st.floats(min_value=1e-6, max_value=1e18, allow_nan=False, allow_infinity=False),
