@@ -37,7 +37,7 @@ from .ingest import (
     load_hardware_profile,
     parse_trace,
 )
-from .projection import ProjectionResult, population_speedup_profile
+from .projection import population_speedup_profile
 from .report import FORMATS, Fixed, build_report, emit, input_digest, round9
 from .sweep import (
     SweepAxis,
@@ -202,15 +202,14 @@ _SUMMARY_FRACTIONS = ("fraction_infeasible", "fraction_step_sped_up",
 
 def cmd_project(args, pop, hw, eff, overlap):
     target = ArchitectureKind.from_label(args.target)
-    results, summary = population_speedup_profile(pop, target, hw, eff, overlap)
-    res = dict(zip(ProjectionResult._fields, zip(*results)))
+    table, summary = population_speedup_profile(pop, target, hw, eff, overlap)
     columns = {
         "job_id": pop.job_id,
-        "source_arch": [a.value for a in res["source_arch"]],
-        "target_arch": [a.value for a in res["target_arch"]],
-        **{name: res[name] for name in ("source_cnodes", "target_cnodes", "feasible", "reason",
-                                        "source_t_total", "target_t_total", "step_speedup",
-                                        "throughput_speedup")},
+        "source_arch": [a.value for a in table.source_arch],
+        "target_arch": Fixed(target.value),
+        **{name: getattr(table, name) for name in (
+            "source_cnodes", "target_cnodes", "feasible", "reason", "source_t_total",
+            "target_t_total", "step_speedup", "throughput_speedup")},
     }
     extra = {
         "target": target.value,

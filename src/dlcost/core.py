@@ -16,7 +16,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class ArchitectureKind(Enum):
@@ -198,44 +198,62 @@ RECORD_QUANTITIES: tuple[Field, ...] = tuple(
 
 #: Every WorkloadRecord field name, in declaration (positional) order.
 RECORD_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(WorkloadRecord))
-#: The tuple of those fields of a record, or of a population's lists.
-_FIELDS_OF = operator.attrgetter(*RECORD_FIELDS)
 
 
-class Population(Sequence):
-    """A read-only sequence of records held as one list per
-    ``WorkloadRecord`` field, in job order: ``pop.flops[i]`` is job ``i``'s
-    flops.  Analyses read the lists; indexing or iterating builds each
-    record on demand, equal to the record the fields came from.
+class ColumnTable(Sequence):
+    """A read-only sequence of rows held as one list per field of the row
+    type ``ROW``, the fields named by the subclass's ``__slots__`` in
+    ``ROW``'s positional order: ``table.<field>[i]`` is row ``i``'s field.
+    Indexing or iterating builds each row on demand, equal to the row the
+    fields came from; a slice is a table of the same kind.  Two tables of
+    one kind are equal when their lists are.
     """
 
-    __slots__ = RECORD_FIELDS
+    __slots__ = ()
+    ROW: Callable[..., Any]
 
     def __init__(self, *columns: list) -> None:
-        """One list per field, in ``RECORD_FIELDS`` order, all of one length."""
-        for name, column in zip(RECORD_FIELDS, columns, strict=True):
+        """One list per field, in ``__slots__`` order, all of one length."""
+        for name, column in zip(self.__slots__, columns, strict=True):
             setattr(self, name, column)
 
     @classmethod
-    def of(cls, records: Iterable[WorkloadRecord]) -> "Population":
-        """``records`` as a population (a population is returned as it is)."""
-        if isinstance(records, Population):
-            return records
-        rows = list(map(_FIELDS_OF, records))
-        return cls(*map(list, zip(*rows))) if rows else cls(*([] for _ in RECORD_FIELDS))
+    def of(cls, rows: Iterable[Any]) -> "ColumnTable":
+        """``rows`` as a table (a table of this kind is returned as it is)."""
+        if isinstance(rows, cls):
+            return rows
+        rows = list(map(operator.attrgetter(*cls.__slots__), rows))
+        return cls(*map(list, zip(*rows))) if rows else cls(*([] for _ in cls.__slots__))
+
+    def _columns(self) -> list[list]:
+        return [getattr(self, name) for name in self.__slots__]
 
     def __len__(self) -> int:
-        return len(self.job_id)
+        return len(getattr(self, self.__slots__[0]))
 
-    def __iter__(self) -> Iterator[WorkloadRecord]:
-        return map(WorkloadRecord, *_FIELDS_OF(self))
+    def __iter__(self) -> Iterator[Any]:
+        return map(self.ROW, *self._columns())
 
-    def __getitem__(self, index: Union[int, slice]) -> Union[WorkloadRecord, "Population"]:
-        make = Population if isinstance(index, slice) else WorkloadRecord
-        return make(*(column[index] for column in _FIELDS_OF(self)))
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        columns = [column[index] for column in self._columns()]
+        return type(self)(*columns) if isinstance(index, slice) else self.ROW(*columns)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._columns() == other._columns()
 
     def __repr__(self) -> str:
-        return f"<Population of {len(self)} records>"
+        return f"<{type(self).__name__} of {len(self)} rows>"
+
+
+class Population(ColumnTable):
+    """A trace's records as a ``ColumnTable`` of ``WorkloadRecord``, in job
+    order: ``pop.flops[i]`` is job ``i``'s flops.  Analyses read the lists.
+    """
+
+    __slots__ = RECORD_FIELDS
+    ROW = WorkloadRecord
 
     @property
     def model_bytes(self) -> list[float]:

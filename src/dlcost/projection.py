@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     ArchitectureKind,
+    ColumnTable,
     EfficiencyModel,
     HardwareProfile,
     OverlapMode,
@@ -126,14 +128,24 @@ class ProjectionSummary:
     fraction_throughput_sped_up: float
 
 
-def summarize(results: list[ProjectionResult]) -> ProjectionSummary:
-    n = len(results)
+class ProjectionTable(ColumnTable):
+    """Every job's ``ProjectionResult`` as one list per field, in job order:
+    ``table.step_speedup[i]`` is job ``i``'s.  Its ``len`` is the job
+    count; iterating or indexing builds each result on demand."""
+
+    __slots__ = ProjectionResult._fields
+    ROW = ProjectionResult
+
+
+def summarize(results: Iterable[ProjectionResult]) -> ProjectionSummary:
+    """The summary of a ``ProjectionTable`` or of any iterable of results."""
+    table = ProjectionTable.of(results)
+    n = len(table)
     if n == 0:
         raise ValueError("no projection results to summarize")
-    feasible = [r for r in results if r.feasible]
-    n_infeasible = n - len(feasible)
-    step_up = sum(1 for r in feasible if r.step_speedup > 1)
-    thr_up = sum(1 for r in feasible if r.throughput_speedup > 1)
+    n_infeasible = n - sum(table.feasible)
+    step_up = sum(s > 1 for s in compress(table.step_speedup, table.feasible))
+    thr_up = sum(s > 1 for s in compress(table.throughput_speedup, table.feasible))
     return ProjectionSummary(
         n_jobs=n,
         n_infeasible=n_infeasible,
@@ -146,8 +158,14 @@ def summarize(results: list[ProjectionResult]) -> ProjectionSummary:
 def population_speedup_profile(
         pop: Iterable[WorkloadRecord], target: ArchitectureKind, hw: HardwareProfile,
         eff: EfficiencyModel, overlap: OverlapMode = OverlapMode.NO_OVERLAP,
-) -> tuple[list[ProjectionResult], ProjectionSummary]:
-    """Project every job onto ``target`` and summarize the outcome."""
+) -> tuple[ProjectionTable, ProjectionSummary]:
+    """Project every job onto ``target`` and summarize the outcome.  Each
+    job's fields are appended to the table's lists as its projection
+    returns, so no more than one ``ProjectionResult`` is alive at a time."""
     pop = require_jobs(pop)
-    results = [project(rec, target, hw, eff, overlap) for rec in pop]
-    return results, summarize(results)
+    columns = tuple([] for _ in ProjectionResult._fields)
+    for rec in pop:
+        for column, value in zip(columns, project(rec, target, hw, eff, overlap)):
+            column.append(value)
+    table = ProjectionTable(*columns)
+    return table, summarize(table)

@@ -3,15 +3,18 @@
 A report is a fixed column order, rows of scalar cells, and metadata
 sufficient to re-run the producing analysis (hardware profile,
 efficiency model, overlap mode, tool version, input digest).  The rows
-come in blocks: in each block, a column holds either one cell per row
-or one fixed cell that every row of the block shares (a sweep's
-setting, say), which is stored and formatted once per block.  Emission
-is byte-deterministic, by one table of rules per format, keyed by cell
-type, that turns a column of cells into their text.  Floats are written
-with 9 significant digits in both CSV and JSON, so the two formats parse
-to identical values.  Non-finite floats (an infinite speedup) have no
-standard JSON form: they, and ``None``, are missing values (``null`` in
-JSON, an empty CSV cell), and take the float rule.
+come in blocks, and a block holds columns, not rows: each column holds
+either one cell per row or one fixed cell that every row of the block
+shares (a sweep's setting, say), which is stored and formatted once per
+block.  A per-row column that several blocks share (a sweep's job ids)
+is formatted once per chunk of rows, not once per block.  No row tuple
+is built on the way to the bytes.  Emission is byte-deterministic, by
+one table of rules per format, keyed by cell type, that turns a column
+of cells into their text.  Floats are written with 9 significant digits
+in both CSV and JSON, so the two formats parse to identical values.
+Non-finite floats (an infinite speedup) have no standard JSON form:
+they, and ``None``, are missing values (``null`` in JSON, an empty CSV
+cell), and take the float rule.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from itertools import compress
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -121,10 +125,11 @@ class Fixed(NamedTuple):
 
 
 class Block(NamedTuple):
-    """Each row's varying cells, in column order, and the fixed cells by column index."""
+    """A block's row count and, in column order, each column's cells: one
+    per row, or a ``Fixed`` cell that every row of the block shares."""
 
-    rows: Sequence[tuple[Any, ...]]
-    fixed: Mapping[int, Any]
+    n_rows: int
+    columns: tuple[Sequence[Any] | Fixed, ...]
 
 
 @dataclass(frozen=True)
@@ -145,13 +150,12 @@ class _Rows:
         self.report = report
 
     def __len__(self) -> int:
-        return sum(len(rows) for rows, _ in self.report.blocks)
+        return sum(n_rows for n_rows, _ in self.report.blocks)
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        width = range(len(self.report.columns))
-        for rows, fixed in self.report.blocks:
-            for cells in map(iter, rows):
-                yield tuple(fixed[i] if i in fixed else next(cells) for i in width)
+        for n_rows, columns in self.report.blocks:
+            cells = [repeat(c.value, n_rows) if isinstance(c, Fixed) else c for c in columns]
+            yield from zip(*cells) if cells else repeat((), n_rows)
 
 
 def build_report(kind: str, blocks: Sequence[Mapping[str, Any]],
@@ -159,18 +163,20 @@ def build_report(kind: str, blocks: Sequence[Mapping[str, Any]],
                  source: str, digest: str,
                  extra_metadata: Mapping[str, Any] | None = None) -> Report:
     """A report of row blocks, in order.  Each block maps every column name,
-    in report order, to one value per row or to a ``Fixed`` cell."""
+    in report order, to one value per row or to a ``Fixed`` cell; at least
+    one column per block holds one value per row, so that the block has a
+    row count."""
     columns = tuple(blocks[0])
     built = []
     for block in blocks:
         if tuple(block) != columns:
             raise ValueError(f"report blocks differ in columns: {tuple(block)} and {columns}")
-        varying = {name: v for name, v in block.items() if not isinstance(v, Fixed)}
-        lengths = {name: len(values) for name, values in varying.items()}
+        lengths = {name: len(v) for name, v in block.items() if not isinstance(v, Fixed)}
+        if not lengths:
+            raise ValueError(f"report block has no per-row column: {columns}")
         if len(set(lengths.values())) > 1:
             raise ValueError(f"report columns differ in length: {lengths}")
-        fixed = {i: v.value for i, v in enumerate(block.values()) if isinstance(v, Fixed)}
-        built.append(Block(tuple(zip(*varying.values())), fixed))
+        built.append(Block(next(iter(lengths.values())), tuple(block.values())))
     metadata: dict[str, Any] = {
         "kind": kind,
         "tool_version": __version__,
@@ -204,15 +210,30 @@ def _chunks(report: Report, rules: Mapping[type, Rule],
             text: Callable[[int, list[Sequence[str]]], str]) -> Iterator[bytes]:
     """Each chunk's ``text(n_rows, columns)`` of its columns' texts by
     ``rules``, encoded: a block's fixed cells are formatted once per block,
-    the other columns once per chunk.  No cell's text outlives its chunk's."""
-    width = range(len(report.columns))
-    for rows, fixed in report.blocks:
-        texts = {i: _texts(rules, (value,))[0] for i, value in fixed.items()}
-        for start in range(0, len(rows), EMIT_CHUNK_ROWS):
-            chunk = rows[start:start + EMIT_CHUNK_ROWS]
-            varying = (_texts(rules, column) for column in zip(*chunk))
-            yield text(len(chunk), [[texts[i]] * len(chunk) if i in texts else next(varying)
-                                    for i in width]).encode("utf-8")
+    the other columns a chunk at a time.  A per-row column that more than
+    one block holds (the same object) is formatted once per chunk offset,
+    and that text is kept until the last chunk; no other cell's text
+    outlives its chunk's."""
+    uses = Counter(id(c) for _, columns in report.blocks for c in columns
+                   if not isinstance(c, Fixed))
+    shared: dict[tuple[int, int], Sequence[str]] = {}
+
+    def texts(column: Sequence[Any], start: int, stop: int) -> Sequence[str]:
+        if uses[id(column)] == 1:
+            return _texts(rules, column[start:stop])
+        key = (id(column), start)
+        if key not in shared:
+            shared[key] = _texts(rules, column[start:stop])
+        return shared[key]
+
+    for n_rows, columns in report.blocks:
+        fixed = {i: _texts(rules, (c.value,))[0] for i, c in enumerate(columns)
+                 if isinstance(c, Fixed)}
+        for start in range(0, n_rows, EMIT_CHUNK_ROWS):
+            stop = min(start + EMIT_CHUNK_ROWS, n_rows)
+            yield text(stop - start, [[fixed[i]] * (stop - start) if i in fixed
+                                      else texts(column, start, stop)
+                                      for i, column in enumerate(columns)]).encode("utf-8")
 
 
 def _csv_text(n_rows: int, fields: Sequence[Sequence[str]]) -> str:

@@ -31,7 +31,7 @@ from .core import (
 from .engine import evaluate, share_of, speedup
 # Unused here, but perfbench's tracer patches ``dlcost.sweep.breakdown``.
 from .engine import breakdown  # noqa: F401
-from .projection import ProjectionResult, ProjectionSummary, population_speedup_profile
+from .projection import ProjectionSummary, ProjectionTable, population_speedup_profile
 
 
 _AXIS_FIELDS = {f.metadata["axis"]: f for f in fields(HardwareProfile) if f.metadata["axis"]}
@@ -227,13 +227,13 @@ def overlap_comparison(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
     pop = require_jobs(pop)
     weight_shares = evaluate(pop, hw, eff).share("weight")
 
-    def stats(overlap: OverlapMode) -> tuple[OverlapModeStats, list[ProjectionResult]]:
-        results, summary = population_speedup_profile(pop, target, hw, eff, overlap)
-        return OverlapModeStats(overlap, summary), results
+    def stats(overlap: OverlapMode) -> tuple[OverlapModeStats, ProjectionTable]:
+        table, summary = population_speedup_profile(pop, target, hw, eff, overlap)
+        return OverlapModeStats(overlap, summary), table
 
     none_stats, _ = stats(OverlapMode.NO_OVERLAP)
-    ideal_stats, ideal_results = stats(OverlapMode.IDEAL_OVERLAP)
-    at_ratio = sum(1 for r in ideal_results if r.weight_bound)
+    ideal_stats, ideal_table = stats(OverlapMode.IDEAL_OVERLAP)
+    at_ratio = sum(ideal_table.weight_bound)
     return OverlapComparison(
         job_level_weight_share=job_level_mean(weight_shares),
         cnode_level_weight_share=cnode_level_mean(weight_shares, pop.num_cnodes),

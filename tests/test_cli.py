@@ -582,8 +582,9 @@ class TestExitCodes:
 
 
 def one_block(columns, rows, metadata):
-    """A report of one block in which every cell varies."""
-    return Report(columns=columns, blocks=(Block(rows, {}),), metadata=metadata)
+    """A report of one block, given its rows, in which every cell varies."""
+    cells = tuple(map(list, zip(*rows))) if rows else tuple([] for _ in columns)
+    return Report(columns=columns, blocks=(Block(len(rows), cells),), metadata=metadata)
 
 
 class Text(str):
@@ -602,14 +603,22 @@ class TestBuildReport:
             build_report("k", [{"a": [1], "b": [2]}, {"b": [2], "a": [1]}], PAI, EFF,
                          OverlapMode.NO_OVERLAP, "src", "0" * 64)
 
+    def test_a_block_of_only_fixed_cells_is_rejected(self):
+        # It has no per-row column to give its row count.
+        with pytest.raises(ValueError, match="report block has no per-row column"):
+            build_report("k", [{"a": Fixed(1), "b": Fixed("x")}], PAI, EFF,
+                         OverlapMode.NO_OVERLAP, "src", "0" * 64)
+
     def test_rows_are_the_blocks_with_their_fixed_cells_filled_in(self):
+        b = [1, 2]
         report = build_report("k", [
-            {"a": Fixed(None), "b": [1, 2], "c": Fixed("x,y")},
+            {"a": Fixed(None), "b": b, "c": Fixed("x,y")},
             {"a": [3.5], "b": Fixed(math.inf), "c": ["z"]},
             {"a": Fixed(0), "b": [], "c": []},
         ], PAI, EFF, OverlapMode.NO_OVERLAP, "src", "0" * 64)
         assert report.columns == ("a", "b", "c")
-        assert report.blocks[0] == Block(((1,), (2,)), {0: None, 2: "x,y"})
+        assert report.blocks[0] == Block(2, (Fixed(None), [1, 2], Fixed("x,y")))
+        assert report.blocks[0].columns[1] is b  # held as it is, not copied
         assert len(report.rows) == 3
         assert list(report.rows) == [(None, 1, "x,y"), (None, 2, "x,y"), (3.5, math.inf, "z")]
 
@@ -641,13 +650,13 @@ def chunked_reports(draw):
     blocks = []
     for _ in range(draw(st.integers(1, 3))):
         n_rows = max(0, chunk * draw(st.integers(0, 2)) + draw(st.integers(-1, 1)))
-        columns, fixed = [], {}
-        for i, _ in enumerate(names):
+        columns = []
+        for _ in names:
             kinds = draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=2,
                                   unique=True))
             cells = st.one_of(*(CELL_KINDS[k] for k in kinds))
             if draw(st.booleans()):
-                fixed[i] = draw(st.one_of(cells, st.sampled_from(ODD_FIXED_CELLS)))
+                columns.append(Fixed(draw(st.one_of(cells, st.sampled_from(ODD_FIXED_CELLS)))))
                 continue
             pool = draw(st.lists(cells, min_size=1, max_size=4))
             column = [rnd.choice(pool) for _ in range(n_rows)]
@@ -655,8 +664,39 @@ def chunked_reports(draw):
                 quoted = draw(st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r"]))
                 column[rnd.randrange(chunk, n_rows)] = quoted
             columns.append(column)
-        blocks.append(Block(tuple(zip(*columns)) if columns else ((),) * n_rows, fixed))
+        blocks.append(Block(n_rows, tuple(columns)))
     return chunk, Report(columns=tuple(names), blocks=tuple(blocks), metadata={})
+
+
+#: Text cells that each need CSV quoting.
+QUOTED_TEXTS = ["a,b", 'say "hi"', "two\nlines", "cr\r"]
+
+
+@st.composite
+def shared_column_reports(draw):
+    """An emission chunk size and two reports of the same cells: in the
+    first, two or more blocks hold one per-row list (the same object), as
+    a sweep's blocks hold its job ids; in the second, every block holds a
+    copy of its own.  The shared list's cells may need CSV quoting in any
+    chunk, and a block may hold the list twice or a list of its own."""
+    chunk = draw(st.sampled_from([1, 2, 3, 5]))
+    n_rows = max(0, chunk * draw(st.integers(0, 3)) + draw(st.integers(-1, 1)))
+    cells = draw(st.sampled_from([st.one_of(CELL_KINDS["str"], st.sampled_from(QUOTED_TEXTS)),
+                                  st.one_of(*CELL_KINDS.values())]))
+    rows = st.lists(cells, min_size=n_rows, max_size=n_rows)
+    shared = draw(rows)
+    blocks = []
+    for i in range(draw(st.integers(2, 4))):
+        own = i > 1 and draw(st.booleans())
+        ids = draw(rows) if own else shared
+        last = shared if draw(st.booleans()) else draw(rows)
+        fixed = Fixed(draw(st.one_of(cells, st.sampled_from(ODD_FIXED_CELLS))))
+        blocks.append((ids, fixed, last))
+    def report(copy):
+        return Report(("id", "setting", "value"),
+                      tuple(Block(n_rows, tuple(map(copy, block))) for block in blocks), {})
+
+    return chunk, report(lambda c: c), report(lambda c: c if isinstance(c, Fixed) else list(c))
 
 
 class TestEmit:
@@ -749,16 +789,17 @@ class TestEmit:
         (None, True, 1, "a"), (1.5, 2, 2.5, "b"),
         (-0.0, False, math.inf, "c,d"), (math.nan, 0, 3, "e")), {})))
     @example((2, Report(columns=("f", "s", "n"), blocks=(
-        Block(((1.5,), (2.5,), (3.5,)), {1: 'say "hi"', 2: None}),
-        Block(((), (), ()), {0: math.nan, 1: "", 2: -math.inf}),
-        Block(((None, "a"), ("b,c", 1)), {0: "x"})), metadata={})))
+        Block(3, ([1.5, 2.5, 3.5], Fixed('say "hi"'), Fixed(None))),
+        Block(3, (Fixed(math.nan), Fixed(""), Fixed(-math.inf))),
+        Block(2, (Fixed("x"), [None, "b,c"], ["a", 1]))), metadata={})))
     # Float-or-missing columns across a chunk boundary, each chunk of one
     # column with a different mix.
     @example((2, one_block(("f", "g"), (
         (1.5, None), (0.25, math.inf), (None, -math.inf), (math.nan, 2.5), (-0.0, None)), {})))
     # A fixed cell of every type.
     @example((2, Report(columns=("n", "b", "i", "f", "s", "v"), blocks=(
-        Block(((1.5,), (2.5,), (3.5,)), {0: None, 1: False, 2: -7, 3: 0.1, 4: "a,b"}),),
+        Block(3, (Fixed(None), Fixed(False), Fixed(-7), Fixed(0.1), Fixed("a,b"),
+                  [1.5, 2.5, 3.5])),),
         metadata={})))
     # A str subclass holding a comma, and a bool among ints.
     @example((2, one_block(("m",), ((1,), (Text("x,y"),), (True,), (2,), (False,)), {})))
@@ -767,6 +808,28 @@ class TestEmit:
         with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", chunk):
             for format in FORMATS:
                 assert emit(report, format) == reference_emit(report.columns, report.rows, format)
+
+    @settings(deadline=None)
+    @given(shared_column_reports())
+    def test_a_list_shared_by_blocks_emits_as_copies_of_it_do(self, case):
+        chunk, shared, copied = case
+        assert shared.blocks[0].columns[0] is shared.blocks[1].columns[0]
+        assert shared.blocks[0].columns[0] is not copied.blocks[0].columns[0]
+        with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", chunk):
+            for format in FORMATS:
+                assert emit(shared, format) == emit(copied, format) == reference_emit(
+                    copied.columns, copied.rows, format)
+
+    def test_a_list_shared_by_blocks_is_formatted_once_per_chunk(self):
+        ids = ["a", "b,c", "d", "e", "f"]
+        report = Report(("id", "setting"), tuple(Block(5, (ids, Fixed(s))) for s in "xyz"), {})
+        with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", 2), \
+                mock.patch.object(dlcost.report, "_texts", wraps=dlcost.report._texts) as texts:
+            emit(report, "json")
+        # One call per block for its fixed cell, and one per chunk of ids
+        # (three chunks of two rows), not one per chunk of every block.
+        assert [list(call.args[1]) for call in texts.call_args_list] == [
+            ["x"], ["a", "b,c"], ["d", "e"], ["f"], ["y"], ["z"]]
 
     @given(st.text(alphabet=st.characters(blacklist_categories=())))
     def test_csv_metadata_value_stays_on_one_encodable_line(self, value):

@@ -144,8 +144,8 @@ def test_projections_build_each_record_once_per_pass_one_at_a_time(
         def __del__(self):
             live.discard(id(self))
 
-    # The population builds its records through the name bound in ``core``.
-    monkeypatch.setattr(core, "WorkloadRecord", Counted)
+    # The population builds its records through its row type.
+    monkeypatch.setattr(core.Population, "ROW", Counted)
     assert run([*command, "--trace", str(trace), "--out", str(tmp_path / "out")]) == EX_OK
     assert built[0] == passes * len(trace.read_text().splitlines())
     assert most[0] <= 2

@@ -11,6 +11,7 @@ from dlcost.core import ArchitectureKind, OverlapMode
 from dlcost.corpus import SynthSpec, synth_population
 from dlcost.engine import breakdown
 from dlcost.projection import (
+    ProjectionResult,
     population_speedup_profile,
     project,
     summarize,
@@ -166,6 +167,18 @@ class TestProject:
 
 
 class TestPopulationProfile:
+    @given(st.lists(workload_records(), min_size=1, max_size=12), hardware_profiles(),
+           efficiency_models())
+    def test_table_is_the_per_job_results_transposed(self, records, hw, eff):
+        for target in A:
+            for overlap in OverlapMode:
+                table, summary = population_speedup_profile(records, target, hw, eff, overlap)
+                results = [project(rec, target, hw, eff, overlap) for rec in records]
+                for i, name in enumerate(ProjectionResult._fields):
+                    assert getattr(table, name) == [res[i] for res in results], name
+                assert len(table) == len(results) and list(table) == results
+                assert summary == summarize(results)
+
     def test_single_weight_bound_job_all_sped_up(self):
         pop = [pure_weight_record(num_cnodes=4)]
         _, summary = population_speedup_profile(pop, A.ALLREDUCE_LOCAL, PAI, EFF)

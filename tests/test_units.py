@@ -103,11 +103,15 @@ FLOPS_UNITS = ["", "FLOPs", "FLOPS", "flops", "FLOP", "Flop"]
 
 @st.composite
 def unit_strings(draw, kinds=("bytes", "bandwidth", "flops_rate", "count"), spaces=("", " "),
-                 digit=r"\d"):
+                 digits=("[0-9]", r"\d")):
     """(kind, text, num, prefix, unit) over the whole grammar of each of
     ``kinds``, with one of ``spaces`` between the number and the rest and
-    the number's digits drawn from ``digit`` (any Unicode digit)."""
+    the number's digits drawn from one class of ``digits``, itself drawn
+    per example: ASCII digits, the form of every real trace and config,
+    or any Unicode decimal digit (which Hypothesis draws as non-ASCII in
+    most examples)."""
     kind = draw(st.sampled_from(kinds))
+    digit = draw(st.sampled_from(digits))
     num = draw(st.from_regex(r"(?:D{1,5}(?:\.D{0,4})?|\.D{1,4})(?:[eE][+-]?D{1,2})?"
                              .replace("D", digit), fullmatch=True))
     prefix = draw(st.sampled_from(sorted(PREFIX)))
@@ -146,7 +150,7 @@ def columns(draw):
     """(kind, texts): a trace column of unit strings in the plain form of
     its kind, and at times one more text from any kind or ODD_TEXTS."""
     kind = draw(st.sampled_from(["bytes", "count"]))
-    plain = unit_strings(kinds=[kind], spaces=[""], digit="[0-9]").map(lambda case: case[1])
+    plain = unit_strings(kinds=[kind], spaces=[""], digits=["[0-9]"]).map(lambda case: case[1])
     texts = draw(st.lists(plain, min_size=1, max_size=8))
     if draw(st.booleans()):
         odd = draw(unit_strings().map(lambda case: case[1]) | st.sampled_from(ODD_TEXTS))
