@@ -5,13 +5,14 @@ keys mirroring WorkloadRecord.  Quantities may be plain numbers in
 canonical units or unit strings ("357MB", "1.56T"); writing always emits
 canonical numbers so a written trace reloads bit-exactly.
 
-A trace is read into a ``core.Population``: one list per record field,
-with no ``WorkloadRecord`` built for a line that passes the column
-screen (``_Reader.screen``).  The screen reads a column of unit strings
-with ``units.parse_column`` in one regex pass, or with one parser call
-per value if a value is not in the plain form.  ``record_from_dict``
-with ``core.record_errors`` is the reference for every other line, and
-the source of every rejection message.
+A trace is read into a ``core.Population``: one list per record field.
+A line reaches it by one of two paths.  A batch of lines that passes the
+column screen (``_Reader.screen``) is appended a column at a time, with
+no ``WorkloadRecord`` built; the screen reads a column of unit strings
+with ``units.parse_column`` in one regex pass, and refuses the batch if
+a value is not in the plain form.  Each line of a refused batch goes to
+``record_from_dict`` with ``core.record_errors``, the reference and the
+source of every rejection message.
 
 Hardware profiles come from built-in presets or flat key = value files
 with unit-string values; the DLCOST_HW_DIR environment variable prepends
@@ -232,12 +233,12 @@ class _Reader:
 
         A clean object is one that ``record_from_dict`` accepts, with a
         str ``job_id`` that no earlier object used, int cNodes and batch
-        size, and each quantity column all numbers or all unit strings;
-        each value is converted as ``record_from_dict`` converts it.  Each
-        rule is checked a column at a time.  Returns False, adding
-        nothing, for any other batch: ``record_from_dict`` then builds or
-        names each line, so it stays the one source of every rejection
-        message.
+        size, and each quantity column all numbers or all unit strings in
+        the plain form that ``units.parse_column`` reads; each value is
+        converted as ``record_from_dict`` converts it.  Each rule is
+        checked a column at a time.  Returns False, adding nothing, for
+        any other batch: ``record_from_dict`` then builds or names each
+        line, so it stays the one source of every rejection message.
         """
         n = len(objs)
         try:
@@ -260,14 +261,12 @@ class _Reader:
                     and tuple(map(placed_cnodes, archs, num_cnodes)) == num_cnodes):
                 return False
             for i, ((_, kind), values) in enumerate(zip(_QUANTITY_KINDS, quantities)):
-                # A unit string column: one regex pass if every value is in
-                # the plain form, else one parser call per value.
+                # A unit string column is read in one regex pass; a value
+                # not in the plain form fails the batch.
                 if type(values[0]) is str:
-                    parsed = parse_column(values, kind)
-                    if parsed is None:
-                        parsed = list(map(parse_count, values) if kind == "count"
-                                      else map(parse_quantity, values, repeat(kind)))
-                    quantities[i] = parsed
+                    quantities[i] = parse_column(values, kind)
+                    if quantities[i] is None:
+                        return False
             values = _as_floats(list(chain.from_iterable(quantities)))
             if values is None or not _in_range(values):
                 return False
@@ -296,11 +295,9 @@ class _Reader:
                                 return False
         # KeyError: a missing field or an unknown architecture; TypeError: an
         # object that is not a dict, an unhashable label, or a unit string
-        # column holding another value (AttributeError, if the column is
-        # parsed a value at a time); ValueError: a malformed
-        # unit string (QuantityError) or a job_id with a lone surrogate
-        # (UnicodeEncodeError); OverflowError: an int beyond a float.
-        except (KeyError, TypeError, AttributeError, ValueError, OverflowError):
+        # column holding another value; ValueError: a job_id with a lone
+        # surrogate (UnicodeEncodeError); OverflowError: an int beyond a float.
+        except (KeyError, TypeError, ValueError, OverflowError):
             return False
         self.seen.update(zip(job_ids, repeat(None)))
         self.record_lines.extend(lines)
@@ -333,11 +330,10 @@ def parse_trace(text: str, strict: bool = False,
     malformed line raises TraceFormatError instead of being reported.
 
     Decoded objects are screened ``_BATCH_LINES`` at a time, a column at
-    a time.  A batch that fails the screen is halved and each half
-    screened again, down to single lines; a line that fails alone goes
-    to ``record_from_dict``.  Besides the text and the result, only one
-    block of lines, one batch of objects and the job ids read so far are
-    held.
+    a time.  Each line of a batch that fails the screen goes to
+    ``record_from_dict``, one at a time.  Besides the text and the
+    result, only one block of lines, one batch of objects and the job
+    ids read so far are held.
     """
     reader = _Reader()
     errors = []
@@ -349,32 +345,20 @@ def parse_trace(text: str, strict: bool = False,
         errors.append(TraceError(line=lineno, message=message))
 
     def flush() -> None:
-        # The batches still to read, the next one last: a batch that fails
-        # the screen is replaced by its halves.  A closure that called
-        # itself would be a reference cycle keeping ``reader`` alive after
-        # ``parse_trace`` returns.
-        todo = [(batch[:], batch_lines[:])] if batch else []
+        if batch and not reader.screen(batch, batch_lines):
+            for obj, lineno in zip(batch, batch_lines):
+                try:
+                    rec = record_from_dict(obj)
+                except TraceFormatError as exc:
+                    reject(lineno, str(exc))
+                    continue
+                if rec.job_id in reader.seen:
+                    first = reader.first_line(rec.job_id)
+                    reject(lineno, f"duplicate job_id {rec.job_id!r} (first on line {first})")
+                else:
+                    reader.add(rec, lineno)
         batch.clear()
         batch_lines.clear()
-        while todo:
-            objs, lines = todo.pop()
-            if reader.screen(objs, lines):
-                continue
-            if len(objs) > 1:
-                half = len(objs) // 2
-                todo += (objs[half:], lines[half:]), (objs[:half], lines[:half])
-                continue
-            [obj], [lineno] = objs, lines
-            try:
-                rec = record_from_dict(obj)
-            except TraceFormatError as exc:
-                reject(lineno, str(exc))
-                continue
-            if rec.job_id in reader.seen:
-                first = reader.first_line(rec.job_id)
-                reject(lineno, f"duplicate job_id {rec.job_id!r} (first on line {first})")
-            else:
-                reader.add(rec, lineno)
 
     for lineno, line in enumerate(_lines(text), start=1):
         stripped = line.strip()

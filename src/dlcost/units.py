@@ -12,10 +12,15 @@ Conventions:
   * a rate suffix ("/s" or "ps") is optional on bandwidths and
     forbidden on plain byte sizes.
 
+One table (``_GRAMMAR``) holds each text kind's regex, its name and
+example for error messages, and whether its value must be positive;
+``parse_quantity`` and ``parse_count`` read a value by it.
 ``parse_column`` reads a whole trace column of byte sizes or counts in
 one regex pass when each value is in the plain form (no space, no rate
-suffix); the per-value regexes and the column's are built from the
-same pieces, so the column form is a part of the per-value grammar.
+suffix), and refuses any other column, which the trace reader then
+parses a line at a time.  The column regexes are built from the same
+pieces as the table's, so the column form is a part of the per-value
+grammar.
 """
 
 from __future__ import annotations
@@ -32,9 +37,19 @@ _NUM = r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
 _PREFIX_RE = r"(?P<prefix>[kKMGT]?)"
 _BYTE_UNIT = r"(?P<unit>[bB])"
 _FLOPS_UNIT = r"(?P<unit>[Ff][Ll][Oo][Pp][Ss]?)"
-_BYTES_RE = re.compile(_NUM + r"\s*" + _PREFIX_RE + _BYTE_UNIT + r"\Z")
-_BANDWIDTH_RE = re.compile(_NUM + r"\s*" + _PREFIX_RE + _BYTE_UNIT + r"(?P<rate>/s|ps)?\Z")
-_FLOPS_RE = re.compile(_NUM + r"\s*" + _PREFIX_RE + _FLOPS_UNIT + r"?(?P<rate>/s)?\Z")
+#: Per text kind: its regex, its name and example as the error messages
+#: give them, and whether its value must be positive.  A count is the
+#: FLOPs grammar without a rate suffix.
+_GRAMMAR = {
+    "bytes": (re.compile(_NUM + r"\s*" + _PREFIX_RE + _BYTE_UNIT),
+              "byte size", "'204MB'", False),
+    "bandwidth": (re.compile(_NUM + r"\s*" + _PREFIX_RE + _BYTE_UNIT + r"(?:/s|ps)?"),
+                  "bandwidth", "'25Gbps' or '10GB/s'", True),
+    "flops_rate": (re.compile(_NUM + r"\s*" + _PREFIX_RE + _FLOPS_UNIT + r"?(?:/s)?"),
+                   "FLOPs rate", "'11TFLOPs'", True),
+    "count": (re.compile(_NUM + r"\s*" + _PREFIX_RE + _FLOPS_UNIT + r"?"),
+              "operation count", "'1.56T'", False),
+}
 #: One value per line of a column, each in the plain form: ASCII digits,
 #: no space and no rate suffix, and a count with a prefix or a unit.
 _COLUMN_RE = {
@@ -52,6 +67,23 @@ class QuantityError(ValueError):
     """Raised for text that does not match the quantity grammar."""
 
 
+def _parse(text: str, kind: str) -> float:
+    """Canonical value of ``text`` by the grammar of ``kind``: the number
+    times its prefix, divided by 8 if its unit is bits."""
+    regex, name, example, positive = _GRAMMAR[kind]
+    m = regex.fullmatch(text.strip())
+    num, prefix, unit = m.group("num", "prefix", "unit") if m else (None,) * 3
+    # A FLOPs rate or count needs a prefix or a unit; a byte unit is required.
+    if not (prefix or unit):
+        raise QuantityError(f"malformed {name} {text!r} (expected e.g. {example})")
+    value = float(num) * _PREFIX[prefix]
+    if unit == "b":
+        value /= 8
+    if positive and value <= 0:
+        raise QuantityError(f"{name} must be positive, got {text!r}")
+    return value
+
+
 def parse_quantity(text: str, kind: str) -> float:
     """Parse ``text`` into canonical units for the given ``kind``.
 
@@ -64,46 +96,12 @@ def parse_quantity(text: str, kind: str) -> float:
     """
     if kind not in KINDS:
         raise QuantityError(f"unknown quantity kind {kind!r}; expected one of {KINDS}")
-    s = text.strip()
-    if kind == "bytes":
-        m = _BYTES_RE.fullmatch(s)
-        if m is None:
-            raise QuantityError(f"malformed byte size {text!r} (expected e.g. '204MB')")
-        num, prefix, unit = m.groups()
-        value = float(num) * _PREFIX[prefix]
-        if unit == "b":
-            value /= 8
-        return value
-    if kind == "bandwidth":
-        m = _BANDWIDTH_RE.fullmatch(s)
-        if m is None:
-            raise QuantityError(f"malformed bandwidth {text!r} (expected e.g. '25Gbps' or '10GB/s')")
-        num, prefix, unit, _rate = m.groups()
-        value = float(num) * _PREFIX[prefix]
-        if unit == "b":
-            value /= 8
-        if value <= 0:
-            raise QuantityError(f"bandwidth must be positive, got {text!r}")
-        return value
-    # flops_rate
-    m = _FLOPS_RE.fullmatch(s)
-    num, prefix, unit, _rate = m.groups() if m else (None,) * 4
-    if not (prefix or unit):
-        raise QuantityError(f"malformed FLOPs rate {text!r} (expected e.g. '11TFLOPs')")
-    value = float(num) * _PREFIX[prefix]
-    if value <= 0:
-        raise QuantityError(f"FLOPs rate must be positive, got {text!r}")
-    return value
+    return _parse(text, kind)
 
 
 def parse_count(text: str) -> float:
     """Parse an operation count such as "1.56T" or "330.7GFLOPs" (no rate suffix)."""
-    s = text.strip()
-    m = _FLOPS_RE.fullmatch(s)
-    num, prefix, unit, rate = m.groups() if m else (None,) * 4
-    if rate or not (prefix or unit):
-        raise QuantityError(f"malformed operation count {text!r} (expected e.g. '1.56T')")
-    return float(num) * _PREFIX[prefix]
+    return _parse(text, "count")
 
 
 def parse_column(texts: Sequence[str], kind: str) -> list[float] | None:

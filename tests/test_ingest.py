@@ -402,6 +402,7 @@ class TestTraceParsing:
             lambda obj: json.dumps(obj | {"num_cnodes": float(obj["num_cnodes"])}),
             lambda obj: json.dumps(obj | {"measured_step_seconds": 2, "notes": {"q": 1}}),
             lambda obj: "",
+            lambda obj: json.dumps(obj | {"mem_access_bytes": "3 kB"}),  # not the plain form
         ])
         # The first and last lines of every third batch are other lines.
         lines = [next(others)(obj) if n % batch_lines in (0, batch_lines - 1)
@@ -410,6 +411,26 @@ class TestTraceParsing:
         text = "\n".join(lines)
         assert len(text) > 2 * block_chars
         assert_parsed_as_reference(text)
+
+    def test_a_batch_that_fails_the_screen_is_read_a_line_at_a_time(self, monkeypatch):
+        calls = {"screen": 0, "record_from_dict": 0}
+
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(ingest._Reader, "screen", counted("screen", ingest._Reader.screen))
+        monkeypatch.setattr(ingest, "record_from_dict",
+                            counted("record_from_dict", record_from_dict))
+        lines = dump_trace(synth_population(SynthSpec(size=64, seed=3))).splitlines()
+        lines[4] = json.dumps(json.loads(lines[4]) | {"flops": -1.0})
+        pop, errors = parse_trace("\n".join(lines))
+        # The first batch of 32 fails the screen; the second passes it.
+        assert calls == {"screen": 2, "record_from_dict": 32}
+        assert len(pop) == 63
+        assert [err.line for err in errors] == [5]
 
 
 class TestIngestMemory:
@@ -456,8 +477,8 @@ class TestIngestMemory:
         assert (noted_bytes - plain_bytes) / len(pop) < 325
 
     def test_parse_leaves_no_reference_cycle(self):
-        # Halving a failing batch must not keep the parser's state alive in
-        # a cycle after it returns: the population and errors are all that
+        # Reading a failing batch a line at a time must not keep the
+        # parser's state alive in a cycle after it returns: the population and errors are all that
         # ``del`` needs to drop.
         text = "\n".join([RESNET_LINE, "{broken", RESNET_LINE])
         gc.collect()

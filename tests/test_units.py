@@ -85,9 +85,10 @@ def test_rejects_malformed(kind, text, message):
     assert str(exc.value) == message
 
 
-def test_rejects_unknown_kind():
-    with pytest.raises(QuantityError):
-        parse_quantity("10GB", "volume")
+@pytest.mark.parametrize("kind", ["volume", "count"])
+def test_rejects_unknown_kind(kind):
+    with pytest.raises(QuantityError, match="^unknown quantity kind"):
+        parse_quantity("10GB", kind)
 
 
 def test_count_rejects_rates():
