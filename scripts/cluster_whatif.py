@@ -105,8 +105,8 @@ def main():
 
     print("\n== overlap sensitivity for PS/Worker -> AllReduce-Local ==")
     cmp = overlap_comparison(ps, hw, eff, A.ALLREDUCE_LOCAL)
-    print(f"sped up (step): none {cmp.no_overlap.summary.fraction_step_sped_up:.1%} "
-          f"vs ideal {cmp.ideal_overlap.summary.fraction_step_sped_up:.1%}")
+    print(f"sped up (step): none {cmp.no_overlap.fraction_step_sped_up:.1%} "
+          f"vs ideal {cmp.ideal_overlap.fraction_step_sped_up:.1%}")
     print(f"jobs at the pure weight-path ratio: {cmp.fraction_at_weight_path_ratio:.1%}")
 
     for name, argv in [

@@ -327,12 +327,12 @@ def cmd_sensitivity(args, pop, hw, eff, overlap):
         "target": target.value,
         "fraction_at_weight_path_ratio": round9(cmp.fraction_at_weight_path_ratio),
     }
-    modes = (cmp.no_overlap, cmp.ideal_overlap)
+    summaries = (cmp.no_overlap, cmp.ideal_overlap)
     columns = {
-        "overlap": [m.overlap.value for m in modes],
-        "job_level_weight_share": [cmp.job_level_weight_share] * len(modes),
-        "cnode_level_weight_share": [cmp.cnode_level_weight_share] * len(modes),
-        **{name: [getattr(m.summary, name) for m in modes] for name in _SUMMARY_FRACTIONS},
+        "overlap": [OverlapMode.NO_OVERLAP.value, OverlapMode.IDEAL_OVERLAP.value],
+        "job_level_weight_share": [cmp.job_level_weight_share] * len(summaries),
+        "cnode_level_weight_share": [cmp.cnode_level_weight_share] * len(summaries),
+        **{name: [getattr(s, name) for s in summaries] for name in _SUMMARY_FRACTIONS},
     }
     return "sensitivity", [columns], extra
 

@@ -17,13 +17,14 @@ total is either the sum of the three parts (no overlap) or their
 maximum (ideal overlap).  All functions are pure and deterministic.
 
 The model is evaluated two ways.  ``breakdown`` decomposes one job into
-a ``TimeBreakdown``; it serves projections and the one-job API and is
-the reference the other path is tested against.  Every other analysis
-calls ``evaluate`` on a ``Population``: it divides out each rate once,
-and the ``Evaluation`` it returns combines the terms into step times
-and shares.  Both paths perform the same float operations in the same order
-(``Medium`` order is every weight path's order), so their results are
-bit-identical.
+a ``TimeBreakdown``; it serves the projection profile's two per-job
+calls (source and target) and the one-job API, and is the reference
+the other path is tested against.  Every other analysis calls
+``evaluate`` on a ``Population``: it divides out each rate once, and
+the ``Evaluation`` it returns combines the terms into step times and
+shares.  Both paths perform the same float operations in the same
+order (``Medium`` order is every weight path's order), so their
+results are bit-identical.
 """
 
 from __future__ import annotations

@@ -9,11 +9,15 @@ replicas), cluster architectures retain the original count.
 Infeasibility (model too big for weight-replica AllReduce, or no sparse
 embedding to partition) is a result state, not an error, so population
 sweeps never abort.
+
+``population_speedup_profile`` applies each rule once, over columns,
+and ``project`` is its one-job view.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, NamedTuple, Optional
@@ -24,14 +28,11 @@ from .core import (
     EfficiencyModel,
     HardwareProfile,
     OverlapMode,
-    TimeBreakdown,
     WorkloadRecord,
     placed_cnodes,
     require_jobs,
 )
 from .engine import breakdown, speedup
-
-_ALLREDUCE_TARGETS = frozenset({ArchitectureKind.ALLREDUCE_LOCAL, ArchitectureKind.ALLREDUCE_CLUSTER})
 
 
 def target_cnode_count(rec: WorkloadRecord, target: ArchitectureKind) -> int:
@@ -39,18 +40,15 @@ def target_cnode_count(rec: WorkloadRecord, target: ArchitectureKind) -> int:
     return rec.num_cnodes if target is rec.arch else placed_cnodes(target, rec.num_cnodes)
 
 
-def _weight_bound(bd: TimeBreakdown) -> bool:
-    """Weight traffic dominates the step (is the max component, nonzero)."""
-    t_compute = bd.t_compute_bound + bd.t_memory_bound
-    return bd.t_weight > 0 and bd.t_weight >= bd.t_data and bd.t_weight >= t_compute
-
-
 class ProjectionResult(NamedTuple):
     """One job projected onto a target architecture.
 
-    ``weight_bound``: weight traffic dominates the step on both sides, so
-    the ideal-overlap step speedup is the pure weight-path ratio of the
-    two architectures (e.g. 21x for PS/Worker to AllReduce-Local).
+    ``step_speedup`` is the source step time over the target's (>1: the
+    target steps faster); ``throughput_speedup`` scales it by the cNode
+    ratio, as per-cNode batch size is held constant.  ``weight_bound``:
+    weight traffic dominates the step on both sides, so the ideal-overlap
+    step speedup is the pure weight-path ratio of the two architectures
+    (e.g. 21x for PS/Worker to AllReduce-Local).
     """
 
     source_arch: ArchitectureKind
@@ -69,49 +67,9 @@ class ProjectionResult(NamedTuple):
 def project(rec: WorkloadRecord, target: ArchitectureKind, hw: HardwareProfile,
             eff: EfficiencyModel,
             overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> ProjectionResult:
-    """Evaluate ``rec`` as if retrained under ``target``.
-
-    step_speedup is the ratio of per-step totals (>1 means the target
-    steps faster); throughput_speedup additionally scales by the cNode
-    ratio since per-cNode batch size is held constant.
-    """
-    source_bd = breakdown(rec, hw, eff, overlap)
-    target_cnodes = target_cnode_count(rec, target)
-
-    reason = ""
-    if target is not rec.arch:
-        # AllReduce replicates all weights per GPU, so the model must fit
-        # in GPU memory; PEARL partitions a sparse embedding.
-        if target in _ALLREDUCE_TARGETS and rec.model_bytes > hw.gpu_mem_capacity:
-            reason = (f"model weights ({rec.model_bytes:.6g} B) exceed GPU memory capacity "
-                      f"({hw.gpu_mem_capacity:.6g} B)")
-        elif target is ArchitectureKind.PEARL and rec.embedding_weight_bytes <= 0:
-            reason = "no sparse embedding"
-    if reason:
-        return ProjectionResult(rec.arch, target, rec.num_cnodes, target_cnodes,
-                                source_bd.t_total, None, None, None,
-                                feasible=False, weight_bound=False, reason=reason)
-
-    # Per-cNode demands are untouched; only arch and placement change.  A
-    # 1w1g target simply has no weight path, so a nonzero weight volume in
-    # the hypothetical record never reaches any medium.  Positional
-    # construction costs half of dataclasses.replace, per feasible job.
-    target_rec = WorkloadRecord(rec.job_id, target, target_cnodes, rec.batch_size, rec.flops,
-                                rec.mem_access_bytes, rec.input_bytes, rec.weight_traffic_bytes,
-                                rec.dense_weight_bytes, rec.embedding_weight_bytes,
-                                rec.measured_step_seconds, rec.notes)
-    target_bd = breakdown(target_rec, hw, eff, overlap)
-
-    step_speedup = speedup(source_bd.t_total, target_bd.t_total)
-    throughput_speedup = step_speedup * target_cnodes / rec.num_cnodes
-    # An infinite speedup is emitted as an empty cell; the reason says why.
-    reason = "target step time is zero" if step_speedup == math.inf else ""
-
-    return ProjectionResult(rec.arch, target, rec.num_cnodes, target_cnodes,
-                            source_bd.t_total, target_bd.t_total,
-                            step_speedup, throughput_speedup, feasible=True,
-                            weight_bound=_weight_bound(source_bd) and _weight_bound(target_bd),
-                            reason=reason)
+    """Evaluate ``rec`` as if retrained under ``target``: row 0 of its
+    one-job ``population_speedup_profile``."""
+    return population_speedup_profile([rec], target, hw, eff, overlap)[0][0]
 
 
 @dataclass(frozen=True)
@@ -159,13 +117,59 @@ def population_speedup_profile(
         pop: Iterable[WorkloadRecord], target: ArchitectureKind, hw: HardwareProfile,
         eff: EfficiencyModel, overlap: OverlapMode = OverlapMode.NO_OVERLAP,
 ) -> tuple[ProjectionTable, ProjectionSummary]:
-    """Project every job onto ``target`` and summarize the outcome.  Each
-    job's fields are appended to the table's lists as its projection
-    returns, so no more than one ``ProjectionResult`` is alive at a time."""
+    """Project every job onto ``target`` and summarize the outcome.  The
+    loop over jobs only makes the source ``breakdown`` and, for a feasible
+    job, the target record and its ``breakdown``."""
     pop = require_jobs(pop)
-    columns = tuple([] for _ in ProjectionResult._fields)
-    for rec in pop:
-        for column, value in zip(columns, project(rec, target, hw, eff, overlap)):
-            column.append(value)
-    table = ProjectionTable(*columns)
+    target_cnodes = [n if arch is target else placed_cnodes(target, n)
+                     for arch, n in zip(pop.arch, pop.num_cnodes)]
+    # An identity projection is always feasible.  AllReduce replicates all
+    # weights per GPU, so the model must fit in GPU memory; PEARL partitions
+    # a sparse embedding.
+    cap = hw.gpu_mem_capacity
+    if target in (ArchitectureKind.ALLREDUCE_LOCAL, ArchitectureKind.ALLREDUCE_CLUSTER):
+        reason = [f"model weights ({m:.6g} B) exceed GPU memory capacity ({cap:.6g} B)"
+                  if arch is not target and m > cap else ""
+                  for arch, m in zip(pop.arch, pop.model_bytes)]
+    elif target is ArchitectureKind.PEARL:
+        reason = ["no sparse embedding" if arch is not target and e <= 0 else ""
+                  for arch, e in zip(pop.arch, pop.embedding_weight_bytes)]
+    else:
+        reason = [""] * len(pop)
+    feasible = [not r for r in reason]
+
+    # Each job's source and then target (for an infeasible job, its source
+    # again), held as doubles so that no part outlives its job.
+    t_total, t_data, t_compute, t_weight = [], array("d"), array("d"), array("d")
+    for rec, cnodes, ok in zip(pop, target_cnodes, feasible):
+        source = projected = breakdown(rec, hw, eff, overlap)
+        if ok:
+            # Only arch and placement change; a 1w1g target has no weight
+            # path, so the weight volume reaches no medium.  Positional
+            # construction costs half of dataclasses.replace.
+            projected = breakdown(WorkloadRecord(
+                rec.job_id, target, cnodes, rec.batch_size, rec.flops, rec.mem_access_bytes,
+                rec.input_bytes, rec.weight_traffic_bytes, rec.dense_weight_bytes,
+                rec.embedding_weight_bytes, rec.measured_step_seconds, rec.notes),
+                hw, eff, overlap)
+        for bd in source, projected:
+            t_total.append(bd.t_total)
+            t_data.append(bd.t_data)
+            t_compute.append(bd.t_compute_bound + bd.t_memory_bound)
+            t_weight.append(bd.t_weight)
+
+    # Weight-bound: weight traffic is the largest part of the step, and nonzero.
+    bound = [0 < w and w >= d and w >= c for d, c, w in zip(t_data, t_compute, t_weight)]
+    weight_bound = [ok and s and t for ok, s, t in zip(feasible, bound[::2], bound[1::2])]
+    source_total = t_total[::2]
+    target_total = [t if ok else None for t, ok in zip(t_total[1::2], feasible)]
+    step = [speedup(s, t) if ok else None
+            for s, t, ok in zip(source_total, target_total, feasible)]
+    throughput = [x * c / n if ok else None
+                  for x, c, n, ok in zip(step, target_cnodes, pop.num_cnodes, feasible)]
+    # An infinite speedup is emitted as an empty cell; the reason says why.
+    reason = ["target step time is zero" if x == math.inf else r for x, r in zip(step, reason)]
+    table = ProjectionTable(pop.arch, [target] * len(pop), pop.num_cnodes, target_cnodes,
+                            source_total, target_total, step, throughput, feasible,
+                            weight_bound, reason)
     return table, summarize(table)

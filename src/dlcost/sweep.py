@@ -31,7 +31,7 @@ from .core import (
 from .engine import evaluate, share_of, speedup
 # Unused here, but perfbench's tracer patches ``dlcost.sweep.breakdown``.
 from .engine import breakdown  # noqa: F401
-from .projection import ProjectionSummary, ProjectionTable, population_speedup_profile
+from .projection import ProjectionSummary, population_speedup_profile
 
 
 _AXIS_FIELDS = {f.metadata["axis"]: f for f in fields(HardwareProfile) if f.metadata["axis"]}
@@ -63,7 +63,8 @@ class SweepAxis:
             raise ValueError(f"axis {self.resource.value}: no candidate values")
         for c in self.candidates:
             if not (math.isfinite(c) and c > 0):
-                raise ValueError(f"axis {self.resource.value}: candidate {c!r} must be positive")
+                raise ValueError(
+                    f"axis {self.resource.value}: candidate {c!r} must be finite and positive")
             if self.candidates.count(c) > 1:
                 raise ValueError(
                     f"axis {self.resource.value}: candidate {c!r} given more than once")
@@ -205,17 +206,11 @@ def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
 
 
 @dataclass(frozen=True)
-class OverlapModeStats:
-    overlap: OverlapMode
-    summary: ProjectionSummary
-
-
-@dataclass(frozen=True)
 class OverlapComparison:
     job_level_weight_share: float
     cnode_level_weight_share: float
-    no_overlap: OverlapModeStats
-    ideal_overlap: OverlapModeStats
+    no_overlap: ProjectionSummary
+    ideal_overlap: ProjectionSummary
     #: Fraction of all jobs weight-bound before and after projection
     #: (under ideal overlap these achieve exactly the weight-path ratio).
     fraction_at_weight_path_ratio: float
@@ -226,18 +221,13 @@ def overlap_comparison(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
     """Paired no-overlap / ideal-overlap summaries for one projection target."""
     pop = require_jobs(pop)
     weight_shares = evaluate(pop, hw, eff).share("weight")
-
-    def stats(overlap: OverlapMode) -> tuple[OverlapModeStats, ProjectionTable]:
-        table, summary = population_speedup_profile(pop, target, hw, eff, overlap)
-        return OverlapModeStats(overlap, summary), table
-
-    none_stats, _ = stats(OverlapMode.NO_OVERLAP)
-    ideal_stats, ideal_table = stats(OverlapMode.IDEAL_OVERLAP)
-    at_ratio = sum(ideal_table.weight_bound)
+    none_summary = population_speedup_profile(pop, target, hw, eff, OverlapMode.NO_OVERLAP)[1]
+    ideal_table, ideal_summary = population_speedup_profile(pop, target, hw, eff,
+                                                            OverlapMode.IDEAL_OVERLAP)
     return OverlapComparison(
         job_level_weight_share=job_level_mean(weight_shares),
         cnode_level_weight_share=cnode_level_mean(weight_shares, pop.num_cnodes),
-        no_overlap=none_stats,
-        ideal_overlap=ideal_stats,
-        fraction_at_weight_path_ratio=at_ratio / len(pop),
+        no_overlap=none_summary,
+        ideal_overlap=ideal_summary,
+        fraction_at_weight_path_ratio=sum(ideal_table.weight_bound) / len(pop),
     )

@@ -209,12 +209,13 @@ class TestSweepCommand:
                     "--candidates", "10Gbps"]) == EX_USAGE
 
     @pytest.mark.parametrize("candidates, shown", [("0", "0.0"), ("nan", "nan"),
-                                                   ("-1", "-1.0"), ("10Gbps,0", "0.0")])
+                                                   ("-1", "-1.0"), ("10Gbps,0", "0.0"),
+                                                   ("1e400", "inf")])
     def test_out_of_range_candidate_is_a_usage_error(self, capsys, candidates, shown):
         assert run(["sweep", "--corpus", "--axes", "ethernet",
                     "--candidates", candidates]) == EX_USAGE
         assert capsys.readouterr().err == (
-            f"dlcost: axis ethernet: candidate {shown} must be positive\n")
+            f"dlcost: axis ethernet: candidate {shown} must be finite and positive\n")
 
     def test_malformed_candidate_is_a_usage_error(self, capsys):
         assert run(["sweep", "--corpus", "--axes", "ethernet",

@@ -1,13 +1,15 @@
 """The package's import layering and import hygiene, read from the source.
 
 Parsing and data modules sit below the evaluation and analysis modules:
-a trace or a corpus can be loaded without importing the model.  And a
-module imports only what it uses, apart from names bound on purpose for
-the benchmark's tracer: their import lines say ``# noqa: F401``, and
-each such name is a patch point of that module in ``perfbench/spans.py``.
+a trace or a corpus can be loaded without importing the model.  A module
+imports only what it uses, apart from names bound on purpose for the
+benchmark's tracer: their import lines say ``# noqa: F401``, and each
+such name is a patch point of that module in ``perfbench/spans.py``.  And
+the package needs nothing beyond the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +83,21 @@ def unused_imports(module):
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
 def test_every_import_is_used(module):
     assert unused_imports(module) == []
+
+
+def top_level_imports(tree):
+    """The first component of every absolute module name that ``tree`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_the_standard_library(module):
+    # pyproject.toml declares no dependencies; an installed third-party
+    # package (numpy, say) would otherwise import without complaint.
+    foreign = [name for name in top_level_imports(tree_of(module))
+               if name != "dlcost" and name not in sys.stdlib_module_names]
+    assert foreign == []

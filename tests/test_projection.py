@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from dlcost.core import ArchitectureKind, OverlapMode
+from dlcost.core import ArchitectureKind, OverlapMode, placed_cnodes
 from dlcost.corpus import SynthSpec, synth_population
-from dlcost.engine import breakdown
+from dlcost.engine import breakdown, speedup
 from dlcost.projection import (
     ProjectionResult,
     population_speedup_profile,
@@ -148,16 +148,35 @@ class TestProject:
     @given(workload_records(), st.sampled_from(list(A)), st.sampled_from(list(OverlapMode)),
            hardware_profiles(), efficiency_models())
     def test_result_carries_the_breakdown_totals(self, rec, target, overlap, hw, eff):
+        # A one-job reference built from the scalar model and placed_cnodes
+        # alone, sharing no code with the projection.
         res = project(rec, target, hw, eff, overlap)
         source = breakdown(rec, hw, eff, overlap)
+        identity = target is rec.arch
+        cnodes = rec.num_cnodes if identity else placed_cnodes(target, rec.num_cnodes)
+        model_bytes = rec.dense_weight_bytes + rec.embedding_weight_bytes
+        if not identity and target in (A.ALLREDUCE_LOCAL, A.ALLREDUCE_CLUSTER) \
+                and model_bytes > hw.gpu_mem_capacity:
+            reason = (f"model weights ({model_bytes:.6g} B) exceed GPU memory capacity "
+                      f"({hw.gpu_mem_capacity:.6g} B)")
+        elif not identity and target is A.PEARL and rec.embedding_weight_bytes <= 0:
+            reason = "no sparse embedding"
+        else:
+            reason = ""
+        assert (res.source_arch, res.target_arch) == (rec.arch, target)
+        assert (res.source_cnodes, res.target_cnodes) == (rec.num_cnodes, cnodes)
         assert float_bits([res.source_t_total]) == float_bits([source.t_total])
-        if not res.feasible:
-            assert res.target_t_total is None and res.weight_bound is False
+        if reason:
+            assert (res.feasible, res.reason, res.weight_bound) == (False, reason, False)
+            assert res.target_t_total is res.step_speedup is res.throughput_speedup is None
             return
-        projected = breakdown(
-            dataclasses.replace(rec, arch=target, num_cnodes=target_cnode_count(rec, target)),
-            hw, eff, overlap)
-        assert float_bits([res.target_t_total]) == float_bits([projected.t_total])
+        assert res.feasible is True
+        projected = breakdown(dataclasses.replace(rec, arch=target, num_cnodes=cnodes),
+                              hw, eff, overlap)
+        step = speedup(source.t_total, projected.t_total)
+        assert float_bits([res.target_t_total, res.step_speedup, res.throughput_speedup]) == \
+            float_bits([projected.t_total, step, step * cnodes / rec.num_cnodes])
+        assert res.reason == ("target step time is zero" if step == math.inf else "")
 
         def weight_bound(bd):
             t_compute = bd.t_compute_bound + bd.t_memory_bound

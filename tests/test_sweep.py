@@ -338,7 +338,7 @@ class TestOverlapComparison:
                               mem_access_bytes=0.0, input_bytes=0.0)
         cmp = overlap_comparison(pop_of(too_big), PAI, EFF, A.ALLREDUCE_LOCAL)
         assert cmp.fraction_at_weight_path_ratio == 0.0
-        assert cmp.ideal_overlap.summary.fraction_infeasible == 1.0
+        assert cmp.ideal_overlap.fraction_infeasible == 1.0
 
 
 class TestDuplicateJobIds:
