@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -257,7 +258,13 @@ def cmd_sweep(args, pop, hw, eff, overlap):
             raise _UsageError(str(exc)) from None
     extra = {"axes": {a.resource.value: [round9(c) for c in a.candidates] for a in axes}}
     if args.cartesian:
-        table = cartesian_sweep(pop, axes, hw, eff, overlap)
+        # The library's size warning becomes a diagnostic line, not a Python
+        # warning that PYTHONWARNINGS=error would turn into a traceback.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            table = cartesian_sweep(pop, axes, hw, eff, overlap)
+        for warning in caught:
+            print(f"dlcost: warning: {warning.message}", file=sys.stderr)
         return "sweep-cartesian", [
             {"job_id": table.job_ids,
              "settings": Fixed(";".join(f"{r.value}={v:.9g}" for r, v in setting)),

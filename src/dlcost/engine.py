@@ -19,12 +19,16 @@ maximum (ideal overlap).  All functions are pure and deterministic.
 The model is evaluated two ways.  ``breakdown`` decomposes one job into
 a ``TimeBreakdown``; it serves the projection profile's two per-job
 calls (source and target) and the one-job API, and is the reference
-the other path is tested against.  Every other analysis calls
-``evaluate`` on a ``Population``: it divides out each rate once, and
-the ``Evaluation`` it returns combines the terms into step times and
-shares.  Both paths perform the same float operations in the same
-order (``Medium`` order is every weight path's order), so their
-results are bit-identical.
+the other path is tested against, so it writes its data and compute
+rates out (both paths take a medium's fields from their ``medium``
+metadata).  Every other analysis calls ``evaluate`` on a
+``Population``.  It is one loop over ``_RATE_FIELDS``, the table of
+each term's hardware and efficiency fields: it multiplies out each
+term's attainable rate once and divides the term's per-job volumes by
+it, and the ``Evaluation`` it returns combines the terms into step
+times and shares.  Both paths perform the same float operations in
+the same order (``Medium`` order is every weight path's order), so
+their results are bit-identical.
 """
 
 from __future__ import annotations
@@ -33,10 +37,9 @@ import math
 import operator
 from dataclasses import fields
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from .core import (
-    GPUS_PER_SERVER,
     LOCAL_MULTI_GPU,
     ArchitectureKind,
     EfficiencyModel,
@@ -48,6 +51,7 @@ from .core import (
     TimeBreakdown,
     WorkloadRecord,
     ZERO_SHARES,
+    placed_cnodes,
 )
 
 #: Media traversed by weight/gradient traffic, in transfer order.
@@ -60,12 +64,18 @@ WEIGHT_MEDIUM_PATHS: dict[ArchitectureKind, tuple[Medium, ...]] = {
     ArchitectureKind.PEARL: (Medium.NVLINK,),
 }
 
-#: Each medium's (``HardwareProfile`` bandwidth, ``EfficiencyModel``
-#: efficiency) field names, from the fields' ``medium`` metadata.
-_MEDIUM_RATE_FIELDS: dict[Medium, tuple[str, ...]] = {
-    medium: tuple(f.name for cls in (HardwareProfile, EfficiencyModel) for f in fields(cls)
-                  if f.metadata["medium"] is medium)
-    for medium in Medium}
+#: Each term's (``HardwareProfile`` peak, ``EfficiencyModel`` efficiency)
+#: field names, whose product is its attainable rate, keyed by its
+#: ``Evaluation`` column, or for a medium's part of ``t_weight`` by the
+#: ``Medium`` (in ``Medium`` order) whose metadata the fields carry.
+_RATE_FIELDS: dict[str | Medium, tuple[str, ...]] = {
+    "t_data": ("pcie_bandwidth", "pcie_eff"),
+    "t_compute_bound": ("gpu_peak_flops", "compute_eff"),
+    "t_memory_bound": ("gpu_mem_bandwidth", "mem_eff"),
+    **{medium: tuple(f.name for cls in (HardwareProfile, EfficiencyModel) for f in fields(cls)
+                     if f.metadata["medium"] is medium)
+       for medium in Medium},
+}
 
 
 def pcie_contention(arch: ArchitectureKind, num_cnodes: int) -> int:
@@ -75,9 +85,7 @@ def pcie_contention(arch: ArchitectureKind, num_cnodes: int) -> int:
     all of them simultaneously over the same PCIe complex; cluster
     architectures place one replica per server.
     """
-    if arch in LOCAL_MULTI_GPU:
-        return min(num_cnodes, GPUS_PER_SERVER)
-    return 1
+    return placed_cnodes(arch, num_cnodes) if arch in LOCAL_MULTI_GPU else 1
 
 
 def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
@@ -96,7 +104,7 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
     # The weight volume crosses every medium on the path in sequence.
     t_weight = 0.0
     for medium in WEIGHT_MEDIUM_PATHS[rec.arch]:
-        bandwidth, efficiency = _MEDIUM_RATE_FIELDS[medium]
+        bandwidth, efficiency = _RATE_FIELDS[medium]
         t_weight += rec.weight_traffic_bytes / (getattr(hw, bandwidth) * getattr(eff, efficiency))
 
     component_sum = t_data + t_compute + t_weight
@@ -112,32 +120,6 @@ def breakdown(rec: WorkloadRecord, hw: HardwareProfile, eff: EfficiencyModel,
     else:
         shares = ZERO_SHARES
     return TimeBreakdown(t_data, t_cb, t_mb, t_weight, t_total, shares, shares_defined)
-
-
-class _Term(NamedTuple):
-    """One term's per-job times and the attainable rate they divide by."""
-
-    rate: float
-    times: list[float]
-
-
-class _Terms(NamedTuple):
-    """A population's terms at one model point, ``weight_on`` in ``Medium`` order."""
-
-    data: _Term
-    compute_bound: _Term
-    memory_bound: _Term
-    weight_on: dict[Medium, _Term]
-
-
-class _Inputs(NamedTuple):
-    """A population with the model inputs derived from it: each job's PCIe
-    contention, and per medium in ``Medium`` order, the job's weight bytes
-    where that medium is on its architecture's weight path, else 0.0."""
-
-    pop: Population
-    pcie_contention: list[int]
-    weight_on: dict[Medium, list[float]]
 
 
 def share_of(times: list[float], t_data: list[float], t_compute: list[float],
@@ -162,12 +144,15 @@ class Evaluation:
     built when first read, so a caller pays only for what it reads.
     """
 
-    def __init__(self, inputs: _Inputs, t: _Terms) -> None:
-        self._inputs, self._terms = inputs, t
-        self.t_data = t.data.times
-        self.t_compute_bound = t.compute_bound.times
-        self.t_memory_bound = t.memory_bound.times
-        self.t_weight_on = {m: term.times for m, term in t.weight_on.items()}
+    def __init__(self, pop: Population, contention: list[int],
+                 volumes: dict[str | Medium, list[float]], rates: dict[str | Medium, float],
+                 terms: dict[str | Medium, list[float]]) -> None:
+        self._pop, self._contention, self._volumes = pop, contention, volumes
+        self._rates, self._terms = rates, terms
+        self.t_data = terms["t_data"]
+        self.t_compute_bound = terms["t_compute_bound"]
+        self.t_memory_bound = terms["t_memory_bound"]
+        self.t_weight_on = {m: terms[m] for m in Medium}
 
     @cached_property
     def t_compute(self) -> list[float]:
@@ -205,46 +190,43 @@ def evaluate(pop: Population, hw: HardwareProfile, eff: EfficiencyModel,
              like: Optional[Evaluation] = None) -> Evaluation:
     """``breakdown`` of every job in ``pop`` on ``hw``, as columns.
 
-    Each attainable rate is computed once (PCIe once per contention
-    level) and divided out in ``breakdown``'s order, so each value equals
+    One loop over ``_RATE_FIELDS``: each term's attainable rate is
+    computed once (PCIe data once per contention level) and divides the
+    term's per-job volumes in ``breakdown``'s order, so each value equals
     the scalar result bit for bit.  Given ``like``, an evaluation of the
     same population at another point, a term whose rate is unchanged is
     reused, as are ``t_compute`` and ``t_weight`` when all of their terms
-    are; each job's PCIe contention and on-path weight bytes are derived
-    once per chain of evaluations.  A ``like`` of another population
-    raises ValueError.
+    are; each job's PCIe contention and the volumes are derived once per
+    chain of evaluations.  A ``like`` of another population raises
+    ValueError.
     """
     if like is None:
+        # Each job's PCIe contention and per-term volumes: a medium's volume
+        # is the job's weight bytes where it is on the job's path, else 0.0.
+        contention = list(map(pcie_contention, pop.arch, pop.num_cnodes))
         paths = list(map(WEIGHT_MEDIUM_PATHS.__getitem__, pop.arch))
-        inputs = _Inputs(pop, list(map(pcie_contention, pop.arch, pop.num_cnodes)),
-                         {m: [w if m in path else 0.0
-                              for w, path in zip(pop.weight_traffic_bytes, paths)]
-                          for m in Medium})
-        old = _Terms(None, None, None, dict.fromkeys(Medium))
-    elif like._inputs.pop is pop:
-        inputs, old = like._inputs, like._terms
+        volumes = {"t_data": pop.input_bytes, "t_compute_bound": pop.flops,
+                   "t_memory_bound": pop.mem_access_bytes,
+                   **{m: [w if m in path else 0.0
+                          for w, path in zip(pop.weight_traffic_bytes, paths)]
+                      for m in Medium}}
+    elif like._pop is pop:
+        contention, volumes = like._contention, like._volumes
     else:
         raise ValueError("like is an evaluation of another population")
 
-    def term(old: Optional[_Term], rate: float, divide: Callable[[float], list[float]]) -> _Term:
-        return old if old is not None and old.rate == rate else _Term(rate, divide(rate))
-
-    def divided(volumes: list[float]) -> Callable[[float], list[float]]:
-        return lambda rate: [v / rate for v in volumes]
-
-    def data(pcie: float) -> list[float]:
-        data_rate = {c: pcie / c for c in set(inputs.pcie_contention)}
-        return [b / data_rate[c] for b, c in zip(pop.input_bytes, inputs.pcie_contention)]
-
-    ev = Evaluation(inputs, _Terms(
-        term(old.data, hw.pcie_bandwidth * eff.pcie_eff, data),
-        term(old.compute_bound, hw.gpu_peak_flops * eff.compute_eff, divided(pop.flops)),
-        term(old.memory_bound, hw.gpu_mem_bandwidth * eff.mem_eff,
-             divided(pop.mem_access_bytes)),
-        {m: term(old.weight_on[m], getattr(hw, bandwidth) * getattr(eff, efficiency),
-                 divided(inputs.weight_on[m]))
-         for m, (bandwidth, efficiency) in _MEDIUM_RATE_FIELDS.items()},
-    ))
+    rates, terms = {}, {}
+    for key, (peak, efficiency) in _RATE_FIELDS.items():
+        rate = rates[key] = getattr(hw, peak) * getattr(eff, efficiency)
+        if like is not None and like._rates[key] == rate:
+            terms[key] = like._terms[key]
+        elif key == "t_data":
+            # The job's replicas share the PCIe rate: one rate per level.
+            level_rate = {c: rate / c for c in set(contention)}
+            terms[key] = [b / level_rate[c] for b, c in zip(volumes[key], contention)]
+        else:
+            terms[key] = [v / rate for v in volumes[key]]
+    ev = Evaluation(pop, contention, volumes, rates, terms)
     if like is not None:
         if (ev.t_compute_bound is like.t_compute_bound
                 and ev.t_memory_bound is like.t_memory_bound):

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-# The kernel's properties at depth, for CI (``--hypothesis-profile=ci``);
+# Every property at depth, for CI (``--hypothesis-profile=ci``);
 # the default profile is left as it is.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from unittest import mock
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 import dlcost.report
+import dlcost.sweep
 from dlcost.cli import EX_CANTCREAT, EX_DATA, EX_NOINPUT, EX_OK, EX_USAGE, run
 from dlcost.core import ArchitectureKind, OverlapMode
 from dlcost.ingest import write_trace
@@ -174,6 +176,17 @@ class TestSweepCommand:
         rows = parse_csv(data)
         assert len(rows) == 6 * 3 * 2
         assert "settings" in rows[0]
+
+    def test_a_huge_cartesian_sweep_warns_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # A diagnostic line even where Python warnings are errors.
+        monkeypatch.setattr(dlcost.sweep, "CARTESIAN_WARNING_CELLS", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, data = run_to_file(tmp_path, "sweep", "--corpus",
+                                     "--axes", "ethernet,pcie", "--cartesian")
+        assert code == EX_OK
+        assert capsys.readouterr().err == "dlcost: warning: cartesian sweep emits 36 cells\n"
+        assert len(parse_csv(data)) == 6 * 3 * 2
 
     @pytest.mark.parametrize("cartesian", [[], ["--cartesian"]])
     def test_an_infinite_speedup_is_a_missing_value(self, tmp_path, cartesian):

@@ -359,10 +359,20 @@ class TestChainedEvaluation:
             "nvlink_bandwidth": {"nvlink"},
             "gpu_peak_flops": {"compute_bound"},
             "gpu_mem_bandwidth": {"memory_bound"},
+            "gpu_mem_capacity": set(),
+            "compute_eff": {"compute_bound"},
+            "mem_eff": {"memory_bound"},
+            "pcie_eff": {"data", "pcie"},
+            "ethernet_eff": {"ethernet"},
+            "nvlink_eff": {"nvlink"},
         }
+        assert set(moved) == {f.name for model in (PAI, EFF) for f in dataclasses.fields(model)}
         for field, names in moved.items():
-            hw = dataclasses.replace(PAI, **{field: getattr(PAI, field) * 2})
-            ev = evaluate(pop, hw, EFF, like=base)
+            if hasattr(PAI, field):
+                hw, eff = dataclasses.replace(PAI, **{field: getattr(PAI, field) * 2}), EFF
+            else:
+                hw, eff = PAI, dataclasses.replace(EFF, **{field: getattr(EFF, field) / 2})
+            ev = evaluate(pop, hw, eff, like=base)
             rebuilt = {name for name, times in each_term(ev).items()
                        if times is not each_term(base)[name]}
             assert rebuilt == names, field
