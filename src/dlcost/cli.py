@@ -13,25 +13,25 @@ Subcommands compose the library into the standard analyses:
 
 Outputs are deterministic: identical inputs and flags produce identical
 bytes.  Exit codes: 0 success, 2 malformed input data, 64 usage error,
-66 missing/unreadable input, 73 output file cannot be written.
+66 unreadable input file, 73 output (``--out`` or stdout) cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import warnings
 from pathlib import Path
 from typing import Optional
 
 from .aggregate import composition, scale_distribution, share_cdf, weighted_breakdown
-from .core import ArchitectureKind, OverlapMode, Population, Shares
+from .core import ArchitectureKind, OverlapMode, Population, Shares, WorkloadRecord
 from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
 from .engine import evaluate, samples_per_second, validation_gap
 # Unused here, but perfbench's tracer patches ``dlcost.cli.breakdown``.
 from .engine import breakdown  # noqa: F401
 from .ingest import (
-    TraceFormatError,
     decode_trace,
     dump_trace,
     load_efficiency_model,
@@ -66,6 +66,15 @@ class _UsageError(Exception):
 
 class _OutputError(Exception):
     pass
+
+
+#: First match wins; writes fail as _OutputError, so any other OSError is an unreadable input.
+_EXIT_CODES = {
+    _UsageError: EX_USAGE,
+    _OutputError: EX_CANTCREAT,
+    OSError: EX_NOINPUT,
+    ValueError: EX_DATA,  # TraceFormatError and QuantityError among them
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,13 +170,15 @@ def _load_inputs(args) -> tuple[Population, list, str, str]:
 
 
 def _write_output(data: bytes, out: Optional[str]) -> None:
-    if out:
-        try:
+    try:
+        if out:
             Path(out).write_bytes(data)
-        except OSError as exc:
-            raise _OutputError(f"{out}: cannot write output: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.buffer.write(data)
+        else:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+    except OSError as exc:
+        raise _OutputError(
+            f"{out or '<stdout>'}: cannot write output: {exc.strerror or exc}") from None
 
 
 # Each report handler returns its kind, its row blocks (each a mapping
@@ -362,20 +373,13 @@ def _parse_mix(text: str) -> dict[ArchitectureKind, float]:
     return mix
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[WorkloadRecord, ...]:
     try:
         mix = _parse_mix(args.mix) if args.mix is not None else dict(DEFAULT_MIX)
         spec = SynthSpec(size=args.size, seed=args.seed, mix=mix)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    pop = synth_population(spec)
-    _write_output(dump_trace(pop).encode("utf-8"), args.out)
-    return EX_OK
-
-
-def cmd_corpus(args) -> int:
-    _write_output(dump_trace(builtin_corpus()).encode("utf-8"), args.out)
-    return EX_OK
+    return synth_population(spec)
 
 
 def cmd_validate(pop, errors, hw, eff, overlap):
@@ -407,20 +411,13 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"dlcost: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EX_USAGE
-
-    try:
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "corpus":
-            return cmd_corpus(args)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EX_USAGE
+        if args.command in ("synth", "corpus"):
+            pop = cmd_synth(args) if args.command == "synth" else builtin_corpus()
+            _write_output(dump_trace(pop).encode("utf-8"), args.out)
+            return EX_OK
 
         hw = load_hardware_profile(args.hw)
         eff = load_efficiency_model(args.eff)
@@ -444,22 +441,19 @@ def run(argv: Optional[list[str]] = None) -> int:
         del pop, blocks  # only the report stays referenced while it is emitted
         _write_output(emit(report, args.format), args.out)
         return EX_DATA if errors else EX_OK
-    except _UsageError as exc:
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except tuple(_EXIT_CODES) as exc:
         print(f"dlcost: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except _OutputError as exc:
-        print(f"dlcost: {exc}", file=sys.stderr)
-        return EX_CANTCREAT
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"dlcost: {exc}", file=sys.stderr)
-        return EX_NOINPUT
-    except (TraceFormatError, QuantityError, ValueError) as exc:
-        print(f"dlcost: {exc}", file=sys.stderr)
-        return EX_DATA
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    if code == EX_CANTCREAT:  # drop unwritten stdout bytes, or the exit's flush fails again
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,17 +18,14 @@ maximum (ideal overlap).  All functions are pure and deterministic.
 
 The model is evaluated two ways.  ``breakdown`` decomposes one job into
 a ``TimeBreakdown``; it serves the projection profile's two per-job
-calls (source and target) and the one-job API, and is the reference
-the other path is tested against, so it writes its data and compute
-rates out (both paths take a medium's fields from their ``medium``
-metadata).  Every other analysis calls ``evaluate`` on a
-``Population``.  It is one loop over ``_RATE_FIELDS``, the table of
-each term's hardware and efficiency fields: it multiplies out each
-term's attainable rate once and divides the term's per-job volumes by
-it, and the ``Evaluation`` it returns combines the terms into step
-times and shares.  Both paths perform the same float operations in
-the same order (``Medium`` order is every weight path's order), so
-their results are bit-identical.
+calls (source and target) and the one-job API.  Every other analysis
+calls ``evaluate`` on a ``Population``: one loop over ``_RATE_FIELDS``,
+the table of each term's hardware and efficiency fields, that divides
+each term's per-job volumes by its attainable rate, and an
+``Evaluation`` that combines the terms into step times and shares.
+Both paths perform the same float operations in the same order
+(``Medium`` order is every weight path's order), so their results are
+bit-identical; the tests hold both to a closed form of their own.
 """
 
 from __future__ import annotations

@@ -35,11 +35,6 @@ from .core import (
 from .engine import breakdown, speedup
 
 
-def target_cnode_count(rec: WorkloadRecord, target: ArchitectureKind) -> int:
-    """cNode count after projection; identity projections never change it."""
-    return rec.num_cnodes if target is rec.arch else placed_cnodes(target, rec.num_cnodes)
-
-
 class ProjectionResult(NamedTuple):
     """One job projected onto a target architecture.
 

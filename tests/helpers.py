@@ -96,6 +96,52 @@ def efficiency_models(draw):
     )
 
 
+#: The closed form's own model tables, written from the model's definition
+#: as ``perfbench/oracle.py`` writes its own, not read from ``dlcost.engine``:
+#: the GPUs of one server, the architectures that place every replica on
+#: one server, and each architecture's weight path in transfer order.
+SERVER_GPUS = 8
+ONE_SERVER = frozenset({ArchitectureKind.ONE_WORKER_N_GPU, ArchitectureKind.ALLREDUCE_LOCAL})
+WEIGHT_PATHS = {
+    ArchitectureKind.ONE_WORKER_ONE_GPU: (),
+    ArchitectureKind.ONE_WORKER_N_GPU: ("pcie",),
+    ArchitectureKind.PS_WORKER: ("ethernet", "pcie"),
+    ArchitectureKind.ALLREDUCE_LOCAL: ("nvlink",),
+    ArchitectureKind.ALLREDUCE_CLUSTER: ("ethernet", "nvlink"),
+    ArchitectureKind.PEARL: ("nvlink",),
+}
+
+
+def closed_form(rec, hw, eff) -> dict:
+    """One job's step time from the model's formulas: the reference that
+    ``breakdown`` and ``evaluate`` are both held to, within a relative
+    1e-12, since its operation order is its own.
+
+    The terms are keyed by ``Evaluation`` column, ``t_weight_on`` by medium
+    label, ``t_total`` by overlap mode label and ``shares`` by component.
+    """
+    # Replicas on one server share its PCIe complex for input loading.
+    contention = min(rec.num_cnodes, SERVER_GPUS) if rec.arch in ONE_SERVER else 1
+    link_rates = {"ethernet": hw.ethernet_bandwidth * eff.ethernet_eff,
+                  "pcie": hw.pcie_bandwidth * eff.pcie_eff,
+                  "nvlink": hw.nvlink_bandwidth * eff.nvlink_eff}
+    t_data = rec.input_bytes * contention / link_rates["pcie"]
+    t_cb = rec.flops / (hw.gpu_peak_flops * eff.compute_eff)
+    t_mb = rec.mem_access_bytes / (hw.gpu_mem_bandwidth * eff.mem_eff)
+    # The weight volume crosses every medium on the path, one after another.
+    on = {medium: rec.weight_traffic_bytes / rate if medium in WEIGHT_PATHS[rec.arch] else 0.0
+          for medium, rate in link_rates.items()}
+    t_weight = sum(on.values())
+    total = t_data + t_cb + t_mb + t_weight
+    parts = {"data": t_data, "compute_bound": t_cb, "memory_bound": t_mb, "weight": t_weight}
+    return {
+        "t_data": t_data, "t_compute_bound": t_cb, "t_memory_bound": t_mb,
+        "t_compute": t_cb + t_mb, "t_weight_on": on, "t_weight": t_weight,
+        "t_total": {"none": total, "ideal": max(t_data, t_cb + t_mb, t_weight)},
+        "shares": {name: t / total if total > 0 else 0.0 for name, t in parts.items()},
+    }
+
+
 @st.composite
 def record_lists_with_idle_job(draw, max_size=30):
     """Arbitrary valid records plus one all-zero record (no shares defined)

@@ -22,7 +22,7 @@ from dlcost.core import ArchitectureKind, EfficiencyModel, OverlapMode
 from dlcost.corpus import SynthSpec, builtin_corpus, corpus_record, synth_population
 from dlcost.engine import breakdown, throughput, validation_gap
 from dlcost.ingest import case_study_testbed, pai_baseline
-from dlcost.projection import population_speedup_profile, project, target_cnode_count
+from dlcost.projection import population_speedup_profile, project
 from dlcost.sweep import SweepAxis, SweepResource, hardware_sweep
 from helpers import make_record
 
@@ -185,7 +185,16 @@ def _oracle_projection_summary(pop, target):
             if target is A.PEARL and rec.embedding_weight_bytes <= 0:
                 infeasible += 1
                 continue
-        tcn = target_cnode_count(rec, target)
+        # One cNode on 1w1g, at most one 8-GPU server on a local
+        # architecture, every cNode on a cluster one or an identity.
+        if target is rec.arch:
+            tcn = rec.num_cnodes
+        elif target is A.ONE_WORKER_ONE_GPU:
+            tcn = 1
+        elif target in (A.ONE_WORKER_N_GPU, A.ALLREDUCE_LOCAL):
+            tcn = min(rec.num_cnodes, 8)
+        else:
+            tcn = rec.num_cnodes
         source_t = breakdown(rec, PAI, EFF).t_total
         target_t = breakdown(dataclasses.replace(rec, arch=target, num_cnodes=tcn),
                              PAI, EFF).t_total

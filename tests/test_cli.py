@@ -1,10 +1,14 @@
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -19,6 +23,9 @@ from dlcost.ingest import write_trace
 from dlcost.report import EMIT_CHUNK_ROWS, FORMATS, Block, Fixed, Report, build_report, emit
 
 from helpers import EFF, PAI, make_record, reference_emit
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_to_file(tmp_path, *argv, name="out"):
@@ -593,6 +600,57 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == EX_OK
         assert "COMMAND" in capsys.readouterr().out
+
+    def test_trace_under_a_regular_file_is_an_input_error(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("")
+        path = trace / "x"
+        assert run(["breakdown", "--trace", str(path)]) == EX_NOINPUT
+        assert capsys.readouterr().err == (
+            f"dlcost: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{path}'\n")
+
+    @pytest.mark.parametrize("flag", ["--trace", "--hw", "--eff"])
+    def test_a_file_name_too_long_is_an_input_error(self, capsys, flag):
+        name = "a" * 300
+        source = [] if flag == "--trace" else ["--corpus"]
+        assert run(["breakdown", *source, flag, name]) == EX_NOINPUT
+        assert capsys.readouterr().err == (
+            f"dlcost: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '{name}'\n")
+
+    def test_trace_that_is_a_symlink_loop_is_an_input_error(self, tmp_path, capsys):
+        loop = tmp_path / "loop.jsonl"
+        os.symlink(loop, loop)
+        assert run(["breakdown", "--trace", str(loop)]) == EX_NOINPUT
+        assert capsys.readouterr().err == (
+            f"dlcost: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: '{loop}'\n")
+
+    @pytest.mark.parametrize("argv", [["breakdown", "--corpus"], ["corpus"]])
+    def test_a_failed_stdout_write_is_an_output_error(self, monkeypatch, capsys, argv):
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(FullDisk()))
+        assert run(argv) == EX_CANTCREAT
+        assert capsys.readouterr().err == (
+            f"dlcost: <stdout>: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_a_full_stdout_exits_73_from_the_entry_point(self, unbuffered):
+        # Buffered, the corpus fits the stdout buffer, so the write fails at
+        # the flush; the interpreter's own flush at exit must not fail again.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from dlcost.cli import main; main()", "corpus"],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr.decode()) == (
+            EX_CANTCREAT, f"dlcost: <stdout>: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
 def one_block(columns, rows, metadata):

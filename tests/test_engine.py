@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from helpers import (
     EFF,
     PAI,
     TESTBED,
+    closed_form,
     efficiency_models,
     float_bits,
     hardware_profiles,
@@ -314,6 +316,41 @@ class TestColumnarKernel:
         eff = EfficiencyModel(compute_eff=0.9, mem_eff=0.55, pcie_eff=0.35,
                               ethernet_eff=0.8, nvlink_eff=0.45)
         assert_kernel_matches_breakdown(records, TESTBED, eff, overlap)
+
+
+def assert_close(got, want):
+    assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
+class TestClosedForm:
+    """Both model paths against ``helpers.closed_form``, which shares no code
+    with either: a wrong rate, weight path or contention rule in the
+    program fails here even when ``breakdown`` and ``evaluate`` agree."""
+
+    @given(records=record_lists_with_idle_job(), hw=hardware_profiles(),
+           eff=efficiency_models())
+    def test_breakdown_and_evaluate_match_the_closed_form(self, records, hw, eff):
+        ev = evaluate(Population.of(records), hw, eff)
+        totals = {mode: ev.t_total(mode) for mode in OverlapMode}
+        shares = {name: ev.share(name) for name in Shares.COMPONENTS}
+        for i, rec in enumerate(records):
+            want = closed_form(rec, hw, eff)
+            bd = {mode: breakdown(rec, hw, eff, mode) for mode in OverlapMode}
+            for name in ("t_data", "t_compute_bound", "t_memory_bound", "t_weight"):
+                assert_close(getattr(bd[OverlapMode.NO_OVERLAP], name), want[name])
+                assert_close(getattr(ev, name)[i], want[name])
+            assert_close(ev.t_compute[i], want["t_compute"])
+            for medium in Medium:
+                assert_close(ev.t_weight_on[medium][i], want["t_weight_on"][medium.value])
+            for mode in OverlapMode:
+                assert_close(bd[mode].t_total, want["t_total"][mode.value])
+                assert_close(totals[mode][i], want["t_total"][mode.value])
+            assert_close(ev.component_sum[i], want["t_total"]["none"])
+            assert bd[OverlapMode.NO_OVERLAP].shares_defined == (want["t_total"]["none"] > 0)
+            for name in Shares.COMPONENTS:
+                assert_close(getattr(bd[OverlapMode.NO_OVERLAP].shares, name),
+                             want["shares"][name])
+                assert_close(shares[name][i], want["shares"][name])
 
 
 def each_term(ev):

@@ -5,7 +5,8 @@ a trace or a corpus can be loaded without importing the model.  A module
 imports only what it uses, apart from names bound on purpose for the
 benchmark's tracer: their import lines say ``# noqa: F401``, and each
 such name is a patch point of that module in ``perfbench/spans.py``.  And
-the package needs nothing beyond the standard library.
+the package needs nothing beyond the standard library.  Every Python
+file of the project keeps to the grammar of its oldest supported Python.
 """
 
 import ast
@@ -101,3 +102,18 @@ def test_imports_only_the_standard_library(module):
     foreign = [name for name in top_level_imports(tree_of(module))
                if name != "dlcost" and name not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_every_python_file_parses_under_the_oldest_supported_grammar():
+    # pyproject.toml declares requires-python >=3.10, so 3.11 syntax such
+    # as ``except*`` must fail here even on a newer interpreter.
+    sources = sorted(path for top in ("src", "tests", "scripts", "perfbench")
+                     for path in (ROOT / top).rglob("*.py"))
+    assert sources
+    rejected = []
+    for path in sources:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            rejected.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert rejected == []

@@ -15,7 +15,6 @@ from dlcost.projection import (
     population_speedup_profile,
     project,
     summarize,
-    target_cnode_count,
 )
 from helpers import (
     EFF,
@@ -53,27 +52,31 @@ class TestEligibility:
         assert project(rec, A.ALLREDUCE_LOCAL, PAI, EFF).feasible
 
 
+def target_cnodes(rec, target):
+    return project(rec, target, PAI, EFF).target_cnodes
+
+
 class TestCnodeMapping:
     def test_allreduce_local_caps_at_8(self):
         rec = make_record(arch=A.PS_WORKER, num_cnodes=32)
-        assert target_cnode_count(rec, A.ALLREDUCE_LOCAL) == 8
+        assert target_cnodes(rec, A.ALLREDUCE_LOCAL) == 8
 
     def test_small_jobs_keep_their_cnodes(self):
         rec = make_record(arch=A.PS_WORKER, num_cnodes=5)
-        assert target_cnode_count(rec, A.ALLREDUCE_LOCAL) == 5
+        assert target_cnodes(rec, A.ALLREDUCE_LOCAL) == 5
 
     def test_allreduce_cluster_retains_cnodes(self):
         rec = make_record(arch=A.PS_WORKER, num_cnodes=32)
-        assert target_cnode_count(rec, A.ALLREDUCE_CLUSTER) == 32
-        assert target_cnode_count(rec, A.PEARL) == 32
+        assert target_cnodes(rec, A.ALLREDUCE_CLUSTER) == 32
+        assert target_cnodes(rec, A.PEARL) == 32
 
     def test_single_gpu_target_forces_one(self):
         rec = make_record(arch=A.PS_WORKER, num_cnodes=32)
-        assert target_cnode_count(rec, A.ONE_WORKER_ONE_GPU) == 1
+        assert target_cnodes(rec, A.ONE_WORKER_ONE_GPU) == 1
 
     def test_identity_never_changes_cnodes(self):
         rec = make_record(arch=A.PS_WORKER, num_cnodes=32)
-        assert target_cnode_count(rec, A.PS_WORKER) == 32
+        assert target_cnodes(rec, A.PS_WORKER) == 32
 
 
 class TestProject:
