@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from .aggregate import composition, scale_distribution, share_cdf, weighted_breakdown
-from .core import ArchitectureKind, OverlapMode, Population, Shares, WorkloadRecord
+from .core import ArchitectureKind, OverlapMode, Population, Shares
 from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
 from .engine import evaluate, samples_per_second, validation_gap
 # Unused here, but perfbench's tracer patches ``dlcost.cli.breakdown``.
@@ -44,6 +44,7 @@ from .sweep import (
     SweepAxis,
     SweepResource,
     cartesian_sweep,
+    efficiency_grid,
     efficiency_sensitivity,
     hardware_sweep,
     overlap_comparison,
@@ -245,35 +246,31 @@ def _parse_candidates(text: str, resource: SweepResource) -> tuple[float, ...]:
     return tuple(values)
 
 
-def cmd_sweep(args, pop, hw, eff, overlap):
+def _sweep_axes(names: str, candidates: Optional[str]) -> list[SweepAxis]:
+    """The axes that ``--axes`` and ``--candidates`` give."""
+    known = {r.value: r for r in SweepResource}
     resources = []
-    for name in args.axes.split(","):
-        name = name.strip()
-        try:
-            resource = SweepResource(name)
-        except ValueError:
-            raise _UsageError(f"unknown sweep axis {name!r} "
-                              f"(known: {', '.join(r.value for r in SweepResource)})") from None
-        if resource in resources:
-            raise _UsageError(f"--axes gives {resource.value} more than once")
-        resources.append(resource)
-    axes = list(standard_axes(resources))
-    if args.candidates is not None:
-        if len(axes) != 1:
-            raise _UsageError("--candidates requires exactly one axis in --axes")
-        resource = axes[0].resource
-        candidates = _parse_candidates(args.candidates, resource)
-        try:
-            axes = [SweepAxis(resource=resource, candidates=candidates)]
-        except ValueError as exc:  # a candidate out of range
-            raise _UsageError(str(exc)) from None
-    extra = {"axes": {a.resource.value: [round9(c) for c in a.candidates] for a in axes}}
+    for name in map(str.strip, names.split(",")):
+        if name not in known:
+            raise _UsageError(f"unknown sweep axis {name!r} (known: {', '.join(known)})")
+        if known[name] in resources:
+            raise _UsageError(f"--axes gives {name} more than once")
+        resources.append(known[name])
+    if candidates is None:
+        return list(standard_axes(resources))
+    if len(resources) != 1:
+        raise _UsageError("--candidates requires exactly one axis in --axes")
+    return [SweepAxis(resources[0], _parse_candidates(candidates, resources[0]))]
+
+
+def cmd_sweep(args, pop, hw, eff, overlap):
+    extra = {"axes": {a.resource.value: [round9(c) for c in a.candidates] for a in args.axes}}
     if args.cartesian:
         # The library's size warning becomes a diagnostic line, not a Python
         # warning that PYTHONWARNINGS=error would turn into a traceback.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
-            table = cartesian_sweep(pop, axes, hw, eff, overlap)
+            table = cartesian_sweep(pop, args.axes, hw, eff, overlap)
         for warning in caught:
             print(f"dlcost: warning: {warning.message}", file=sys.stderr)
         return "sweep-cartesian", [
@@ -281,7 +278,7 @@ def cmd_sweep(args, pop, hw, eff, overlap):
              "settings": Fixed(";".join(f"{r.value}={v:.9g}" for r, v in setting)),
              "speedup": speedups}
             for setting, speedups in zip(table.settings, table.speedups)], extra
-    table = hardware_sweep(pop, axes, hw, eff, overlap)
+    table = hardware_sweep(pop, args.axes, hw, eff, overlap)
     # Each one-axis setting is a single (resource, candidate) pair;
     # ``normalized`` is the candidate over its field's value in ``hw``.
     return "sweep", [
@@ -328,12 +325,7 @@ def _parse_grid(text: str, flag: str) -> list[float]:
 
 def cmd_sensitivity(args, pop, hw, eff, overlap):
     if args.analysis == "efficiency":
-        comp_grid = _parse_grid(args.comp_grid, "--comp-grid")
-        comm_grid = _parse_grid(args.comm_grid, "--comm-grid")
-        try:
-            cells = efficiency_sensitivity(pop, hw, comp_grid, comm_grid)
-        except ValueError as exc:  # on a non-empty population, only a grid out of range
-            raise _UsageError(str(exc)) from None
+        cells = efficiency_sensitivity(pop, hw, args.comp_grid, args.comm_grid)
         columns = {name: [getattr(cell, name) for cell in cells]
                    for name in ("compute_eff", "comm_eff", "job_level_weight_share",
                                 "cnode_level_weight_share")}
@@ -373,13 +365,22 @@ def _parse_mix(text: str) -> dict[ArchitectureKind, float]:
     return mix
 
 
-def cmd_synth(args) -> tuple[WorkloadRecord, ...]:
+def _read_flags(args) -> None:
+    """Read and check every list flag before any input is read, in place on
+    ``args``.  A value the library refuses is a usage error."""
     try:
-        mix = _parse_mix(args.mix) if args.mix is not None else dict(DEFAULT_MIX)
-        spec = SynthSpec(size=args.size, seed=args.seed, mix=mix)
+        if args.command == "sweep":
+            args.axes = _sweep_axes(args.axes, args.candidates)
+        elif args.command == "sensitivity" and args.analysis == "efficiency":
+            args.comp_grid = _parse_grid(args.comp_grid, "--comp-grid")
+            args.comm_grid = _parse_grid(args.comm_grid, "--comm-grid")
+            efficiency_grid(args.comp_grid, "compute")
+            efficiency_grid(args.comm_grid, "communication")
+        elif args.command == "synth":
+            mix = _parse_mix(args.mix) if args.mix is not None else dict(DEFAULT_MIX)
+            args.spec = SynthSpec(size=args.size, seed=args.seed, mix=mix)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return synth_population(spec)
 
 
 def cmd_validate(pop, errors, hw, eff, overlap):
@@ -414,8 +415,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EX_USAGE
+        _read_flags(args)
         if args.command in ("synth", "corpus"):
-            pop = cmd_synth(args) if args.command == "synth" else builtin_corpus()
+            pop = synth_population(args.spec) if args.command == "synth" else builtin_corpus()
             _write_output(dump_trace(pop).encode("utf-8"), args.out)
             return EX_OK
 

@@ -6,11 +6,11 @@ efficiency model, overlap mode, tool version, input digest).  The rows
 come in blocks, and a block holds columns, not rows: each column holds
 either one cell per row or one fixed cell that every row of the block
 shares (a sweep's setting, say), which is stored and formatted once per
-block.  A per-row column that several blocks share (a sweep's job ids)
-is formatted once per chunk of rows, not once per block.  No row tuple
-is built on the way to the bytes.  Emission is byte-deterministic, by
-one table of rules per format, keyed by cell type, that turns a column
-of cells into their text.  Floats are written with 9 significant digits
+block; the other columns are formatted a chunk of rows at a time, and
+no cell's text outlives its chunk.  Emission reads only the block it is
+writing, and builds no row tuple.  It is byte-deterministic, by one
+table of rules per format, keyed by cell type, that turns a column of
+cells into their text.  Floats are written with 9 significant digits
 in both CSV and JSON, so the two formats parse to identical values.
 Non-finite floats (an infinite speedup) have no standard JSON form:
 they, and ``None``, are missing values (``null`` in JSON, an empty CSV
@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 import re
-from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from itertools import compress, repeat
@@ -202,7 +201,8 @@ def _flatten_metadata(meta: Mapping[str, Any], prefix: str = "") -> list[tuple[s
 
 
 #: Rows formatted at a time.  Formatting a column at a time, in chunks,
-#: bounds the formatted cells held at once to this many rows.
+#: bounds the formatted cells held at once to this many rows: no cell's
+#: text outlives its chunk.
 EMIT_CHUNK_ROWS = 2048
 
 
@@ -210,29 +210,14 @@ def _chunks(report: Report, rules: Mapping[type, Rule],
             text: Callable[[int, list[Sequence[str]]], str]) -> Iterator[bytes]:
     """Each chunk's ``text(n_rows, columns)`` of its columns' texts by
     ``rules``, encoded: a block's fixed cells are formatted once per block,
-    the other columns a chunk at a time.  A per-row column that more than
-    one block holds (the same object) is formatted once per chunk offset,
-    and that text is kept until the last chunk; no other cell's text
-    outlives its chunk's."""
-    uses = Counter(id(c) for _, columns in report.blocks for c in columns
-                   if not isinstance(c, Fixed))
-    shared: dict[tuple[int, int], Sequence[str]] = {}
-
-    def texts(column: Sequence[Any], start: int, stop: int) -> Sequence[str]:
-        if uses[id(column)] == 1:
-            return _texts(rules, column[start:stop])
-        key = (id(column), start)
-        if key not in shared:
-            shared[key] = _texts(rules, column[start:stop])
-        return shared[key]
-
+    each other column's slice once per chunk."""
     for n_rows, columns in report.blocks:
         fixed = {i: _texts(rules, (c.value,))[0] for i, c in enumerate(columns)
                  if isinstance(c, Fixed)}
         for start in range(0, n_rows, EMIT_CHUNK_ROWS):
             stop = min(start + EMIT_CHUNK_ROWS, n_rows)
             yield text(stop - start, [[fixed[i]] * (stop - start) if i in fixed
-                                      else texts(column, start, stop)
+                                      else _texts(rules, column[start:stop])
                                       for i, column in enumerate(columns)]).encode("utf-8")
 
 
@@ -274,9 +259,11 @@ def emit(report: Report, format: str = "csv") -> bytes:
         def rows(n_rows: int, columns: list[Sequence[str]]) -> str:
             return ",\n    ".join(map(row, *columns) if columns else ["{}"] * n_rows)
 
-        for i, data in enumerate(_chunks(report, _JSON_RULES, rows)):
-            parts += (b",\n    " if i else b"[\n    ", data)
-        write("\n  ]\n}\n" if report.rows else "[]\n}\n")
+        wrote = False
+        for data in _chunks(report, _JSON_RULES, rows):
+            parts += (b",\n    " if wrote else b"[\n    ", data)
+            wrote = True
+        write("\n  ]\n}\n" if wrote else "[]\n}\n")
     else:
         raise ValueError(f"unknown report format {format!r} (expected one of {FORMATS})")
     return b"".join(parts)

@@ -115,6 +115,10 @@ def _sweep(pop: Population, axes: Sequence[SweepAxis],
     """Per-job speedup of each setting over ``base_hw``."""
     if not axes:
         raise ValueError("no sweep axes given")
+    resources = [axis.resource for axis in axes]
+    for resource in resources:
+        if resources.count(resource) > 1:  # one setting would hold two values of it
+            raise ValueError(f"axis {resource.value} given more than once")
     base = evaluate(pop, base_hw, eff)
     base_totals = base.t_total(overlap)
     speedups = []
@@ -162,6 +166,18 @@ class SensitivityCell:
     cnode_level_weight_share: float
 
 
+def efficiency_grid(grid: Sequence[float], name: str) -> None:
+    """Refuse a ``name`` efficiency grid that is empty, or holds a value
+    outside (0, 1] or one value twice."""
+    if not grid:
+        raise ValueError(f"empty {name} efficiency grid")
+    for g in grid:
+        if not (0 < g <= 1):
+            raise ValueError(f"{name} efficiency {g!r} outside (0, 1]")
+        if grid.count(g) > 1:
+            raise ValueError(f"{name} efficiency {g!r} given more than once")
+
+
 def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
                            compute_eff_grid: Sequence[float],
                            comm_eff_grid: Sequence[float]) -> list[SensitivityCell]:
@@ -172,14 +188,8 @@ def efficiency_sensitivity(pop: Iterable[WorkloadRecord], hw: HardwareProfile,
     perturbed around the 0.7 default.
     """
     pop = require_jobs(pop)
-    for grid, name in ((compute_eff_grid, "compute"), (comm_eff_grid, "communication")):
-        if not grid:
-            raise ValueError(f"empty {name} efficiency grid")
-        for g in grid:
-            if not (0 < g <= 1):
-                raise ValueError(f"{name} efficiency {g!r} outside (0, 1]")
-            if grid.count(g) > 1:
-                raise ValueError(f"{name} efficiency {g!r} given more than once")
+    efficiency_grid(compute_eff_grid, "compute")
+    efficiency_grid(comm_eff_grid, "communication")
     # The compute efficiency moves only the compute terms and the
     # communication efficiency only the data and weight terms, so each
     # is divided and summed once per grid value, not once per point.  One

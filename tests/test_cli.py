@@ -597,6 +597,23 @@ class TestExitCodes:
         trace.write_text("")
         assert run(["breakdown", "--trace", str(trace)]) == EX_DATA
 
+    @pytest.mark.parametrize("trace_text, argv, message", [
+        ("{broken\n", ["sweep", "--axes", "bogus"],
+         "unknown sweep axis 'bogus' (known: ethernet, pcie, gpu_flops, gpu_mem_bandwidth)"),
+        ("", ["sensitivity", "--comp-grid", "2"], "compute efficiency 2.0 outside (0, 1]"),
+        (None, ["sweep", "--axes", "pcie", "--candidates", "0"],
+         "axis pcie: candidate 0.0 must be finite and positive"),
+    ], ids=["malformed-trace", "empty-trace", "missing-trace"])
+    def test_a_bad_flag_is_a_usage_error_before_any_input_is_read(
+            self, tmp_path, capsys, trace_text, argv, message):
+        trace = tmp_path / "t.jsonl"
+        if trace_text is not None:
+            trace.write_text(trace_text)
+        out = tmp_path / "out"
+        assert run([*argv, "--trace", str(trace), "--out", str(out)]) == EX_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err == f"dlcost: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == EX_OK
         assert "COMMAND" in capsys.readouterr().out
@@ -891,17 +908,6 @@ class TestEmit:
             for format in FORMATS:
                 assert emit(shared, format) == emit(copied, format) == reference_emit(
                     copied.columns, copied.rows, format)
-
-    def test_a_list_shared_by_blocks_is_formatted_once_per_chunk(self):
-        ids = ["a", "b,c", "d", "e", "f"]
-        report = Report(("id", "setting"), tuple(Block(5, (ids, Fixed(s))) for s in "xyz"), {})
-        with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", 2), \
-                mock.patch.object(dlcost.report, "_texts", wraps=dlcost.report._texts) as texts:
-            emit(report, "json")
-        # One call per block for its fixed cell, and one per chunk of ids
-        # (three chunks of two rows), not one per chunk of every block.
-        assert [list(call.args[1]) for call in texts.call_args_list] == [
-            ["x"], ["a", "b,c"], ["d", "e"], ["f"], ["y"], ["z"]]
 
     @given(st.text(alphabet=st.characters(blacklist_categories=())))
     def test_csv_metadata_value_stays_on_one_encodable_line(self, value):

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+import dlcost.report
 from dlcost.cli import EX_DATA, EX_OK, run
 from dlcost.core import ArchitectureKind
 
@@ -258,3 +259,13 @@ def test_report_digest_is_unchanged(case, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     expected_code = EX_DATA if case.startswith("malformed-") else EX_OK
     assert case_digest(case, expected_code) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", [case for case in CASES
+                                  if case.startswith(("synth-sweep-", "synth-cartesian-"))])
+def test_sweep_digest_holds_in_small_chunks(case, workdir, monkeypatch):
+    # 143 chunks per block: every block's job ids are formatted chunk by
+    # chunk, and the last chunk of a block is short.
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(dlcost.report, "EMIT_CHUNK_ROWS", 7)
+    assert case_digest(case) == GOLDEN[case]

@@ -7,6 +7,8 @@ benchmark's tracer: their import lines say ``# noqa: F401``, and each
 such name is a patch point of that module in ``perfbench/spans.py``.  And
 the package needs nothing beyond the standard library.  Every Python
 file of the project keeps to the grammar of its oldest supported Python.
+The CLI's report handlers check no flag: flags are checked before any
+input is read.
 """
 
 import ast
@@ -117,3 +119,36 @@ def test_every_python_file_parses_under_the_oldest_supported_grammar():
         except SyntaxError as exc:
             rejected.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert rejected == []
+
+
+def flag_checks(tree):
+    """The ``cmd_*`` functions of ``tree`` that raise ``_UsageError`` or
+    catch ``ValueError`` (a bare ``except`` or ``Exception`` included)."""
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+            and any(isinstance(n, ast.Raise) and n.exc and "_UsageError" in names(n.exc)
+                    or isinstance(n, ast.ExceptHandler) and (
+                        n.type is None or names(n.type) & {"ValueError", "Exception"})
+                    for n in ast.walk(node))]
+
+
+def test_report_handlers_check_no_flags():
+    # A handler runs after the whole input was read; a bad flag found there
+    # would cost that read, and a malformed input would hide it.
+    assert flag_checks(tree_of("cli")) == []
+
+
+@pytest.mark.parametrize("plant", [
+    "raise _UsageError('bad flag')",
+    "try:\n        pass\n    except ValueError as exc:\n        raise _UsageError(str(exc))",
+    "try:\n        pass\n    except Exception:\n        pass",
+], ids=["raise", "catch", "catch-all"])
+def test_a_flag_check_planted_in_a_handler_is_found(plant):
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    head = "def cmd_breakdown(args, pop, hw, eff, overlap):\n"
+    assert source.count(head) == 1
+    planted = source.replace(head, f"{head}    {plant}\n")
+    assert flag_checks(ast.parse(planted)) == ["cmd_breakdown"]

@@ -134,12 +134,22 @@ class TestHardwareSweep:
         with pytest.raises(ValueError):
             cartesian_sweep(pop_of(make_record()), [], PAI, EFF)
 
+    @pytest.mark.parametrize("sweep_fn", [hardware_sweep, cartesian_sweep])
+    def test_a_resource_on_two_axes_is_refused(self, sweep_fn):
+        # A setting of both would hold two values of one field, and only one
+        # of them would reach the hardware profile.
+        axes = [SweepAxis(resource=R.ETHERNET, candidates=(1.25e9,)),
+                SweepAxis(resource=R.PCIE, candidates=(1e10,)),
+                SweepAxis(resource=R.ETHERNET, candidates=(1.25e10,))]
+        with pytest.raises(ValueError, match="^axis ethernet given more than once$"):
+            sweep_fn(pop_of(make_record()), axes, PAI, EFF)
+
     @given(records=record_lists_with_idle_job(max_size=6),
            axes=st.lists(st.builds(
                SweepAxis, resource=st.sampled_from(list(R)),
                candidates=st.lists(st.floats(min_value=1e6, max_value=1e15),
                                    min_size=1, max_size=3, unique=True).map(tuple)),
-               min_size=1, max_size=4),
+               min_size=1, max_size=4, unique_by=lambda axis: axis.resource),
            hw=hardware_profiles(), eff=efficiency_models(),
            overlap=st.sampled_from(list(OverlapMode)))
     def test_is_the_one_axis_cartesian_sweep_per_axis(self, records, axes, hw, eff, overlap):
