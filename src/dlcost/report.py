@@ -23,9 +23,10 @@ import hashlib
 import json
 import math
 import re
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from itertools import compress, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -44,18 +45,44 @@ def round9(value: float) -> float:
 Rule = Callable[[Sequence[Any]], Sequence[str]]
 
 
-def _floats(finite: Rule, missing: str) -> Rule:
-    """A float rule: ``finite``'s text, or ``missing`` for a missing or non-finite cell."""
-    def rule(values: Sequence[Any]) -> Sequence[str]:
-        finite_only = False
-        with suppress(TypeError):  # raised by a missing cell
-            finite_only = all(map(math.isfinite, values))
-        if finite_only:
-            return finite(values)
-        kept = [v is not None and math.isfinite(v) for v in values]
-        texts = iter(finite(list(compress(values, kept))))
-        return [next(texts) if k else missing for k in kept]
-    return rule
+def _csv_floats(values: Sequence[Any]) -> Sequence[str]:
+    """Each cell's 9-digit text, or an empty field for a missing or non-finite cell."""
+    finite_only = False
+    with suppress(TypeError):  # raised by a missing cell
+        finite_only = all(map(math.isfinite, values))
+    if finite_only:
+        return [f"{v:.9g}" for v in values]
+    return [f"{v:.9g}" if v is not None and math.isfinite(v) else "" for v in values]
+
+
+#: The least positive normal double.  Below it, a 9-digit text need not
+#: have the digits of ``repr`` of the double it rounds to.
+_NORMAL_MIN = sys.float_info.min
+
+
+def _json_exponent(text: str, value: float) -> str:
+    """The JSON text of ``value``, given its 9-digit ``text`` in exponent
+    form: ``repr`` of the double that ``text`` rounds to where the layouts
+    differ (``e+``: ``repr`` writes 1e+09 to 1e+15 positionally) or the
+    digits may (a subnormal value), otherwise ``text`` as it is."""
+    if "e+" in text or 0 < abs(value) < _NORMAL_MIN:
+        return repr(float(text))
+    return text
+
+
+def _json_floats(values: Sequence[Any]) -> Sequence[str]:
+    """Each cell's ``repr(float(f"{v:.9g}"))``, or ``null`` for a missing or
+    non-finite cell, in one pass over the 9-digit texts.
+
+    For a normal double, two decimals of at most 15 significant digits
+    never round to one double, so ``repr`` of the double a 9-digit text
+    rounds to has that text's digits, and only the layout can differ: a
+    positional text without a point gets ``.0`` (``123.0``, ``-0.0``), and
+    an exponent text is left to ``_json_exponent``.  ``inf``, ``-inf`` and
+    ``nan``, the only texts ending in a letter, are ``null``."""
+    return [(_json_exponent(t, v) if "e" in t else t if "." in t
+             else "null" if t[-1] in "fn" else t + ".0")
+            if (t := v is not None and f"{v:.9g}") else "null" for v in values]
 
 
 def _bools(values: Sequence[bool]) -> Sequence[str]:
@@ -76,11 +103,10 @@ def _csv_strs(values: Sequence[str]) -> Sequence[str]:
 #: Each format's rules, in ``isinstance`` order: a cell of a type with no
 #: rule of its own takes the first rule whose type it is an instance of.
 _CSV_RULES: dict[type, Rule] = {
-    **dict.fromkeys((type(None), float), _floats(lambda values: [f"{v:.9g}" for v in values], "")),
+    **dict.fromkeys((type(None), float), _csv_floats),
     bool: _bools, str: _csv_strs, object: lambda values: list(map(str, values))}
 _JSON_RULES: dict[type, Rule] = {
-    **dict.fromkeys((type(None), float),
-                    _floats(lambda values: [repr(float(f"{v:.9g}")) for v in values], "null")),
+    **dict.fromkeys((type(None), float), _json_floats),
     bool: _bools, int: lambda values: list(map(int.__repr__, values)),
     str: lambda values: list(map(encode_basestring_ascii, values)),
     object: lambda values: list(map(json.dumps, values))}
@@ -248,16 +274,18 @@ def emit(report: Report, format: str = "csv") -> bytes:
         parts += _chunks(report, _CSV_RULES, _csv_text)
     elif format == "json":
         # The rows, the bulk of the bytes, are spliced into the frame that
-        # ``indent=2`` gives, each row through one template of its keys.
+        # ``indent=2`` gives, each row's cell texts (floats from
+        # ``_json_floats``' one pass) through one ``%`` template of its keys,
+        # every ``%`` in a key doubled.
         head = json.dumps({"metadata": report.metadata, "columns": list(report.columns)},
                           indent=2, allow_nan=False)
         write(f'{head[:-2]},\n  "rows": ')
-        items = ",\n      ".join(encode_basestring_ascii(c).replace("{", "{{").replace("}", "}}")
-                                  + ": {}" for c in report.columns)
-        row = f"{{{{\n      {items}\n    }}}}".format
+        items = ",\n      ".join(encode_basestring_ascii(c).replace("%", "%%") + ": %s"
+                                  for c in report.columns)
+        row = f"{{\n      {items}\n    }}".__mod__
 
         def rows(n_rows: int, columns: list[Sequence[str]]) -> str:
-            return ",\n    ".join(map(row, *columns) if columns else ["{}"] * n_rows)
+            return ",\n    ".join(map(row, zip(*columns)) if columns else ["{}"] * n_rows)
 
         wrote = False
         for data in _chunks(report, _JSON_RULES, rows):

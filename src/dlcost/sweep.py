@@ -109,16 +109,19 @@ class SweepTable:
         return len(self.job_ids) * len(self.settings)
 
 
-def _sweep(pop: Population, axes: Sequence[SweepAxis],
-           settings: Sequence[Setting], base_hw: HardwareProfile, eff: EfficiencyModel,
-           overlap: OverlapMode) -> SweepTable:
-    """Per-job speedup of each setting over ``base_hw``."""
+def _check_axes(axes: Sequence[SweepAxis]) -> None:
+    """Refuse an empty list of axes, or two axes of one resource."""
     if not axes:
         raise ValueError("no sweep axes given")
     resources = [axis.resource for axis in axes]
     for resource in resources:
         if resources.count(resource) > 1:  # one setting would hold two values of it
             raise ValueError(f"axis {resource.value} given more than once")
+
+
+def _sweep(pop: Population, settings: Sequence[Setting], base_hw: HardwareProfile,
+           eff: EfficiencyModel, overlap: OverlapMode) -> SweepTable:
+    """Per-job speedup of each setting over ``base_hw``."""
     base = evaluate(pop, base_hw, eff)
     base_totals = base.t_total(overlap)
     speedups = []
@@ -135,9 +138,10 @@ def hardware_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],
                    base_hw: HardwareProfile, eff: EfficiencyModel,
                    overlap: OverlapMode = OverlapMode.NO_OVERLAP) -> SweepTable:
     """One-resource-at-a-time speedup table over axes x candidates x jobs."""
+    _check_axes(axes)
     pop = require_jobs(pop)
     settings = [((axis.resource, c),) for axis in axes for c in axis.candidates]
-    return _sweep(pop, axes, settings, base_hw, eff, overlap)
+    return _sweep(pop, settings, base_hw, eff, overlap)
 
 
 def cartesian_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],
@@ -148,6 +152,7 @@ def cartesian_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],
     Emits a warning when the report would exceed ``CARTESIAN_WARNING_CELLS``
     cells; prefer ``hardware_sweep`` for routine studies.
     """
+    _check_axes(axes)
     pop = require_jobs(pop)
     n_cells = len(pop) * math.prod(len(axis.candidates) for axis in axes)
     if n_cells > CARTESIAN_WARNING_CELLS:
@@ -155,7 +160,7 @@ def cartesian_sweep(pop: Iterable[WorkloadRecord], axes: Sequence[SweepAxis],
     resources = [axis.resource for axis in axes]
     settings = [tuple(zip(resources, combo))
                 for combo in itertools.product(*(axis.candidates for axis in axes))]
-    return _sweep(pop, axes, settings, base_hw, eff, overlap)
+    return _sweep(pop, settings, base_hw, eff, overlap)
 
 
 @dataclass(frozen=True)

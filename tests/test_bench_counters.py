@@ -63,6 +63,7 @@ def csv_rows(data):
 @pytest.mark.parametrize("command", [
     *([name] for name in ("breakdown", "sweep", "validate")),
     *([name, "--format", "json"] for name in ("breakdown", "sweep", "validate")),
+    *(["project", "--target", "allreduce_local", "--format", format] for format in ("csv", "json")),
 ])
 def test_report_counters_match_the_output(tmp_path, command):
     counts, data, n_rows = traced(tmp_path, *command)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -892,11 +893,49 @@ class TestEmit:
         metadata={})))
     # A str subclass holding a comma, and a bool among ints.
     @example((2, one_block(("m",), ((1,), (Text("x,y"),), (True,), (2,), (False,)), {})))
+    # Column names that a %- or a str.format template would read as fields.
+    @example((2, one_block(("%s", "100%", "{0}", "{}"), (
+        (1.5, "%d", None, "{}"), (2.0, "a", True, 3), (-0.0, "%%", False, "}{")), {})))
+    # Missing, non-finite, subnormal, 1e9 to 1e16 and integral floats in one
+    # column, across chunk boundaries.
+    @example((3, one_block(("f",), tuple((v,) for v in (
+        None, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072009e-308, 1e9,
+        1234567890.0, 999999999.5, 1e15, 9.9999999995e15, 1e16, 123.0, -123.0, 0.0,
+        -0.0, 1e-05, 1.5)), {})))
     def test_emit_equals_the_per_cell_reference(self, case):
         chunk, report = case
         with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", chunk):
             for format in FORMATS:
                 assert emit(report, format) == reference_emit(report.columns, report.rows, format)
+
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        # Raw 64-bit patterns: every exponent, subnormals included, by its share.
+        st.integers(0, 2**64 - 1).map(
+            lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]).filter(math.isfinite)))
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(math.nextafter(2.2250738585072014e-308, 0))
+    @example(0.0)
+    @example(-0.0)
+    @example(123.0)
+    @example(-123.0)
+    @example(1e-4)
+    @example(9.9999999995e-05)
+    @example(1e-05)
+    @example(999999999.5)
+    @example(1e9)
+    @example(1234567890.0)
+    @example(1e15)
+    @example(9.9999999995e15)
+    @example(1e16)
+    @example(1.7976931348623157e308)
+    def test_json_float_text_is_repr_of_its_nine_digit_value(self, value):
+        # The rule fixes up the 9-digit text's layout instead of parsing it,
+        # which gives repr's text only where repr writes shortest round trips.
+        assert sys.float_repr_style == "short"
+        texts = dlcost.report._JSON_RULES[float]([value])
+        assert list(texts) == [repr(float(f"{value:.9g}"))]
 
     @settings(deadline=None)
     @given(shared_column_reports())

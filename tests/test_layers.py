@@ -6,7 +6,8 @@ imports only what it uses, apart from names bound on purpose for the
 benchmark's tracer: their import lines say ``# noqa: F401``, and each
 such name is a patch point of that module in ``perfbench/spans.py``.  And
 the package needs nothing beyond the standard library.  Every Python
-file of the project keeps to the grammar of its oldest supported Python.
+file of the project keeps to the grammar and the standard library of its
+oldest supported Python.
 The CLI's report handlers check no flag: flags are checked before any
 input is read.
 """
@@ -106,19 +107,85 @@ def test_imports_only_the_standard_library(module):
     assert foreign == []
 
 
-def test_every_python_file_parses_under_the_oldest_supported_grammar():
-    # pyproject.toml declares requires-python >=3.10, so 3.11 syntax such
-    # as ``except*`` must fail here even on a newer interpreter.
+def project_sources():
+    """Every Python file of the project."""
     sources = sorted(path for top in ("src", "tests", "scripts", "perfbench")
                      for path in (ROOT / top).rglob("*.py"))
     assert sources
+    return sources
+
+
+def test_every_python_file_parses_under_the_oldest_supported_grammar():
+    # pyproject.toml declares requires-python >=3.10, so 3.11 syntax such
+    # as ``except*`` must fail here even on a newer interpreter.
     rejected = []
-    for path in sources:
+    for path in project_sources():
         try:
             ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
         except SyntaxError as exc:
             rejected.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert rejected == []
+
+
+#: Standard-library modules and names that Python 3.11 added: a whole
+#: module (``None``), or names of a module, the built-ins under "builtins".
+NEW_IN_3_11 = {
+    "tomllib": None,
+    "hashlib": {"file_digest"},
+    "enum": {"StrEnum"},
+    "typing": {"Self"},
+    "asyncio": {"TaskGroup"},
+    "builtins": {"ExceptionGroup", "BaseExceptionGroup"},
+}
+
+
+def newer_apis(tree):
+    """The 3.11-only standard-library APIs that ``tree`` imports or reads, as
+    ``line: module.name``: an import of one, ``module.name``, or a built-in."""
+    def new(module, name=None):
+        return module in NEW_IN_3_11 and (NEW_IN_3_11[module] is None
+                                          or name in NEW_IN_3_11[module])
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node, alias.name) for alias in node.names
+                      if new(*alias.name.split(".", 1))]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found += [(node, f"{node.module}.{alias.name}") for alias in node.names
+                      if new(node.module, alias.name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and new(node.value.id, node.attr)):
+            found.append((node, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.Name) and new("builtins", node.id):
+            found.append((node, node.id))
+    return sorted(f"{node.lineno}: {name}" for node, name in found)
+
+
+def test_no_python_file_uses_a_standard_library_api_newer_than_the_oldest_supported():
+    # The grammar check above passes a 3.11-only module or function, which
+    # fails only when it runs on 3.10.
+    used = {str(path.relative_to(ROOT)): newer_apis(ast.parse(path.read_text(encoding="utf-8")))
+            for path in project_sources()}
+    assert {path: names for path, names in used.items() if names} == {}
+
+
+@pytest.mark.parametrize("plant, name", [
+    ("import tomllib", "tomllib"),
+    ("from tomllib import loads", "tomllib.loads"),
+    ("digest = hashlib.file_digest(f, 'sha256')", "hashlib.file_digest"),
+    ("from hashlib import file_digest", "hashlib.file_digest"),
+    ("class Kind(enum.StrEnum): pass", "enum.StrEnum"),
+    ("from typing import Self", "typing.Self"),
+    ("raise ExceptionGroup('two', [exc])", "ExceptionGroup"),
+    ("try:\n    pass\nexcept BaseExceptionGroup: pass", "BaseExceptionGroup"),
+    ("group = asyncio.TaskGroup()", "asyncio.TaskGroup"),
+])
+def test_a_newer_standard_library_api_planted_in_a_source_is_found(plant, name):
+    source = (PACKAGE / "report.py").read_text(encoding="utf-8")
+    assert newer_apis(ast.parse(source)) == []
+    [found] = newer_apis(ast.parse(f"{source}\n{plant}\n"))
+    assert found.endswith(f": {name}")
 
 
 def flag_checks(tree):

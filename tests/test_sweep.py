@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -242,6 +243,23 @@ class TestCartesianSweep:
         axes = [SweepAxis(resource=R.ETHERNET, candidates=(1e9, 2e9))]
         with pytest.warns(UserWarning, match="emits 2 cells"):
             cartesian_sweep(pop, axes, PAI, EFF)
+
+    @pytest.mark.parametrize("axes, message", [
+        ([], "^no sweep axes given$"),
+        ([SweepAxis(resource=R.ETHERNET, candidates=(1e9, 2e9)),
+          SweepAxis(resource=R.ETHERNET, candidates=(3e9,))],
+         "^axis ethernet given more than once$"),
+    ], ids=["no-axes", "repeated-resource"])
+    def test_refused_axes_warn_of_no_report(self, monkeypatch, axes, message):
+        # The axes are checked before the size warning, which would be about
+        # a report that is never made.
+        monkeypatch.setattr(sweep, "CARTESIAN_WARNING_CELLS", 1)
+        pop = pop_of(make_record(job_id="a"), make_record(job_id="b"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=message):
+                cartesian_sweep(pop, axes, PAI, EFF)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestEfficiencySensitivity:
