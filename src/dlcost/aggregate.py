@@ -61,15 +61,6 @@ class EmpiricalCDF:
             points.append((x, running / total))
         return cls(points=tuple(points))
 
-    def quantile(self, q: float) -> float:
-        """Smallest x whose cumulative fraction reaches ``q`` (lower step at ties)."""
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile must lie in [0, 1], got {q!r}")
-        for x, f in self.points:
-            if f >= q:
-                return x
-        return self.points[-1][0]
-
 
 @dataclass(frozen=True)
 class ArchComposition:

@@ -166,7 +166,7 @@ def _load_inputs(args) -> tuple[Population, list, str, str]:
     digest = input_digest(data)
     text = decode_trace(data, source)
     del data  # parse the text alone; do not hold the bytes as well
-    pop, errors = parse_trace(text, strict=False, source=source)
+    pop, errors = parse_trace(text)
     return pop, errors, source, digest
 
 

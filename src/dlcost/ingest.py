@@ -10,7 +10,9 @@ A line reaches it by one of two paths.  A batch of lines that passes the
 column screen (``_Reader.screen``) is appended a column at a time, with
 no ``WorkloadRecord`` built; the screen reads a column of unit strings
 with ``units.parse_column`` in one regex pass, and refuses the batch if
-a value is not in the plain form.  Each line of a refused batch goes to
+a value is not in the plain form, or if its count of keys does not rule
+out a repeated one.  Each line of a refused batch is decoded again, a
+repeated key at any depth being an error, and goes to
 ``record_from_dict`` with ``core.record_errors``, the reference and the
 source of every rejection message.
 
@@ -157,18 +159,14 @@ def _share_keys(notes: dict) -> dict:
             for key, value in notes.items()}
 
 
-def _decode_line(line: str):
-    """``json.loads(line)`` for a stripped, non-blank line.
-
-    The C scanner decodes a line that is one JSON value; anything else,
-    including every error, goes to ``json.loads`` for its exact result or
-    message.
-    """
-    try:
-        obj, end = _RAW_DECODE(line)
-    except (ValueError, RecursionError):
-        end = -1
-    return obj if end == len(line) else json.loads(line)
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; a key that it repeats raises TraceFormatError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise TraceFormatError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 #: The required fields of a trace object, in ``WorkloadRecord`` order: the
@@ -227,9 +225,9 @@ class _Reader:
         self._index.update(zip(job_ids[done:], range(done, len(job_ids))))
         return self.record_lines[self._index[job_id]]
 
-    def screen(self, objs: list, lines: list[int]) -> bool:
-        """Add the records of ``objs``, decoded from ``lines``, if each
-        object is clean.
+    def screen(self, objs: list, text: str, lines: list[int]) -> bool:
+        """Add the records of ``objs``, decoded from ``lines`` whose texts
+        ``text`` joins, if each object is clean.
 
         A clean object is one that ``record_from_dict`` accepts, with a
         str ``job_id`` that no earlier object used, int cNodes and batch
@@ -239,6 +237,11 @@ class _Reader:
         checked a column at a time.  Returns False, adding nothing, for
         any other batch: ``record_from_dict`` then builds or names each
         line, so it stays the one source of every rejection message.
+
+        No clean object repeats a key.  Each key in ``text`` is followed
+        by a colon of its own, so ``text`` holds at least as many colons
+        as the objects and their ``notes`` have keys, and as many only if
+        none of them repeats a key and no other object is nested.
         """
         n = len(objs)
         try:
@@ -293,6 +296,10 @@ class _Reader:
                             if not (type(value) is int or (type(value) is float
                                                            and -_INF < value < _INF)):
                                 return False
+            keys = (n * len(_REQUIRED_NAMES) if plain
+                    else sum(map(len, objs)) + sum(map(len, filter(None, notes))))
+            if text.count(":") != keys:
+                return False
         # KeyError: a missing field or an unknown architecture; TypeError: an
         # object that is not a dict, an unhashable label, or a unit string
         # column holding another value; ValueError: a job_id with a lone
@@ -318,46 +325,53 @@ def _lines(text: str) -> Iterator[str]:
     yield from text[start:].split("\n")
 
 
-def parse_trace(text: str, strict: bool = False,
-                source: str = "<trace>") -> tuple[Population, list[TraceError]]:
+def parse_trace(text: str) -> tuple[Population, list[TraceError]]:
     """Parse newline-delimited JSON text into a population (one list per
-    record field) plus a per-line error report.
+    record field) plus a per-line error report: each malformed line is
+    one ``TraceError`` in the returned list.
 
     Lines end at a line feed alone, since JSON allows a raw U+2028 and
     the other characters ``str.splitlines`` also breaks at inside a
-    string.  Blank lines are skipped.  A record whose ``job_id`` an
-    earlier line already used is malformed.  In strict mode the first
-    malformed line raises TraceFormatError instead of being reported.
+    string.  Blank lines are skipped.  A line is malformed if its object
+    repeats a key, at any depth, or if ``record_from_dict`` refuses it;
+    a record whose ``job_id`` an earlier line already used is malformed
+    too.
 
     Decoded objects are screened ``_BATCH_LINES`` at a time, a column at
-    a time.  Each line of a batch that fails the screen goes to
-    ``record_from_dict``, one at a time.  Besides the text and the
-    result, only one block of lines, one batch of objects and the job
-    ids read so far are held.
+    a time.  Each line of a batch that fails the screen is decoded again
+    and goes to ``record_from_dict``, one at a time.  Besides the text
+    and the result, only one block of lines, one batch of objects and
+    their texts, the job ids read so far and each record's line are held,
+    and, from the first duplicate job id on, an index of the job ids.
     """
     reader = _Reader()
     errors = []
-    batch, batch_lines = [], []
+    batch, batch_texts, batch_lines = [], [], []
 
-    def reject(lineno: int, message: str) -> None:
-        if strict:
-            raise TraceFormatError(f"{source}:{lineno}: {message}")
+    def read_line(line: str, lineno: int) -> None:
+        """Add the record of one stripped line, or its error."""
+        try:
+            rec = record_from_dict(json.loads(line, object_pairs_hook=_unique_keys))
+        except TraceFormatError as exc:  # a repeated key, or what record_from_dict refuses
+            message = str(exc)
+        # Besides a JSONDecodeError, an over-long integer literal raises a
+        # ValueError and over-deep nesting a RecursionError.
+        except (ValueError, RecursionError) as exc:
+            message = f"invalid JSON: {getattr(exc, 'msg', exc)}"
+        else:
+            if rec.job_id not in reader.seen:
+                reader.add(rec, lineno)
+                return
+            first = reader.first_line(rec.job_id)
+            message = f"duplicate job_id {rec.job_id!r} (first on line {first})"
         errors.append(TraceError(line=lineno, message=message))
 
     def flush() -> None:
-        if batch and not reader.screen(batch, batch_lines):
-            for obj, lineno in zip(batch, batch_lines):
-                try:
-                    rec = record_from_dict(obj)
-                except TraceFormatError as exc:
-                    reject(lineno, str(exc))
-                    continue
-                if rec.job_id in reader.seen:
-                    first = reader.first_line(rec.job_id)
-                    reject(lineno, f"duplicate job_id {rec.job_id!r} (first on line {first})")
-                else:
-                    reader.add(rec, lineno)
+        if batch and not reader.screen(batch, "\n".join(batch_texts), batch_lines):
+            for line, lineno in zip(batch_texts, batch_lines):
+                read_line(line, lineno)
         batch.clear()
+        batch_texts.clear()
         batch_lines.clear()
 
     for lineno, line in enumerate(_lines(text), start=1):
@@ -365,13 +379,17 @@ def parse_trace(text: str, strict: bool = False,
         if not stripped:
             continue
         try:
-            batch.append(_decode_line(stripped))
-        # Besides a JSONDecodeError, an over-long integer literal raises a
-        # ValueError and over-deep nesting a RecursionError.
-        except (ValueError, RecursionError) as exc:
+            obj, end = _RAW_DECODE(stripped)
+        except (ValueError, RecursionError):
+            end = -1
+        # A stripped line that the C scanner decodes as one JSON value is
+        # what json.loads decodes; read_line names the error of any other.
+        if end != len(stripped):
             flush()
-            reject(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}")
+            read_line(stripped, lineno)
             continue
+        batch.append(obj)
+        batch_texts.append(stripped)
         batch_lines.append(lineno)
         if len(batch) == _BATCH_LINES:
             flush()
@@ -390,10 +408,10 @@ def decode_trace(data: bytes, source: str = "<trace>") -> str:
                                f"({exc.reason})") from None
 
 
-def load_trace(path: PathLike, strict: bool = False) -> tuple[Population, list[TraceError]]:
-    """Read a trace file; see parse_trace for the per-line error contract."""
-    text = decode_trace(Path(path).read_bytes(), source=str(path))
-    return parse_trace(text, strict=strict, source=str(path))
+def load_trace(path: PathLike) -> tuple[Population, list[TraceError]]:
+    """Read a trace file: each malformed line is one ``TraceError`` in the
+    returned list, as in parse_trace."""
+    return parse_trace(decode_trace(Path(path).read_bytes(), source=str(path)))
 
 
 def dump_trace(pop: Iterable[WorkloadRecord]) -> str:

@@ -26,7 +26,6 @@ import re
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -169,18 +168,13 @@ class Report:
 
 
 class _Rows:
-    """A sized, iterable view of a report's full rows, block by block."""
+    """A sized view of a report's rows, block by block."""
 
     def __init__(self, report: Report) -> None:
         self.report = report
 
     def __len__(self) -> int:
         return sum(n_rows for n_rows, _ in self.report.blocks)
-
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        for n_rows, columns in self.report.blocks:
-            cells = [repeat(c.value, n_rows) if isinstance(c, Fixed) else c for c in columns]
-            yield from zip(*cells) if cells else repeat((), n_rows)
 
 
 def build_report(kind: str, blocks: Sequence[Mapping[str, Any]],

@@ -21,6 +21,7 @@ from dlcost.core import (
 )
 from dlcost.engine import evaluate
 from dlcost.ingest import case_study_testbed, pai_baseline
+from dlcost.report import Fixed
 from dlcost.sweep import SensitivityCell
 
 PAI = pai_baseline()
@@ -201,6 +202,16 @@ def _json_cell(value):
 
 
 _JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
+
+
+def report_rows(report) -> list[tuple]:
+    """A report's rows, block by block, each ``Fixed`` cell repeated in
+    every row of its block."""
+    rows = []
+    for n_rows, columns in report.blocks:
+        cells = [[c.value] * n_rows if isinstance(c, Fixed) else c for c in columns]
+        rows += zip(*cells) if cells else [()] * n_rows
+    return rows
 
 
 def reference_emit(columns, rows, format) -> bytes:

@@ -193,13 +193,6 @@ class TestShareCdf:
         cdf = EmpiricalCDF.from_samples([0.2, 0.8], weights=[1, 3])
         assert cdf.points == ((0.2, 0.25), (0.8, 1.0))
 
-    def test_quantile_uses_lower_step(self):
-        cdf = EmpiricalCDF.from_samples([4.0, 16.0])
-        assert cdf.quantile(0.5) == 4.0
-        assert cdf.quantile(0.51) == 16.0
-        assert cdf.quantile(0.0) == 4.0
-        assert cdf.quantile(1.0) == 16.0
-
     @given(populations(), st.sampled_from(["data", "compute_bound", "memory_bound", "weight"]),
            st.sampled_from(["job", "cnode"]))
     def test_matches_naive_and_is_well_formed(self, pop, component, level):
@@ -262,7 +255,9 @@ class TestScaleDistribution:
             make_record(job_id="b", num_cnodes=16),
         ]
         dist = scale_distribution(pop)[A.PS_WORKER]
-        assert dist.cnodes.quantile(0.5) == 4.0
+        # The median is the smallest value whose cumulative fraction reaches 0.5.
+        assert dist.cnodes.points == ((4.0, 0.5), (16.0, 1.0))
+        assert next(x for x, f in dist.cnodes.points if f >= 0.5) == 4.0
 
     def test_model_size_steps_at_both_values(self):
         pop = [

@@ -23,7 +23,7 @@ from dlcost.core import ArchitectureKind, OverlapMode
 from dlcost.ingest import write_trace
 from dlcost.report import EMIT_CHUNK_ROWS, FORMATS, Block, Fixed, Report, build_report, emit
 
-from helpers import EFF, PAI, make_record, reference_emit
+from helpers import EFF, PAI, make_record, reference_emit, report_rows
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -448,6 +448,35 @@ class TestValidateCommand:
             ("2", "error"), ("", "ok")]
         assert capsys.readouterr().err == f"{trace}:2: {message}\n"
 
+    @staticmethod
+    def corpus_repeating_a_key(tmp_path, repeat):
+        """The corpus trace with ``repeat`` appended to its first object."""
+        code, data = run_to_file(tmp_path, "corpus", name="corpus.jsonl")
+        assert code == EX_OK
+        first, rest = data.decode().split("\n", 1)
+        trace = tmp_path / "dup.jsonl"
+        trace.write_text(f"{first[:-1]}{repeat}}}\n{rest}")
+        return trace
+
+    @pytest.mark.parametrize("repeat, key", [(', "flops": 1', "flops"),
+                                             (', "notes": {"q": 1, "q": 1}', "q")])
+    @pytest.mark.parametrize("command", [["validate"], ["breakdown"],
+                                         ["project", "--target", "allreduce_local"],
+                                         ["aggregate"]])
+    def test_a_repeated_key_exits_2_naming_its_line(self, tmp_path, capsys, repeat, key,
+                                                      command):
+        trace = self.corpus_repeating_a_key(tmp_path, repeat)
+        code = run([*command, "--trace", str(trace), "--out", str(tmp_path / "out")])
+        assert code == EX_DATA
+        assert capsys.readouterr().err == f"{trace}:1: repeated key '{key}'\n"
+
+    def test_validate_writes_an_error_row_for_a_repeated_key(self, tmp_path):
+        trace = self.corpus_repeating_a_key(tmp_path, ', "flops": 1')
+        code, data = run_to_file(tmp_path, "validate", "--trace", str(trace))
+        assert code == EX_DATA
+        rows = [(row["line"], row["status"], row["message"]) for row in parse_csv(data)]
+        assert rows == [("1", "error", "repeated key 'flops'"), *[("", "ok", "")] * 5]
+
     def test_a_line_feed_inside_a_unit_string_splits_no_column(self, tmp_path, capsys):
         job = {"job_id": "c", "arch": "ps_worker", "num_cnodes": 4, "batch_size": 64,
                "flops": "1T", "mem_access_bytes": "10GB", "input_bytes": "5MB\n7MB",
@@ -710,7 +739,7 @@ class TestBuildReport:
         assert report.blocks[0] == Block(2, (Fixed(None), [1, 2], Fixed("x,y")))
         assert report.blocks[0].columns[1] is b  # held as it is, not copied
         assert len(report.rows) == 3
-        assert list(report.rows) == [(None, 1, "x,y"), (None, 2, "x,y"), (3.5, math.inf, "z")]
+        assert report_rows(report) == [(None, 1, "x,y"), (None, 2, "x,y"), (3.5, math.inf, "z")]
 
 
 #: One type of cell each; a column draws its cells from one or two of them.
@@ -906,7 +935,7 @@ class TestEmit:
         chunk, report = case
         with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", chunk):
             for format in FORMATS:
-                assert emit(report, format) == reference_emit(report.columns, report.rows, format)
+                assert emit(report, format) == reference_emit(report.columns, report_rows(report), format)
 
     @given(st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
@@ -946,7 +975,7 @@ class TestEmit:
         with mock.patch.object(dlcost.report, "EMIT_CHUNK_ROWS", chunk):
             for format in FORMATS:
                 assert emit(shared, format) == emit(copied, format) == reference_emit(
-                    copied.columns, copied.rows, format)
+                    copied.columns, report_rows(copied), format)
 
     @given(st.text(alphabet=st.characters(blacklist_categories=())))
     def test_csv_metadata_value_stays_on_one_encodable_line(self, value):

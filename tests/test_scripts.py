@@ -1,5 +1,7 @@
-"""Smoke tests: the study scripts run end to end and write their reports."""
+"""The scripts: the study scripts run end to end and write their reports, and
+the benchmark-run checker passes and fails the runs CI must."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +32,37 @@ def test_script_writes_its_reports(tmp_path, script, args, reports):
     assert proc.returncode == 0, proc.stderr
     for name in reports:
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+#: The trace counters of a passing traced run of 20 jobs.
+TRACED = {"trace.patch_points": 24, "ingest.records": 60.0, "ingest.rejected": 0.0}
+
+
+@pytest.mark.parametrize("trace, metrics, correct, failed, passes", [
+    ("0", {}, True, 0, True),
+    ("1", TRACED, True, 0, True),
+    ("0", {}, False, 0, False),
+    ("0", {}, True, 1, False),
+    ("1", TRACED, False, 0, False),
+    ("1", TRACED, True, 1, False),
+    ("1", TRACED | {"trace.patch_points": 23}, True, 0, False),
+    ("1", TRACED | {"trace.patch_points": 25}, True, 0, False),
+    ("1", TRACED | {"ingest.records": 59.0}, True, 0, False),
+    ("1", TRACED | {"ingest.rejected": 1.0}, True, 0, False),
+    # An untraced run's trace counters are not checked.
+    ("0", {"trace.patch_points": 3, "ingest.records": 1.0, "ingest.rejected": 1.0},
+     True, 0, True),
+])
+def test_bench_run_check(tmp_path, trace, metrics, correct, failed, passes):
+    result = {"correct": correct, "attempted": 3, "failed": failed,
+              "metrics": {name: {"value": value, "unit": "count"}
+                          for name, value in metrics.items()}}
+    out = tmp_path / "run.txt"
+    out.write_text(f"workload report-rows  seed 1  jobs 20  traced  1.8 s\n"
+                   f"  ingest.records                        60 count\n{json.dumps(result)}\n")
+    proc = run_script("check_bench_run.py", str(out), "report-rows seed 1", f"--trace {trace}",
+                      "24")
+    assert proc.returncode == (0 if passes else 1), proc.stderr
+    counters = [metrics.get(name) for name in TRACED]
+    assert proc.stdout.split() == list(map(str, [
+        "report-rows", "seed", "1", "--trace", trace, correct, failed, *counters]))
