@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
@@ -201,19 +202,20 @@ RECORD_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(WorkloadRecord))
 
 
 class ColumnTable(Sequence):
-    """A read-only sequence of rows held as one list per field of the row
+    """A read-only sequence of rows held as one column per field of the row
     type ``ROW``, the fields named by the subclass's ``__slots__`` in
     ``ROW``'s positional order: ``table.<field>[i]`` is row ``i``'s field.
-    Indexing or iterating builds each row on demand, equal to the row the
-    fields came from; a slice is a table of the same kind.  Two tables of
-    one kind are equal when their lists are.
+    A column is a list unless the subclass says otherwise.  Indexing or
+    iterating builds each row on demand, equal to the row the fields came
+    from; a slice is a table of the same kind.  Two tables of one kind are
+    equal when their columns are.
     """
 
     __slots__ = ()
     ROW: Callable[..., Any]
 
-    def __init__(self, *columns: list) -> None:
-        """One list per field, in ``__slots__`` order, all of one length."""
+    def __init__(self, *columns: Sequence) -> None:
+        """One column per field, in ``__slots__`` order, all of one length."""
         for name, column in zip(self.__slots__, columns, strict=True):
             setattr(self, name, column)
 
@@ -225,7 +227,7 @@ class ColumnTable(Sequence):
         rows = list(map(operator.attrgetter(*cls.__slots__), rows))
         return cls(*map(list, zip(*rows))) if rows else cls(*([] for _ in cls.__slots__))
 
-    def _columns(self) -> list[list]:
+    def _columns(self) -> list[Sequence]:
         return [getattr(self, name) for name in self.__slots__]
 
     def __len__(self) -> int:
@@ -249,11 +251,24 @@ class ColumnTable(Sequence):
 
 class Population(ColumnTable):
     """A trace's records as a ``ColumnTable`` of ``WorkloadRecord``, in job
-    order: ``pop.flops[i]`` is job ``i``'s flops.  Analyses read the lists.
+    order: ``pop.flops[i]`` is job ``i``'s flops.  Analyses read the
+    columns.  Each ``RECORD_QUANTITIES`` column is an ``array('d')``, 8
+    bytes a value against a list's 32 (the pointer and the float); an int
+    quantity of a record reads back as a float equal to it.  The other
+    columns are lists.
     """
 
     __slots__ = RECORD_FIELDS
     ROW = WorkloadRecord
+
+    def __init__(self, *columns: Sequence) -> None:
+        """As ``ColumnTable``; each quantity column that is not already an
+        ``array('d')`` is converted to one."""
+        super().__init__(*columns)
+        for f in RECORD_QUANTITIES:
+            column = getattr(self, f.name)
+            if not (type(column) is array and column.typecode == "d"):
+                setattr(self, f.name, array("d", column))
 
     @property
     def model_bytes(self) -> list[float]:

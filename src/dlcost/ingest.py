@@ -5,7 +5,8 @@ keys mirroring WorkloadRecord.  Quantities may be plain numbers in
 canonical units or unit strings ("357MB", "1.56T"); writing always emits
 canonical numbers so a written trace reloads bit-exactly.
 
-A trace is read into a ``core.Population``: one list per record field.
+A trace is read into a ``core.Population``: one column per record field,
+an ``array('d')`` for each quantity and a list for every other field.
 A line reaches it by one of two paths.  A batch of lines that passes the
 column screen (``_Reader.screen``) is appended a column at a time, with
 no ``WorkloadRecord`` built; the screen reads a column of unit strings
@@ -27,6 +28,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from array import array
 from dataclasses import MISSING, dataclass, fields, replace
@@ -64,6 +66,7 @@ class TraceError:
 
 _TRACE_KEYS = frozenset(f.name for f in fields(WorkloadRecord))
 _QUANTITY_KINDS = tuple((f.name, f.metadata["kind"]) for f in RECORD_QUANTITIES)
+_QUANTITY_NAMES = frozenset(name for name, _ in _QUANTITY_KINDS)
 _ARCH_BY_LABEL = {arch.value: arch for arch in ArchitectureKind}
 _ONE_GPU = ArchitectureKind.ONE_WORKER_ONE_GPU
 _FLOAT_MAX = sys.float_info.max
@@ -72,6 +75,9 @@ _RAW_DECODE = json.JSONDecoder().raw_decode
 #: ``parse_trace`` splits its text into lines this many characters (plus
 #: the rest of a line) at a time, so it never holds a list of every line.
 _BLOCK_CHARS = 1 << 16
+#: Each line of a text: ``^`` matches at the start and after each line
+#: feed, and ``.`` any character but a line feed.
+_LINE = re.compile(r"^.*", re.MULTILINE)
 
 
 def _coerce_int(value, name: str) -> int:
@@ -203,11 +209,13 @@ def _in_range(values, positive: bool = False) -> bool:
 
 
 class _Reader:
-    """A population as it is read: one list per ``WorkloadRecord`` field,
-    the job ids read so far and the line of each record."""
+    """A population as it is read: one column per ``WorkloadRecord`` field
+    (an ``array('d')`` for each quantity, as ``Population`` holds it, else
+    a list), the job ids read so far and the line of each record."""
 
     def __init__(self) -> None:
-        self.columns = tuple([] for _ in RECORD_FIELDS)
+        self.columns = tuple(array("d") if name in _QUANTITY_NAMES else []
+                             for name in RECORD_FIELDS)
         # A dict of None values: a set of as many ids takes twice the memory.
         self.seen: dict[str, None] = {}
         self.record_lines = array("q")
@@ -317,18 +325,28 @@ class _Reader:
 
 def _lines(text: str) -> Iterator[str]:
     """The items of ``text.split("\n")``, split a block at a time: each
-    block ends at the first line feed ``_BLOCK_CHARS`` past its start."""
+    block ends at the first line feed ``_BLOCK_CHARS`` past its start.
+    A block's lines are cut from ``text`` with no copy of the block, and
+    each is dropped once it is yielded, so the lines of one block are held
+    once, and fewer as they are read."""
     start = 0
     while (end := text.find("\n", start + _BLOCK_CHARS)) >= 0:
-        yield from text[start:end].split("\n")
+        yield from _released(_LINE.findall(text, start, end))
         start = end + 1
-    yield from text[start:].split("\n")
+    yield from _released(_LINE.findall(text, start))
+
+
+def _released(items: list) -> Iterator:
+    """The items of ``items`` in order, each removed from it as it is yielded."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def parse_trace(text: str) -> tuple[Population, list[TraceError]]:
-    """Parse newline-delimited JSON text into a population (one list per
-    record field) plus a per-line error report: each malformed line is
-    one ``TraceError`` in the returned list.
+    """Parse newline-delimited JSON text into a population (one column per
+    record field, an ``array('d')`` per quantity) plus a per-line error
+    report: each malformed line is one ``TraceError`` in the returned list.
 
     Lines end at a line feed alone, since JSON allows a raw U+2028 and
     the other characters ``str.splitlines`` also breaks at inside a

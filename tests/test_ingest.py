@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tracemalloc
+from array import array
 
 import hypothesis.strategies as st
 import pytest
@@ -17,6 +18,7 @@ from dlcost.core import (
     ArchitectureKind,
     EfficiencyModel,
     HardwareProfile,
+    Population,
     WorkloadRecord,
 )
 from dlcost.corpus import SynthSpec, synth_population
@@ -196,21 +198,31 @@ def exact(records):
             for rec in records]
 
 
-def exact_lists(lists):
-    """Each list's type, and the type and repr of each of its values."""
-    return [(type(values), [(type(value), repr(value)) for value in values])
-            for values in lists]
+QUANTITY_NAMES = frozenset(f.name for f in RECORD_QUANTITIES)
+
+
+def exact_lists(columns, types=None):
+    """Each column's type (or, given ``types``, the type named for its
+    field), and the type and repr of each of its values."""
+    return [(types[name] if types else type(values),
+             [(type(value), repr(value)) for value in values])
+            for name, values in zip(RECORD_FIELDS, columns, strict=True)]
+
+
+#: The type of each population column: an array('d') per quantity, else a list.
+COLUMN_TYPES = {name: array if name in QUANTITY_NAMES else list for name in RECORD_FIELDS}
 
 
 def assert_parsed_as_reference(text):
     """parse_trace returns the reference's records, bit for bit, and its
-    errors.  The population's field lists equal those of the records."""
+    errors.  The population's field columns hold the values of the records,
+    an array('d') for each quantity and a list for every other field."""
     records, errors = reference_parse(text)
     pop, got_errors = parse_trace(text)
     assert list(pop) == records
     assert exact(pop) == exact(records)
-    assert exact_lists(getattr(pop, name) for name in RECORD_FIELDS) == exact_lists(
-        [getattr(rec, name) for rec in records] for name in RECORD_FIELDS)
+    assert exact_lists([getattr(pop, name) for name in RECORD_FIELDS]) == exact_lists(
+        [[getattr(rec, name) for rec in records] for name in RECORD_FIELDS], COLUMN_TYPES)
     assert [(err.line, err.message) for err in got_errors] == errors
 
 
@@ -483,6 +495,65 @@ class TestTraceParsing:
         assert tuple(pop) == tuple(records) and errors == []
 
 
+class TestQuantityColumns:
+    """Every way of making a population holds each quantity as an
+    ``array('d')`` of the reference's doubles, bit for bit."""
+
+    @staticmethod
+    def assert_doubles(pop, records):
+        assert len(pop) == len(records)
+        for f in RECORD_QUANTITIES:
+            column = getattr(pop, f.name)
+            assert type(column) is array and column.typecode == "d"
+            assert [value.hex() for value in column] == [
+                getattr(rec, f.name).hex() for rec in records]
+
+    @staticmethod
+    def lines():
+        """A batch of clean lines, one holding an int, a negative zero and
+        the smallest subnormal."""
+        lines = dump_trace(synth_population(SynthSpec(size=6, seed=3))).splitlines()
+        lines[0] = json.dumps(json.loads(lines[0]) | {
+            "flops": 7, "input_bytes": 5e-324, "embedding_weight_bytes": -0.0})
+        return lines
+
+    def test_a_screened_batch(self, monkeypatch):
+        text = "\n".join(self.lines())
+        records, _ = reference_parse(text)
+        monkeypatch.setattr(ingest, "record_from_dict", None)  # never called
+        pop, errors = parse_trace(text)
+        assert errors == []
+        self.assert_doubles(pop, records)
+        assert pop == Population.of(records)
+
+    def test_a_batch_refused_to_record_from_dict(self, monkeypatch):
+        lines = self.lines()
+        lines[3] = json.dumps(json.loads(lines[3]) | {"dense_weight_bytes": "204 MB"})
+        text = "\n".join(lines)
+        records, _ = reference_parse(text)
+        calls = []
+        monkeypatch.setattr(ingest, "record_from_dict",
+                            lambda obj: calls.append(obj) or record_from_dict(obj))
+        pop, errors = parse_trace(text)
+        assert len(calls) == len(lines) and errors == []
+        assert pop[3].dense_weight_bytes == 204e6
+        self.assert_doubles(pop, records)
+        assert pop == Population.of(records)
+
+    def test_a_population_of_records_and_its_slice(self):
+        records, _ = reference_parse("\n".join(self.lines()))
+        pop = Population.of(records)
+        self.assert_doubles(pop, records)
+        self.assert_doubles(pop[1:4], records[1:4])
+        assert pop[1:4] == Population.of(records[1:4])
+
+    def test_an_int_quantity_of_a_record_reads_back_as_its_float(self):
+        rec = make_record(flops=5)
+        [row] = Population.of([rec])
+        assert row == rec
+        assert repr(row.flops) == "5.0"
+
+
 class TestIngestMemory:
     @staticmethod
     def traced_parse(text):
@@ -500,11 +571,12 @@ class TestIngestMemory:
         return result, retained - before, peak - retained
 
     def test_parse_holds_one_block_of_lines(self):
-        # Measured on Python 3.11: 151 kB, of which the job-id index (a
-        # dict of None values) takes 52 kB, the records' line numbers 17 kB,
-        # and one block's text and lines and one batch of decoded objects
-        # the rest.  A list of every line would add about the text's size,
-        # 611 kB here.
+        # Measured: 162 kB on Python 3.11 (185 kB on 3.10), of which the
+        # job-id index (a dict of None values) takes 52 kB, the records' line
+        # numbers 17 kB, and one block's lines and one batch of decoded
+        # objects the rest.  ``held`` is the peak less the result, so the
+        # result's growth after the peak counts against it.  A list of every
+        # line would add about the text's size, 611 kB here.
         text = dump_trace(synth_population(SynthSpec(size=2000, seed=7)))
         (pop, errors), _, held = self.traced_parse(text)
         assert len(pop) == 2000 and errors == []
@@ -512,8 +584,9 @@ class TestIngestMemory:
         assert held < 3 * ingest._BLOCK_CHARS
 
     def test_records_are_slotted_and_share_their_note_keys(self):
-        # Bytes retained per record, measured on Python 3.11: 325 for one
-        # value in each field list, against 352 for a slotted record and
+        # Bytes retained per record, measured on Python 3.11: 178 with each
+        # quantity in an array('d') and every other field in a list (325
+        # with every field in a list), against 352 for a slotted record and
         # 400 with a __dict__.  Two notes add 232 with shared keys, and 373
         # with each record's own copies.
         pop = synth_population(SynthSpec(size=2000, seed=7))

@@ -1,8 +1,9 @@
 """A population is any iterable of records, and every analysis states the
 empty-population rule the same way.  A trace is read into a population of
-field lists, from which the commands that need no record build none."""
+field columns, from which the commands that need no record build none."""
 
 import json
+from array import array
 
 import pytest
 
@@ -75,8 +76,11 @@ def test_a_population_is_the_sequence_of_its_records():
     assert tuple(pop) == records
     assert (pop[0], pop[-1]) == (records[0], records[-1])
     assert tuple(pop[1:4]) == records[1:4]
+    quantities = {f.name for f in RECORD_QUANTITIES}
     for name in RECORD_FIELDS:
-        assert getattr(pop, name) == [getattr(rec, name) for rec in records]
+        column = getattr(pop, name)
+        assert type(column) is (array if name in quantities else list)
+        assert list(column) == [getattr(rec, name) for rec in records]
     assert pop.model_bytes == [rec.model_bytes for rec in records]
     assert Population.of(pop) is pop and require_jobs(pop) is pop
 
