@@ -7,15 +7,16 @@ canonical numbers so a written trace reloads bit-exactly.
 
 A trace is read into a ``core.Population``: one column per record field,
 an ``array('d')`` for each quantity and a list for every other field.
-A line reaches it by one of two paths.  A batch of lines that passes the
-column screen (``_Reader.screen``) is appended a column at a time, with
-no ``WorkloadRecord`` built; the screen reads a column of unit strings
-with ``units.parse_column`` in one regex pass, and refuses the batch if
-a value is not in the plain form, or if its count of keys does not rule
-out a repeated one.  Each line of a refused batch is decoded again, a
-repeated key at any depth being an error, and goes to
-``record_from_dict`` with ``core.record_errors``, the reference and the
-source of every rejection message.
+Its text is scanned one line at a time, with no list of its lines, and
+a line reaches the population by one of two paths.  A batch of lines
+that passes the column screen (``_Reader.screen``) is appended a column
+at a time, with no ``WorkloadRecord`` built; the screen reads a column
+of unit strings with ``units.parse_column`` in one regex pass, and
+refuses the batch if a value is not in the plain form, or if its count
+of keys does not rule out a repeated one.  Each line of a refused batch
+is decoded again, a repeated key at any depth being an error, and goes
+to ``record_from_dict`` with ``core.record_errors``, the reference and
+the source of every rejection message.
 
 Hardware profiles come from built-in presets or flat key = value files
 with unit-string values; the DLCOST_HW_DIR environment variable prepends
@@ -34,7 +35,7 @@ from array import array
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .core import (
     RECORD_FIELDS,
@@ -72,11 +73,9 @@ _ONE_GPU = ArchitectureKind.ONE_WORKER_ONE_GPU
 _FLOAT_MAX = sys.float_info.max
 _INF = math.inf
 _RAW_DECODE = json.JSONDecoder().raw_decode
-#: ``parse_trace`` splits its text into lines this many characters (plus
-#: the rest of a line) at a time, so it never holds a list of every line.
-_BLOCK_CHARS = 1 << 16
-#: Each line of a text: ``^`` matches at the start and after each line
-#: feed, and ``.`` any character but a line feed.
+#: Each line of a text, as ``str.split("\n")`` gives them: ``^`` matches
+#: at the start and after each line feed, and ``.`` any character but a
+#: line feed.
 _LINE = re.compile(r"^.*", re.MULTILINE)
 
 
@@ -186,8 +185,7 @@ _FLOAT = frozenset({float})
 _NUMBER = frozenset({int, float})
 _NONE_OR_DICT = frozenset({type(None), dict})
 #: Trace objects that ``parse_trace`` screens together: per record, 32 was
-#: within noise of the fastest of 8 to 128 on a 20k-job trace, and a
-#: batch's decoded objects stay small beside one block of lines.
+#: within noise of the fastest of 8 to 128 on a 20k-job trace.
 _BATCH_LINES = 32
 
 
@@ -323,26 +321,6 @@ class _Reader:
         return True
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The items of ``text.split("\n")``, split a block at a time: each
-    block ends at the first line feed ``_BLOCK_CHARS`` past its start.
-    A block's lines are cut from ``text`` with no copy of the block, and
-    each is dropped once it is yielded, so the lines of one block are held
-    once, and fewer as they are read."""
-    start = 0
-    while (end := text.find("\n", start + _BLOCK_CHARS)) >= 0:
-        yield from _released(_LINE.findall(text, start, end))
-        start = end + 1
-    yield from _released(_LINE.findall(text, start))
-
-
-def _released(items: list) -> Iterator:
-    """The items of ``items`` in order, each removed from it as it is yielded."""
-    items.reverse()
-    while items:
-        yield items.pop()
-
-
 def parse_trace(text: str) -> tuple[Population, list[TraceError]]:
     """Parse newline-delimited JSON text into a population (one column per
     record field, an ``array('d')`` per quantity) plus a per-line error
@@ -357,10 +335,11 @@ def parse_trace(text: str) -> tuple[Population, list[TraceError]]:
 
     Decoded objects are screened ``_BATCH_LINES`` at a time, a column at
     a time.  Each line of a batch that fails the screen is decoded again
-    and goes to ``record_from_dict``, one at a time.  Besides the text
-    and the result, only one block of lines, one batch of objects and
-    their texts, the job ids read so far and each record's line are held,
-    and, from the first duplicate job id on, an index of the job ids.
+    and goes to ``record_from_dict``, one at a time.  The text is scanned
+    a line at a time, so besides the text and the result, only one line,
+    one batch of objects and their texts, the job ids read so far and
+    each record's line are held, and, from the first duplicate job id on,
+    an index of the job ids.
     """
     reader = _Reader()
     errors = []
@@ -386,13 +365,14 @@ def parse_trace(text: str) -> tuple[Population, list[TraceError]]:
 
     def flush() -> None:
         if batch and not reader.screen(batch, "\n".join(batch_texts), batch_lines):
+            batch.clear()  # its objects are not held while its lines are read again
             for line, lineno in zip(batch_texts, batch_lines):
                 read_line(line, lineno)
         batch.clear()
         batch_texts.clear()
         batch_lines.clear()
 
-    for lineno, line in enumerate(_lines(text), start=1):
+    for lineno, line in enumerate(map(re.Match.group, _LINE.finditer(text)), start=1):
         stripped = line.strip()
         if not stripped:
             continue

@@ -163,18 +163,9 @@ class Report:
     metadata: Mapping[str, Any]
 
     @property
-    def rows(self) -> "_Rows":
-        return _Rows(self)
-
-
-class _Rows:
-    """A sized view of a report's rows, block by block."""
-
-    def __init__(self, report: Report) -> None:
-        self.report = report
-
-    def __len__(self) -> int:
-        return sum(n_rows for n_rows, _ in self.report.blocks)
+    def rows(self) -> range:
+        """The report's row indices: its ``len`` is the row count."""
+        return range(sum(n_rows for n_rows, _ in self.blocks))
 
 
 def build_report(kind: str, blocks: Sequence[Mapping[str, Any]],

@@ -13,7 +13,7 @@ from dlcost.aggregate import (
     share_cdf,
     weighted_breakdown,
 )
-from dlcost.core import ArchitectureKind, OverlapMode, Population, Shares
+from dlcost.core import ArchitectureKind, OverlapMode, Population, Shares, placed_cnodes
 from dlcost.engine import breakdown, evaluate
 from helpers import (
     EFF,
@@ -31,6 +31,12 @@ A = ArchitectureKind
 
 def populations(min_size=1, max_size=40):
     return st.lists(workload_records(), min_size=min_size, max_size=max_size).map(tuple)
+
+
+#: An architecture and a cNode count it can place, up to 256 for a cluster
+#: architecture: the only fields that ``composition`` reads.
+ARCH_CNODES = st.sampled_from(list(A)).flatmap(
+    lambda arch: st.tuples(st.just(arch), st.integers(1, placed_cnodes(arch, 256))))
 
 
 # --- naive oracles ----------------------------------------------------------
@@ -95,8 +101,10 @@ class TestComposition:
         for c in composition(pop).values():
             assert c.job_fraction == pytest.approx(c.cnode_fraction)
 
-    @given(populations())
-    def test_matches_naive(self, pop):
+    @given(st.lists(ARCH_CNODES, min_size=1, max_size=40))
+    def test_matches_naive(self, pairs):
+        pop = tuple(make_record(job_id=f"j{n}", arch=arch, num_cnodes=cnodes)
+                    for n, (arch, cnodes) in enumerate(pairs))
         comp = composition(pop)
         oracle = naive_composition(pop)
         for arch in A:

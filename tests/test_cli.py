@@ -738,7 +738,7 @@ class TestBuildReport:
         assert report.columns == ("a", "b", "c")
         assert report.blocks[0] == Block(2, (Fixed(None), [1, 2], Fixed("x,y")))
         assert report.blocks[0].columns[1] is b  # held as it is, not copied
-        assert len(report.rows) == 3
+        assert report.rows == range(3)
         assert report_rows(report) == [(None, 1, "x,y"), (None, 2, "x,y"), (3.5, math.inf, "z")]
 
 

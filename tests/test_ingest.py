@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import sys
 import tracemalloc
 from array import array
@@ -244,16 +245,20 @@ BATCH_EDGE_REPEATS = [resnet_line(f"j{n}", {ingest._BATCH_LINES - 1: ',"flops":2
                                   .get(n, "")) for n in range(2 * ingest._BATCH_LINES)]
 
 
-def filled_block(head, tail, job_ids):
-    """``head``, fresh records and ``tail`` as lines of exactly
-    ``ingest._BLOCK_CHARS`` characters: the last record is padded with
-    trailing blanks, so the next line starts the next block."""
-    lines = [head]
-    while ingest._BLOCK_CHARS - len("\n".join([*lines, tail])) > 2 * (len(RESNET_LINE) + 1):
-        lines.append(RESNET_LINE.replace('"r50"', f'"{next(job_ids)}"'))
-    lines += [RESNET_LINE.replace('"r50"', f'"{next(job_ids)}"'), tail]
-    lines[-2] += " " * (ingest._BLOCK_CHARS - len("\n".join(lines)))
-    return "\n".join(lines)
+def is_json(line):
+    try:
+        json.loads(line)
+    except ValueError:
+        return False
+    return True
+
+
+def filled_batch(head, tail, job_ids):
+    """``head``, fresh records and ``tail`` as lines whose JSON values are
+    one batch of exactly ``ingest._BATCH_LINES`` objects: a head or tail
+    that is a JSON value is the batch's first or last object."""
+    fresh = ingest._BATCH_LINES - is_json(head) - is_json(tail)
+    return "\n".join([head, *(resnet_line(next(job_ids)) for _ in range(fresh)), tail])
 
 
 class TestTraceParsing:
@@ -310,6 +315,10 @@ class TestTraceParsing:
         pop, [err] = parse_trace(first + "\r\n" + RESNET_LINE + "\n{broken\n")
         assert [rec.job_id for rec in pop] == [f"r{char}50", "r50"]
         assert err.line == 3 and err.message.startswith("invalid JSON: ")
+
+    @given(st.text(st.sampled_from("\n\r\v\f\x1c\x85\u2028 {")) | st.text())
+    def test_the_line_scan_yields_the_items_of_a_split_on_line_feeds(self, text):
+        assert list(map(re.Match.group, ingest._LINE.finditer(text))) == text.split("\n")
 
     @pytest.mark.parametrize("sep", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                                      "\u2028", "\u2029"])
@@ -408,44 +417,40 @@ class TestTraceParsing:
                     lines.append(json.dumps(base | {"job_id": f"j{len(lines)}", key: value}))
         assert_parsed_as_reference("\n".join(lines))
 
-    @given(TRACE_LINES, st.sampled_from([1, 7, 64]), st.sampled_from([1, 2, 3, 32]))
-    def test_parse_trace_matches_record_from_dict_across_blocks(self, lines, block_chars,
-                                                                batch_lines):
+    @given(TRACE_LINES, st.sampled_from([1, 2, 3, 32]))
+    def test_parse_trace_matches_record_from_dict_across_batches(self, lines, batch_lines):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_BLOCK_CHARS", block_chars)
             patch.setattr(ingest, "_BATCH_LINES", batch_lines)
             assert_parsed_as_reference("\n".join(lines))
 
-    @pytest.mark.parametrize("block_chars", [1, 7, 64])
-    def test_field_variants_parse_as_the_reference_across_blocks(self, block_chars,
-                                                                 monkeypatch):
-        monkeypatch.setattr(ingest, "_BLOCK_CHARS", block_chars)
+    @pytest.mark.parametrize("batch_lines", [1, 2, 3])
+    def test_field_variants_parse_as_the_reference_across_batches(self, batch_lines,
+                                                                  monkeypatch):
+        monkeypatch.setattr(ingest, "_BATCH_LINES", batch_lines)
         self.test_parse_trace_matches_record_from_dict_on_every_field_variant()
 
-    def test_lines_on_block_boundaries_parse_as_the_reference(self):
-        # Each boundary falls between two of these lines; the trace ends
+    @pytest.mark.parametrize("batch_lines", [1, 2, 3, 32])
+    def test_lines_on_batch_edges_parse_as_the_reference(self, monkeypatch, batch_lines):
+        # Each batch edge falls between two of these lines; the trace ends
         # with no final newline.
+        monkeypatch.setattr(ingest, "_BATCH_LINES", batch_lines)
         job_ids = (f"f{n}" for n in itertools.count())
-        crlf = RESNET_LINE.replace('"r50"', '"crlf"') + "\r"
-        blocks = [filled_block(RESNET_LINE, "", job_ids),
-                  filled_block("  \t ", crlf, job_ids),
-                  filled_block("{broken", RESNET_LINE, job_ids),
-                  RESNET_LINE.replace('"r50"', '"last"')]
-        text = "\n".join(blocks)
-        assert len(text) > 3 * ingest._BLOCK_CHARS
-        assert [len(block) for block in blocks[:3]] == [ingest._BLOCK_CHARS] * 3
+        crlf = resnet_line("crlf") + "\r"
+        batches = [filled_batch(RESNET_LINE, "", job_ids),
+                   filled_batch("  \t ", crlf, job_ids),
+                   filled_batch("{broken", RESNET_LINE, job_ids),
+                   resnet_line("last")]
+        text = "\n".join(batches)
         assert_parsed_as_reference(text)
         pop, [malformed, duplicate] = parse_trace(text)
         assert "crlf" in {rec.job_id for rec in pop} and pop[-1].job_id == "last"
         assert malformed.message.startswith("invalid JSON: ")
         assert duplicate.message == "duplicate job_id 'r50' (first on line 1)"
 
-    @pytest.mark.parametrize("batch_lines", [2, 3, 32])
-    @pytest.mark.parametrize("block_chars", [1, 700, ingest._BLOCK_CHARS])
+    @pytest.mark.parametrize("batch_lines", [1, 2, 3, 32])
     def test_batches_mixing_clean_and_other_lines_parse_as_the_reference(
-            self, monkeypatch, batch_lines, block_chars):
+            self, monkeypatch, batch_lines):
         monkeypatch.setattr(ingest, "_BATCH_LINES", batch_lines)
-        monkeypatch.setattr(ingest, "_BLOCK_CHARS", block_chars)
         clean = [record_to_dict(rec) for rec in synth_population(SynthSpec(size=600, seed=3))]
         others = itertools.cycle([
             lambda obj: "{broken",
@@ -463,9 +468,7 @@ class TestTraceParsing:
         lines = [next(others)(obj) if n % batch_lines in (0, batch_lines - 1)
                  and n // batch_lines % 3 == 1 else json.dumps(obj)
                  for n, obj in enumerate(clean)]
-        text = "\n".join(lines)
-        assert len(text) > 2 * block_chars
-        assert_parsed_as_reference(text)
+        assert_parsed_as_reference("\n".join(lines))
 
     def test_a_batch_that_fails_the_screen_is_read_a_line_at_a_time(self, monkeypatch):
         calls = {"screen": 0, "record_from_dict": 0}
@@ -557,31 +560,53 @@ class TestQuantityColumns:
 class TestIngestMemory:
     @staticmethod
     def traced_parse(text):
-        """``parse_trace(text)``, the bytes its result retains, and the bytes
-        beyond those that it held at its peak (the text is not counted)."""
+        """``parse_trace(text)``, the bytes its result retains, and samples
+        of what the parse holds: at each call of ``_Reader.screen`` and at
+        the end, the peak of the bytes traced since the last sample, and
+        the records read by then (the text is not counted)."""
+        peaks, records = array("q"), array("q")
+        screen = ingest._Reader.screen
+
+        def sampled(reader, *args):
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            records.append(len(reader.record_lines))
+            tracemalloc.reset_peak()
+            return screen(reader, *args)
+
         gc.collect()
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = parse_trace(text)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest._Reader, "screen", sampled)
+                before = tracemalloc.get_traced_memory()[0]
+                result = parse_trace(text)
             gc.collect()
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return result, retained - before, peak - retained
+        peaks.append(peak - before)
+        records.append(len(result[0]))
+        return result, retained - before, zip(peaks, records)
 
-    def test_parse_holds_one_block_of_lines(self):
-        # Measured: 162 kB on Python 3.11 (185 kB on 3.10), of which the
-        # job-id index (a dict of None values) takes 52 kB, the records' line
-        # numbers 17 kB, and one block's lines and one batch of decoded
-        # objects the rest.  ``held`` is the peak less the result, so the
-        # result's growth after the peak counts against it.  A list of every
-        # line would add about the text's size, 611 kB here.
-        text = dump_trace(synth_population(SynthSpec(size=2000, seed=7)))
-        (pop, errors), _, held = self.traced_parse(text)
+    @pytest.mark.parametrize("refused", [False, True], ids=["screened", "refused"])
+    def test_parse_holds_little_beyond_its_result_at_every_batch(self, refused):
+        # What the parse holds at each sample is the peak less the result as
+        # it stood then: the records read so far at the final bytes per
+        # record.  Measured on Python 3.11 (3.10): 159 kB (194 kB) screened
+        # and 161 kB (191 kB) refused.  The most is held as the dict of job
+        # ids read so far grows past 1,365 ids and holds its old and new
+        # tables, 78 kB (111 kB); the rest is one batch's objects and texts,
+        # the records' line numbers and the result columns' growth.  A list
+        # of every line would add about the text's size, 611 kB here.
+        lines = dump_trace(synth_population(SynthSpec(size=2000, seed=7))).splitlines()
+        if refused:  # every batch holds a unit string not in the plain form
+            lines[5::ingest._BATCH_LINES] = [
+                json.dumps(json.loads(line) | {"dense_weight_bytes": "204 MB"})
+                for line in lines[5::ingest._BATCH_LINES]]
+        (pop, errors), retained, samples = self.traced_parse("\n".join(lines))
         assert len(pop) == 2000 and errors == []
-        assert len(text) > 9 * ingest._BLOCK_CHARS
-        assert held < 3 * ingest._BLOCK_CHARS
+        per_record = retained / len(pop)
+        assert max(peak - n * per_record for peak, n in samples) < 196_608
 
     def test_records_are_slotted_and_share_their_note_keys(self):
         # Bytes retained per record, measured on Python 3.11: 178 with each
