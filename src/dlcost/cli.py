@@ -23,8 +23,9 @@ import contextlib
 import sys
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
+from . import report as reporting
 from .aggregate import composition, scale_distribution, share_cdf, weighted_breakdown
 from .core import ArchitectureKind, OverlapMode, Population, Shares
 from .corpus import DEFAULT_MIX, SynthSpec, builtin_corpus, synth_population
@@ -170,13 +171,26 @@ def _load_inputs(args) -> tuple[Population, list, str, str]:
     return pop, errors, source, digest
 
 
-def _write_output(data: bytes, out: Optional[str]) -> None:
+def _ranges(n_rows: int) -> Iterator[tuple[int, int]]:
+    """The ``[start, stop)`` ranges of ``n_rows`` rows that output is written
+    in, ``report.EMIT_CHUNK_ROWS`` rows each; one range when ``n_rows`` is 0."""
+    step = reporting.EMIT_CHUNK_ROWS
+    return ((start, start + step) for start in range(0, max(n_rows, 1), step))
+
+
+def _write_output(parts: Iterator[bytes], out: Optional[str]) -> None:
+    """Write each of ``parts`` to ``out``, or to stdout, before the next is
+    made.  ``out`` is opened once the first part is made, so an error raised
+    before any output leaves no file; stdout is flushed once, at the end."""
+    first = next(parts)
     try:
-        if out:
-            Path(out).write_bytes(data)
-        else:
-            sys.stdout.buffer.write(data)
-            sys.stdout.buffer.flush()
+        with open(out, "wb") if out else contextlib.nullcontext(sys.stdout.buffer) as stream:
+            stream.write(first)
+            del first
+            for part in parts:
+                stream.write(part)
+                del part  # not held while the next part is made
+            stream.flush()
     except OSError as exc:
         raise _OutputError(
             f"{out or '<stdout>'}: cannot write output: {exc.strerror or exc}") from None
@@ -418,7 +432,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         _read_flags(args)
         if args.command in ("synth", "corpus"):
             pop = synth_population(args.spec) if args.command == "synth" else builtin_corpus()
-            _write_output(dump_trace(pop).encode("utf-8"), args.out)
+            _write_output((dump_trace(pop[start:stop]).encode("utf-8")
+                           for start, stop in _ranges(len(pop))), args.out)
             return EX_OK
 
         hw = load_hardware_profile(args.hw)
@@ -440,8 +455,12 @@ def run(argv: Optional[list[str]] = None) -> int:
         else:
             kind, blocks, extra = _HANDLERS[args.command](args, pop, hw, eff, overlap)
         report = build_report(kind, blocks, hw, eff, overlap, source, digest, extra)
-        del pop, blocks  # only the report stays referenced while it is emitted
-        _write_output(emit(report, args.format), args.out)
+        # Only the report stays referenced while it is written, one range of
+        # rows per ``emit`` call, each range's bytes written before the next
+        # range is formatted.
+        del pop, blocks
+        _write_output((emit(report, args.format, start, stop)
+                       for start, stop in _ranges(len(report.rows))), args.out)
         return EX_DATA if errors else EX_OK
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

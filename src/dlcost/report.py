@@ -218,18 +218,26 @@ EMIT_CHUNK_ROWS = 2048
 
 
 def _chunks(report: Report, rules: Mapping[type, Rule],
-            text: Callable[[int, list[Sequence[str]]], str]) -> Iterator[bytes]:
+            text: Callable[[int, list[Sequence[str]]], str],
+            start: int, stop: int) -> Iterator[bytes]:
     """Each chunk's ``text(n_rows, columns)`` of its columns' texts by
-    ``rules``, encoded: a block's fixed cells are formatted once per block,
-    each other column's slice once per chunk."""
+    ``rules``, encoded, for the report's rows ``[start, stop)``: the blocks
+    that overlap the range, each from where the range enters it to where
+    it leaves it.  A block's fixed cells are formatted once per block, each
+    other column's slice once per chunk."""
+    first = 0  # the report row index of the block's first row
     for n_rows, columns in report.blocks:
+        lo, hi = max(start - first, 0), min(stop - first, n_rows)
+        first += n_rows
+        if lo >= hi:
+            continue
         fixed = {i: _texts(rules, (c.value,))[0] for i, c in enumerate(columns)
                  if isinstance(c, Fixed)}
-        for start in range(0, n_rows, EMIT_CHUNK_ROWS):
-            stop = min(start + EMIT_CHUNK_ROWS, n_rows)
-            yield text(stop - start, [[fixed[i]] * (stop - start) if i in fixed
-                                      else _texts(rules, column[start:stop])
-                                      for i, column in enumerate(columns)]).encode("utf-8")
+        for begin in range(lo, hi, EMIT_CHUNK_ROWS):
+            end = min(begin + EMIT_CHUNK_ROWS, hi)
+            yield text(end - begin, [[fixed[i]] * (end - begin) if i in fixed
+                                     else _texts(rules, column[begin:end])
+                                     for i, column in enumerate(columns)]).encode("utf-8")
 
 
 def _csv_text(n_rows: int, fields: Sequence[Sequence[str]]) -> str:
@@ -242,29 +250,41 @@ def _csv_text(n_rows: int, fields: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report: Report, format: str = "csv") -> bytes:
-    """Serialize a report. CSV prefixes metadata as '# key: value' comments."""
-    # Text is encoded as it is written, a chunk at a time, and the parts are
-    # joined once at the end.  (Whether a growing BytesIO copies as it grows
-    # depends on the heap's layout, so its peak memory would swing.)
+def emit(report: Report, format: str = "csv", start: int = 0,
+         stop: int | None = None) -> bytes:
+    """Serialize a report's rows ``[start, stop)``, all of them by default.
+
+    CSV prefixes metadata as '# key: value' comments.  The metadata and
+    header (CSV) or the JSON head come only when ``start`` is 0, and the
+    JSON closing text only when ``stop`` reaches the row count, so the
+    bytes of consecutive ranges, joined, are the whole report's bytes: a
+    caller can write a report range by range, holding one range's bytes
+    at a time."""
+    n_rows = len(report.rows)
+    stop = n_rows if stop is None else min(stop, n_rows)
+    # Text is encoded as it is written, a chunk at a time, and the range's
+    # parts are joined once at the end.  (Whether a growing BytesIO copies as
+    # it grows depends on the heap's layout, so its peak memory would swing.)
     parts: list[bytes] = []
 
     def write(text: str) -> None:
         parts.append(text.encode("utf-8"))
 
     if format == "csv":
-        for key, value in _flatten_metadata(report.metadata):
-            write(f"# {key}: {_comment_value(value)}\n")
-        write(_csv_text(1, [[c] for c in _texts(_CSV_RULES, report.columns)]))
-        parts += _chunks(report, _CSV_RULES, _csv_text)
+        if start == 0:
+            for key, value in _flatten_metadata(report.metadata):
+                write(f"# {key}: {_comment_value(value)}\n")
+            write(_csv_text(1, [[c] for c in _texts(_CSV_RULES, report.columns)]))
+        parts += _chunks(report, _CSV_RULES, _csv_text, start, stop)
     elif format == "json":
         # The rows, the bulk of the bytes, are spliced into the frame that
         # ``indent=2`` gives, each row's cell texts (floats from
         # ``_json_floats``' one pass) through one ``%`` template of its keys,
         # every ``%`` in a key doubled.
-        head = json.dumps({"metadata": report.metadata, "columns": list(report.columns)},
-                          indent=2, allow_nan=False)
-        write(f'{head[:-2]},\n  "rows": ')
+        if start == 0:
+            head = json.dumps({"metadata": report.metadata, "columns": list(report.columns)},
+                              indent=2, allow_nan=False)
+            write(f'{head[:-2]},\n  "rows": ')
         items = ",\n      ".join(encode_basestring_ascii(c).replace("%", "%%") + ": %s"
                                   for c in report.columns)
         row = f"{{\n      {items}\n    }}".__mod__
@@ -272,11 +292,12 @@ def emit(report: Report, format: str = "csv") -> bytes:
         def rows(n_rows: int, columns: list[Sequence[str]]) -> str:
             return ",\n    ".join(map(row, zip(*columns)) if columns else ["{}"] * n_rows)
 
-        wrote = False
-        for data in _chunks(report, _JSON_RULES, rows):
+        wrote = start > 0  # a row before the range was written by an earlier call
+        for data in _chunks(report, _JSON_RULES, rows, start, stop):
             parts += (b",\n    " if wrote else b"[\n    ", data)
             wrote = True
-        write("\n  ]\n}\n" if wrote else "[]\n}\n")
+        if stop == n_rows:
+            write("\n  ]\n}\n" if n_rows else "[]\n}\n")
     else:
         raise ValueError(f"unknown report format {format!r} (expected one of {FORMATS})")
     return b"".join(parts)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import dlcost.report
 from dlcost.cli import EX_DATA, EX_OK, run
 from dlcost.core import RECORD_QUANTITIES
 from dlcost.corpus import SynthSpec, builtin_corpus, synth_population
@@ -69,6 +70,18 @@ def test_report_counters_match_the_output(tmp_path, command):
     counts, data, n_rows = traced(tmp_path, *command)
     assert counts["report.rows"] == n_rows > 0
     assert counts["report.bytes"] == len(data)
+
+
+@pytest.mark.parametrize("command", [["breakdown"], ["sweep", "--format", "json"],
+                                     ["validate", "--format", "json"]])
+def test_report_counters_match_an_output_written_over_several_emit_calls(
+        tmp_path, monkeypatch, command):
+    monkeypatch.setattr(dlcost.report, "EMIT_CHUNK_ROWS", 2)
+    counts, calls, data = traced_run(tmp_path, *command)
+    assert calls["report.emit"] > 1
+    assert counts["report.bytes"] == len(data)
+    assert counts["report.rows"] == len(json.loads(data)["rows"] if "json" in command
+                                         else csv_rows(data))
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["sweep", "--cartesian"]])
